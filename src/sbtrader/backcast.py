@@ -25,24 +25,19 @@ __all__ = [
     "BackcastReport",
     "sharpe",
     "transaction_amount",
+    "replay_day_sigma",
     "run_backcast",
 ]
 
 TRADING_DAYS_PER_YEAR = 252
 
 
-@dataclass
 class FillModel:
-    """Backcast execution model: fill at the intended price, minus commission."""
+    """Backcast execution model: fill at the intended price.
 
-    mode: str = "intended"
-    commission_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.mode != "intended":
-            raise ValueError(f"unsupported fill mode {self.mode!r}")
-        if self.commission_rate < 0:
-            raise ValueError("commission_rate must be >= 0")
+    Commission is charged per day in the accounting, at
+    `EngineConfig.commission_rate`.
+    """
 
     def fill(self, order: Order) -> Fill:
         return Fill(order_id=order.order_id, ts=order.ts, price=order.intended_price)
@@ -158,6 +153,15 @@ def _account_day(engine: TradingEngine, universe: Universe, commission_rate: flo
     return transactions, pnl - commissions, len(engine.fills)
 
 
+def replay_day_sigma(universe: Universe, path) -> np.ndarray:
+    """Replay one day feed into a fresh session; return its one-day correlation factors."""
+    session = MarketSession(universe)
+    for e in replay(path):
+        session.advance(e.ts)
+        session.apply(e)
+    return day_sigma_matrix(session.samples.matrix())
+
+
 def run_backcast(
     day_feeds: list[tuple[str, str]],
     universe: Universe,
@@ -174,7 +178,7 @@ def run_backcast(
     """
     report = BackcastReport(capital=config.strategy.a_trans * config.strategy.p_max)
     history: list[np.ndarray] = []
-    fill_model = FillModel(commission_rate=config.commission_rate)
+    fill_model = FillModel()
     for day_index, (date, path) in enumerate(day_feeds):
         if corr_override is not None:
             corr = corr_override
@@ -183,11 +187,7 @@ def run_backcast(
         else:
             corr = None
         if corr is None:
-            session = MarketSession(universe)
-            for e in replay(path):
-                session.advance(e.ts)
-                session.apply(e)
-            samples = session.samples.matrix()
+            history.append(replay_day_sigma(universe, path))
             report.days.append(DayRow(date=date, transactions=0.0, pnl=0.0, n_trades=0))
         else:
             engine = TradingEngine(
@@ -198,14 +198,10 @@ def run_backcast(
                 engine.process(e)
                 last_ts = e.ts
             engine.finalize(last_ts)
-            samples = engine.session.samples.matrix()
+            history.append(day_sigma_matrix(engine.session.samples.matrix()))
             transactions, pnl, n_trades = _account_day(engine, universe, config.commission_rate)
             report.days.append(DayRow(date=date, transactions=transactions, pnl=pnl, n_trades=n_trades))
             for order, fill in engine.fills:
                 report.order_rows.append((fill.ts, order.code, order.side, order.lots, fill.price, order.action))
-        if samples.shape[0] == 0:
-            history.append(np.zeros((universe.n, universe.n)))
-        else:
-            history.append(day_sigma_matrix(samples))
     report.finalize_stats()
     return report

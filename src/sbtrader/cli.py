@@ -56,6 +56,10 @@ def _sb_params(args, restarts_default: int = 10) -> sb.SbParams:
     )
 
 
+def _config(cls, path):
+    return st.config_from_kv(cls, st.read_kv(path)) if path else cls()
+
+
 def _spin_string(spins: np.ndarray) -> str:
     return "".join("+" if s > 0 else "-" for s in spins)
 
@@ -74,7 +78,7 @@ def cmd_solve(args) -> int:
         return 0
     universe = st.load_universe(args.universe)
     corr = st.load_correlation(args.corr)
-    sparams = st.strategy_params_from_kv(st.read_kv(args.config)) if args.config else st.StrategyParams()
+    sparams = _config(eng.EngineConfig, args.config).strategy
     dev = _load_deviations(args.deviations, universe.n)
     split = st.build_split(dev, corr, sparams)
     sol = sb.solve(split, params)
@@ -97,7 +101,7 @@ def cmd_solve(args) -> int:
 
 def cmd_gen_feed(args) -> int:
     universe = st.load_universe(args.universe)
-    spec = fd.synth_spec_from_kv(st.read_kv(args.spec)) if args.spec else fd.SynthSpec()
+    spec = _config(fd.SynthSpec, args.spec)
     count = fd.synth_generate(universe, spec, args.seed, args.out)
     print(f"events={count}")
     print(f"out={args.out}")
@@ -106,15 +110,8 @@ def cmd_gen_feed(args) -> int:
 
 def cmd_corr(args) -> int:
     universe = st.load_universe(args.universe)
-    daily = []
-    days = []
-    for path in args.feeds:
-        session = fd.MarketSession(universe)
-        for e in fd.replay(path):
-            session.advance(e.ts)
-            session.apply(e)
-        daily.append(st.day_sigma_matrix(session.samples.matrix()))
-        days.append(Path(path).stem)
+    daily = [bc.replay_day_sigma(universe, path) for path in args.feeds]
+    days = [Path(path).stem for path in args.feeds]
     corr = st.correlation_matrix(daily, window=args.window)
     st.save_correlation(args.out, corr, days)
     print(f"days={','.join(days)}")
@@ -124,7 +121,7 @@ def cmd_corr(args) -> int:
 
 def cmd_backcast(args) -> int:
     universe = st.load_universe(args.universe)
-    config = eng.load_engine_config(args.config) if args.config else eng.EngineConfig()
+    config = _config(eng.EngineConfig, args.config)
     feed_dir = Path(args.feed_dir)
     if not feed_dir.is_dir():
         raise ValueError(f"feed directory not found: {feed_dir}")
@@ -189,13 +186,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", help="universe CSV (code,base_price,min_lot)")
     p.add_argument("--deviations", help="per-stock deviation file (dp[,mask] per line)")
     p.add_argument("--corr", help="correlation matrix text file")
-    p.add_argument("--config", help="strategy key=value config file")
+    p.add_argument(
+        "--config",
+        help="key=value file in the backcast format; only its strategy keys are used here. Keys are the "
+        "field names of EngineConfig and StrategyParams, with session_close_s and t_force_s in seconds; "
+        "unknown keys are rejected",
+    )
     add_solver_flags(p)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("gen-feed", help="generate a deterministic synthetic tick feed")
     p.add_argument("--universe", required=True)
-    p.add_argument("--spec", help="synthetic feed key=value spec file")
+    p.add_argument(
+        "--spec",
+        help="key=value file whose keys are the field names of SynthSpec (duration_s is in seconds); "
+        "unknown keys are rejected",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_feed)
@@ -210,7 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backcast", help="replay day feeds through the trading engine")
     p.add_argument("--feed-dir", required=True, dest="feed_dir")
     p.add_argument("--universe", required=True)
-    p.add_argument("--config", help="engine key=value config file")
+    p.add_argument(
+        "--config",
+        help="key=value file whose keys are the field names of EngineConfig and StrategyParams, with "
+        "session_close_s and t_force_s in seconds; unknown keys are rejected",
+    )
     p.add_argument("--corr", help="correlation matrix override (skips warm-up)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

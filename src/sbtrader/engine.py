@@ -18,7 +18,6 @@ import numpy as np
 from .feed import MarketSession, TickEvent
 from .sb import DivergenceError, SbParams, run as sb_run, substream, update_tick
 from .strategy import (
-    STRATEGY_KEYS,
     CorrelationMatrix,
     DeviationVector,
     StrategyParams,
@@ -27,7 +26,6 @@ from .strategy import (
     compute_deviation,
     evaluate_candidate,
     lot_size,
-    read_kv,
 )
 
 logger = logging.getLogger(__name__)
@@ -40,8 +38,6 @@ __all__ = [
     "Position",
     "EngineConfig",
     "TradingEngine",
-    "engine_config_from_kv",
-    "load_engine_config",
     "ORDER_LOG_HEADER",
 ]
 
@@ -99,8 +95,8 @@ class EngineConfig:
     """Strategy parameters plus session timing and solver settings."""
 
     strategy: StrategyParams = field(default_factory=StrategyParams)
-    session_close_us: int = 9_000_000_000
-    t_force_us: int = 60_000_000
+    session_close_us: int = field(default=9_000_000_000, metadata={"kv_seconds": "session_close_s"})
+    t_force_us: int = field(default=60_000_000, metadata={"kv_seconds": "t_force_s"})
     n_step: int = 300
     dt: float = 0.02
     restarts: int = 10
@@ -110,45 +106,21 @@ class EngineConfig:
     corr_window: int = 5
     warmup_days: int = 5
 
+    def __post_init__(self) -> None:
+        self.sb_params()  # SbParams checks n_step, dt and restarts
+        if not self.session_close_us > 0:
+            raise ValueError("session_close_us must be positive")
+        if not self.t_force_us >= 0:
+            raise ValueError("t_force_us must be >= 0")
+        if not self.commission_rate >= 0:
+            raise ValueError("commission_rate must be >= 0")
+        if not self.corr_window >= 1:
+            raise ValueError("corr_window must be >= 1")
+        if not self.warmup_days >= 0:
+            raise ValueError("warmup_days must be >= 0")
+
     def sb_params(self) -> SbParams:
         return SbParams(n_step=self.n_step, dt=self.dt, a0=self.a0, c0=self.c0, restarts=self.restarts)
-
-
-_ENGINE_KEYS = {
-    "session_close_s": float,
-    "t_force_s": float,
-    "n_step": int,
-    "dt": float,
-    "restarts": int,
-    "a0": float,
-    "c0": float,
-    "commission_rate": float,
-    "corr_window": int,
-    "warmup_days": int,
-}
-
-
-def engine_config_from_kv(kv: dict[str, str]) -> EngineConfig:
-    for key in kv:
-        if key not in STRATEGY_KEYS and key not in _ENGINE_KEYS:
-            raise ValueError(f"unknown config key: {key}")
-    strategy_kwargs = {k: STRATEGY_KEYS[k](kv[k]) for k in STRATEGY_KEYS if k in kv}
-    cfg = EngineConfig(strategy=StrategyParams(**strategy_kwargs))
-    if "session_close_s" in kv:
-        cfg.session_close_us = int(float(kv["session_close_s"]) * 1e6)
-    if "t_force_s" in kv:
-        cfg.t_force_us = int(float(kv["t_force_s"]) * 1e6)
-    for key in ("n_step", "restarts", "corr_window", "warmup_days"):
-        if key in kv:
-            setattr(cfg, key, int(kv[key]))
-    for key in ("dt", "a0", "c0", "commission_rate"):
-        if key in kv:
-            setattr(cfg, key, float(kv[key]))
-    return cfg
-
-
-def load_engine_config(path) -> EngineConfig:
-    return engine_config_from_kv(read_kv(path))
 
 
 class TradingEngine:

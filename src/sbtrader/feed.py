@@ -29,7 +29,6 @@ __all__ = [
     "sample_vector",
     "replay",
     "write_feed",
-    "synth_spec_from_kv",
     "synth_generate",
 ]
 
@@ -83,9 +82,10 @@ class PriceBuffer:
     def update_quote(self, idx: int, ask: float, bid: float) -> bool:
         """Apply a quote; returns True iff ask or bid actually changed.
 
-        Crossed or nonpositive quotes are rejected (counted, not raised).
+        Crossed, nonpositive or non-finite quotes are rejected (counted, not
+        raised); the chained comparison is False for NaN, so NaN is rejected too.
         """
-        if bid <= 0 or ask < bid:
+        if not 0 < bid <= ask < np.inf:
             self.rejected += 1
             logger.warning("rejected quote #%d: ask=%s bid=%s", self.rejected, ask, bid)
             return False
@@ -201,7 +201,8 @@ class MarketSession:
 
 
 def _fmt(v: float) -> str:
-    return str(int(v)) if float(v) == int(v) else repr(float(v))
+    v = float(v)
+    return str(int(v)) if v.is_integer() else repr(v)
 
 
 def write_feed(path, events: list[TickEvent]) -> None:
@@ -260,27 +261,6 @@ class SynthSpec:
             raise ValueError("invalid spread/tick/volume specification")
         if self.vol < 0 or self.reversion < 0:
             raise ValueError("vol and reversion must be >= 0")
-
-
-SYNTH_KEYS = {
-    "duration_s": float,
-    "quote_rate": float,
-    "trade_rate": float,
-    "spread_ticks": int,
-    "tick": float,
-    "vol": float,
-    "reversion": float,
-    "volume_lots": int,
-}
-
-
-def synth_spec_from_kv(kv: dict[str, str]) -> SynthSpec:
-    kwargs = {}
-    for key, value in kv.items():
-        if key not in SYNTH_KEYS:
-            raise ValueError(f"unknown synthetic feed key: {key}")
-        kwargs[key] = SYNTH_KEYS[key](value)
-    return SynthSpec(**kwargs)
 
 
 def synth_generate(universe: Universe, spec: SynthSpec, seed: int, path) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -47,8 +46,7 @@ class SbParams:
     """Ballistic-SB parameters.
 
     n_step and dt default to the 300 / 0.02 operating point; a0 ramps the
-    pumping amplitude linearly from 0 over the run unless a custom schedule
-    (step index -> amplitude) is supplied. Scaling a0 and c0 together only
+    pumping amplitude linearly from 0 over the run. Scaling a0 and c0 together only
     rescales time, so a0 sets the effective anneal length at fixed n_step*dt;
     the default pairing (a0=10 with c0 = 1.5 a0 / (sqrt(n) * rms of nonzero
     day couplings)) was calibrated against the brute-force oracle on
@@ -59,22 +57,19 @@ class SbParams:
     dt: float = 0.02
     a0: float = 10.0
     c0: float | None = None
-    schedule: Callable[[int], float] | None = None
     restarts: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_step < 1:
+        if not self.n_step >= 1:
             raise ValueError("n_step must be >= 1")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.restarts < 1:
+        if not self.restarts >= 1:
             raise ValueError("restarts must be >= 1")
 
     def pump(self, k: int) -> float:
         """Pumping amplitude a(t) at step k."""
-        if self.schedule is not None:
-            return float(self.schedule(k))
         if self.n_step == 1:
             return 0.0
         return self.a0 * k / (self.n_step - 1)

@@ -8,7 +8,9 @@ enforces group size and long/short balance through quadratic penalties.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +41,7 @@ __all__ = [
     "load_universe",
     "save_universe",
     "read_kv",
-    "strategy_params_from_kv",
-    "STRATEGY_KEYS",
+    "config_from_kv",
     "save_correlation",
     "load_correlation",
 ]
@@ -109,12 +110,12 @@ class StrategyParams:
             raise ValueError("n_s must be even and >= 2 (delta-neutral groups pair long/short)")
         if self.p_max < 1:
             raise ValueError("p_max must be >= 1")
-        if self.a_trans <= 0:
+        if not self.a_trans > 0:
             raise ValueError("a_trans must be positive")
-        if self.c1 <= 0:
+        if not self.c1 > 0:
             raise ValueError("c1 must be positive")
-        if self.c2 < 0 or self.c3 < 0:
-            raise ValueError("penalty coefficients must be >= 0")
+        if not (self.c2 >= 0 and self.c3 >= 0):
+            raise ValueError("penalty coefficients c2 and c3 must be >= 0")
 
 
 @dataclass
@@ -251,6 +252,8 @@ def day_sigma_matrix(samples: np.ndarray) -> np.ndarray:
 
 def correlation_matrix(daily: list[np.ndarray], window: int = 5) -> CorrelationMatrix:
     """Average the last `window` one-day matrices and map [-1,1] -> [0,1]."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     if not daily:
         raise ValueError("no correlation history available")
     stack = np.stack([np.asarray(m, dtype=np.float64) for m in daily[-window:]])
@@ -457,7 +460,7 @@ def load_correlation(path) -> CorrelationMatrix:
 
 
 def read_kv(path) -> dict[str, str]:
-    """Flat key=value configuration file; `#` comments and blank lines allowed."""
+    """Read a key=value file into raw strings; `config_from_kv` describes the format."""
     out: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -471,24 +474,41 @@ def read_kv(path) -> dict[str, str]:
     return out
 
 
-STRATEGY_KEYS = {
-    "n_s": int,
-    "p_max": int,
-    "a_trans": float,
-    "c1": float,
-    "c2": float,
-    "c3": float,
-    "accept_threshold": float,
-}
+def config_from_kv(cls, kv: dict[str, str]):
+    """Build the config dataclass `cls` (StrategyParams, EngineConfig, SynthSpec) from key=value pairs.
+
+    Format: one `key=value` per line; blank lines and lines starting with `#`
+    are skipped. Each key is a field name of `cls` and its value is parsed
+    with the field's type (`float | None` parses as float). A field that is
+    itself a config dataclass, such as `EngineConfig.strategy`, is filled
+    from the same flat keys. A field whose metadata names a `kv_seconds` key
+    is read from that key in seconds and stored as integer microseconds
+    (`session_close_s` and `t_force_s` fill `session_close_us` and
+    `t_force_us`). Unknown keys are rejected. Every value goes to the
+    constructor, so the class's `__post_init__` is the one place it is checked.
+    """
+    unread = dict(kv)
+    config = _fill(cls, unread)
+    if unread:
+        raise ValueError(f"unknown config key: {', '.join(sorted(unread))}")
+    return config
 
 
-def strategy_params_from_kv(kv: dict[str, str]) -> StrategyParams:
-    """Build StrategyParams from the keys it owns; other keys are left alone."""
+def _fill(cls, unread: dict[str, str]):
+    hints = typing.get_type_hints(cls)
     kwargs = {}
-    for key, cast in STRATEGY_KEYS.items():
-        if key in kv:
-            try:
-                kwargs[key] = cast(kv[key])
-            except ValueError:
-                raise ValueError(f"config key {key}: cannot parse {kv[key]!r} as {cast.__name__}")
-    return StrategyParams(**kwargs)
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            kwargs[f.name] = _fill(hint, unread)
+            continue
+        key = f.metadata.get("kv_seconds", f.name)
+        if key not in unread:
+            continue
+        text = unread.pop(key)
+        cast = typing.get_args(hint)[0] if typing.get_args(hint) else hint
+        try:
+            kwargs[f.name] = cast(text) if key == f.name else int(float(text) * 1e6)
+        except (ValueError, OverflowError):
+            raise ValueError(f"config key {key}: cannot parse {text!r}") from None
+    return cls(**kwargs)

@@ -8,7 +8,7 @@ import pytest
 import helpers
 from sbtrader.backcast import BackcastReport, FillModel, run_backcast, sharpe, transaction_amount
 from sbtrader.engine import EngineConfig
-from sbtrader.feed import SynthSpec, synth_generate, write_feed
+from sbtrader.feed import MarketSession, SynthSpec, TickEvent, replay, synth_generate, write_feed
 from sbtrader.strategy import StrategyParams
 
 
@@ -57,13 +57,10 @@ class TestFillModel:
         fill = FillModel().fill(order)
         assert fill.price == 123.0 and fill.order_id == 1 and fill.ts == 5
 
-    def test_unsupported_mode(self):
-        with pytest.raises(ValueError):
-            FillModel(mode="mid")
-
     def test_negative_commission(self):
-        with pytest.raises(ValueError):
-            FillModel(commission_rate=-0.1)
+        # the commission rate is an EngineConfig setting; FillModel has none
+        with pytest.raises(ValueError, match="commission_rate"):
+            EngineConfig(commission_rate=-0.1)
 
 
 def scenario_feeds(tmp_path):
@@ -83,6 +80,25 @@ class TestRunBackcast:
         assert report.days[0].transactions == pytest.approx(expected_tx, abs=1e-6)
         assert report.days[0].pnl == pytest.approx(expected_pnl, abs=1e-6)
         assert report.days[0].n_trades == 8
+
+    def test_nan_ask_rejected_and_counted(self, tmp_path):
+        uni, feeds = scenario_feeds(tmp_path)
+        events = helpers.convergence_events(uni.codes)
+        events.append(TickEvent(3_000_000, uni.codes[4], "quote", math.nan, helpers.BASE - 1))
+        events.sort(key=lambda e: (e.ts, e.code, e.kind))
+        path = tmp_path / "nan.csv"
+        write_feed(path, events)
+        config = helpers.convergence_params(commission_rate=0.0005)
+        clean = run_backcast(feeds, uni, config, seed=3, corr_override=helpers.convergence_corr())
+        report = run_backcast(
+            [("2023-02-24", str(path))], uni, config, seed=3, corr_override=helpers.convergence_corr()
+        )
+        assert report.days == clean.days
+        session = MarketSession(uni)
+        for e in replay(path):
+            session.advance(e.ts)
+            session.apply(e)
+        assert session.buffer.rejected == 1
 
     def test_empty_feed_day_zero_row(self, tmp_path):
         uni = helpers.make_universe()

@@ -1,11 +1,18 @@
 """CLI-level tests: flags, exit codes, file outputs, determinism."""
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 import helpers
+from sbtrader import backcast as bc
 from sbtrader.cli import main
 from sbtrader.ising import save_matrix
 from sbtrader.strategy import load_correlation
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +80,22 @@ class TestSolve:
         )
         assert code == 2
         assert "accepted=False" in out
+
+    def test_misspelt_config_key_exit_1(self, tmp_path, capsys):
+        files = helpers.write_convergence_fixture(tmp_path)
+        dev = tmp_path / "dev.txt"
+        dev.write_text("-0.0042\n-0.004\n0.0042\n0.004\n0\n0\n")
+        typo = tmp_path / "typo.cfg"
+        typo.write_text("n_s=4\nc_1=1000\n")
+        code, _, err = run_cli(
+            capsys,
+            "solve",
+            "--universe", str(files["universe"]),
+            "--deviations", str(dev),
+            "--corr", str(files["corr"]),
+            "--config", str(typo),
+        )
+        assert code == 1 and "c_1" in err
 
     def test_deviation_count_mismatch(self, tmp_path, capsys):
         files = helpers.write_convergence_fixture(tmp_path)
@@ -161,6 +184,39 @@ class TestBackcast:
         )
         assert code == 1
         assert "mystery_knob" in err
+
+    def test_bad_config_value_exits_before_replay(self, tmp_path, capsys, monkeypatch):
+        files = helpers.write_convergence_fixture(tmp_path)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("n_s=4\nt_force_s=-5\n")
+        monkeypatch.setattr(bc, "replay", lambda path: pytest.fail("a feed was replayed"))
+        code, _, err = run_cli(
+            capsys,
+            "backcast",
+            "--feed-dir", str(files["feed_dir"]),
+            "--universe", str(files["universe"]),
+            "--config", str(bad),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1 and "t_force_us" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_golden_reports(self, tmp_path, capsys):
+        files = helpers.write_convergence_fixture(tmp_path, commission_rate=0.0005)
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys,
+            "backcast",
+            "--feed-dir", str(files["feed_dir"]),
+            "--universe", str(files["universe"]),
+            "--config", str(files["config"]),
+            "--corr", str(files["corr"]),
+            "--seed", "3",
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        for name in ("report.csv", "cumulative.csv", "orders.csv", "summary.txt"):
+            assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
     def test_missing_feed_dir(self, tmp_path, capsys):
         files = helpers.write_convergence_fixture(tmp_path)

@@ -11,11 +11,9 @@ from sbtrader.engine import (
     EngineConfig,
     Fill,
     TradingEngine,
-    engine_config_from_kv,
-    load_engine_config,
 )
 from sbtrader.feed import TickEvent
-from sbtrader.strategy import DeviationVector, StrategyParams
+from sbtrader.strategy import DeviationVector, StrategyParams, config_from_kv, read_kv
 
 
 def make_engine(commission_rate=0.0, restarts=3, p_max=4, fill=True):
@@ -250,7 +248,7 @@ class TestEngineConfig:
             "session_close_s=100\nt_force_s=5\nn_step=50\ndt=0.01\nrestarts=2\na0=4\n"
             "c0=0.3\ncommission_rate=0.001\ncorr_window=3\nwarmup_days=2\n"
         )
-        cfg = load_engine_config(path)
+        cfg = config_from_kv(EngineConfig, read_kv(path))
         assert cfg.strategy.p_max == 6
         assert cfg.session_close_us == 100_000_000
         assert cfg.t_force_us == 5_000_000
@@ -261,7 +259,26 @@ class TestEngineConfig:
 
     def test_unknown_key_named(self):
         with pytest.raises(ValueError, match="unknown config key: bogus"):
-            engine_config_from_kv({"bogus": "1"})
+            config_from_kv(EngineConfig, {"bogus": "1"})
+
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("restarts=0", "restarts"),
+            ("dt=-1", "dt"),
+            ("dt=nan", "dt"),
+            ("t_force_s=-5", "t_force_us"),
+            ("corr_window=0", "corr_window"),
+            ("commission_rate=-1", "commission_rate"),
+            ("n_s=abc", "n_s"),
+            ("n_steps=100", "n_steps"),
+        ],
+    )
+    def test_bad_value_rejected_at_load(self, tmp_path, line, named):
+        path = tmp_path / "e.cfg"
+        path.write_text(f"{line}\n")
+        with pytest.raises(ValueError, match=rf"\b{named}\b"):
+            config_from_kv(EngineConfig, read_kv(path))
 
     def test_defaults(self):
         cfg = EngineConfig()

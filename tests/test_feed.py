@@ -16,10 +16,9 @@ from sbtrader.feed import (
     replay,
     sample_vector,
     synth_generate,
-    synth_spec_from_kv,
     write_feed,
 )
-from sbtrader.strategy import Stock, Universe
+from sbtrader.strategy import Stock, Universe, config_from_kv
 
 
 def uni(n=3, base=1000.0):
@@ -74,6 +73,13 @@ class TestApplyEvent:
         u = uni()
         buf, acc = PriceBuffer(u.n), VwapAccumulator(u.n)
         changed = apply_event(buf, acc, u, TickEvent(0, "9001", "quote", 99, 101))
+        assert not changed and buf.rejected == 1 and not buf.valid[0]
+
+    @pytest.mark.parametrize("ask, bid", [(np.nan, 99.0), (np.inf, 99.0), (101.0, np.nan)])
+    def test_non_finite_quote_rejected_with_count(self, ask, bid):
+        u = uni()
+        buf, acc = PriceBuffer(u.n), VwapAccumulator(u.n)
+        changed = apply_event(buf, acc, u, TickEvent(0, "9001", "quote", ask, bid))
         assert not changed and buf.rejected == 1 and not buf.valid[0]
 
     @given(
@@ -212,8 +218,8 @@ class TestSynth:
         assert quotes and all(e.ask == e.bid for e in quotes)
 
     def test_spec_from_kv_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown synthetic feed key"):
-            synth_spec_from_kv({"duration_s": "10", "bogus": "1"})
+        with pytest.raises(ValueError, match="unknown config key: bogus"):
+            config_from_kv(SynthSpec, {"duration_s": "10", "bogus": "1"})
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -28,11 +28,11 @@ from sbtrader.strategy import (
     lot_size,
     mid_price,
     random_instance,
+    config_from_kv,
     read_kv,
     save_correlation,
     load_correlation,
     save_universe,
-    strategy_params_from_kv,
 )
 
 
@@ -232,6 +232,13 @@ class TestCorrelationMatrix:
     def test_empty_history(self):
         with pytest.raises(ValueError):
             correlation_matrix([])
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected(self, window):
+        # daily[-0:] is the whole history and daily[1:] drops only the oldest day
+        days = [np.full((2, 2), v) for v in (-1.0, 0.0, 0.0, 0.8)]
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            correlation_matrix(days, window=window)
 
 
 class TestBuildQubo:
@@ -452,7 +459,7 @@ class TestFilesAndConfig:
             read_kv(path)
 
     def test_params_from_kv(self):
-        params = strategy_params_from_kv({"n_s": "6", "c1": "2.0", "accept_threshold": "-1.0"})
+        params = config_from_kv(StrategyParams, {"n_s": "6", "c1": "2.0", "accept_threshold": "-1.0"})
         assert params.n_s == 6 and params.c1 == 2.0 and params.accept_threshold == -1.0
 
     def test_params_validation(self):
