@@ -146,6 +146,8 @@ def cmd_bench(args) -> int:
     for i in range(params.restarts):
         sol = sb.run(split, params, sb.substream(args.seed, i), run_index=i)
         timings.append(sol.elapsed)
+    rngs = [sb.substream(args.seed, i) for i in range(params.restarts)]
+    batch_s = sb.run_batch(split, params, rngs)[0].elapsed
     tick_counter = sb.WriteCounter()
     sb.update_tick(split, dev.sgn(), np.abs(dev.dp), counter=tick_counter)
     day_counter = sb.WriteCounter()
@@ -153,6 +155,7 @@ def cmd_bench(args) -> int:
     print(f"n={args.n} n_step={params.n_step} runs={params.restarts}")
     print(f"mean_run_ms={1e3 * float(np.mean(timings)):.3f}")
     print(f"min_run_ms={1e3 * float(np.min(timings)):.3f}")
+    print(f"batch_ms={1e3 * batch_s:.3f}")
     print(f"tick_update_writes={tick_counter.elements}")
     print(f"day_rebuild_writes={day_counter.elements}")
     print(f"write_ratio={day_counter.elements / tick_counter.elements:.2f}")
@@ -226,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_backcast)
 
-    p = sub.add_parser("bench", help="time solver runs and measure update write counts")
+    p = sub.add_parser("bench", help="time solver runs and one batch of them, and measure update write counts")
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--n-s", type=int, default=4, dest="n_s")
     p.add_argument("--oracle-instances", type=int, default=0, dest="oracle_instances")

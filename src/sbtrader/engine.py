@@ -2,7 +2,7 @@
 
 The engine owns one day's market state. On each quote change it rebuilds the
 deviation vector (masking open positions), refreshes the O(N) tick side of
-the split problem, and runs the solver repeatedly with fresh random initial
+the split problem, and solves one batch of restarts with fresh random initial
 states; accepted, judged groups become orders. Closing is driven by the
 deviation sign crossing zero (taking the convergence profit) and by a forced
 unwind window before session close.
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .feed import MarketSession, TickEvent
-from .sb import DivergenceError, SbParams, run as sb_run, substream, update_tick
+from .sb import SbParams, run_batch as sb_run, substream, update_tick
 from .strategy import (
     CorrelationMatrix,
     DeviationVector,
@@ -185,41 +185,47 @@ class TradingEngine:
     def on_quote_change(self, ts: int, code: str | None = None) -> list[Order]:
         """Re-solve after a quote change; returns any orders issued.
 
-        The solve repeats up to the restart budget with fresh initial states,
-        redoing the preprocessing (deviation + tick update) only after a run
-        that issued orders, since opening changes the open-list mask.
+        Runs 0..restarts-1 are solved speculatively as one batch on the current
+        split, then judged in index order. Opening changes the open-list mask,
+        so after the first run that issues orders the preprocessing (deviation
+        plus tick update) is redone and only the later runs are re-batched. Each
+        run draws from its own (seed, day, event, run) stream, so the decisions
+        are those of solving and judging the runs one at a time. A diverged run
+        skips the rest of the event once the runs before it have been judged.
         """
         if ts >= self.config.session_close_us - self.config.t_force_us:
             return []  # inside the forced-unwind window; judgment would reject
         issued: list[Order] = []
-        dev: DeviationVector | None = None
-        need_preprocess = True
-        for run_index in range(self.config.restarts):
-            if need_preprocess:
-                dev = self._deviation()
-                self.split = update_tick(self.split, dev.sgn(), np.abs(dev.dp))
-                need_preprocess = False
-                if dev.mask.all():
-                    break
-            rng = substream(self.seed, self.day_key, self.event_index, run_index)
-            try:
-                sol = sb_run(self.split, self._params, rng, run_index=run_index)
-            except DivergenceError as exc:
-                self.skipped_events += 1
-                logger.warning("solver diverged at ts=%d (%s); skipping event", ts, exc)
+        start = 0
+        while start < self.config.restarts:
+            dev = self._deviation()
+            self.split = update_tick(self.split, dev.sgn(), np.abs(dev.dp))
+            if dev.mask.all():
                 break
-            verdict = evaluate_candidate(sol, dev, self.corr, self.config.strategy)
-            if not verdict.accepted:
-                continue
-            selected = np.flatnonzero(np.asarray(sol.spins) > 0)
-            if any(self.universe.codes[i] in self.open_codes for i in selected):
-                # compute_deviation masks open stocks, so the solver can never
-                # select one; reaching this means the mask was bypassed
-                raise RuntimeError("accepted candidate contains an already-open code")
-            orders = self.judge_open(selected, dev, ts)
-            if orders:
-                issued.extend(orders)
-                need_preprocess = True
+            rngs = [
+                substream(self.seed, self.day_key, self.event_index, run_index)
+                for run_index in range(start, self.config.restarts)
+            ]
+            batch = sb_run(self.split, self._params, rngs, start=start)
+            start = self.config.restarts
+            for sol in batch:
+                if sol is None:
+                    self.skipped_events += 1
+                    logger.warning("solver diverged at ts=%d (lower c0 or dt); skipping event", ts)
+                    return issued
+                verdict = evaluate_candidate(sol, dev, self.corr, self.config.strategy)
+                if not verdict.accepted:
+                    continue
+                selected = np.flatnonzero(np.asarray(sol.spins) > 0)
+                if any(self.universe.codes[i] in self.open_codes for i in selected):
+                    # compute_deviation masks open stocks, so the solver can never
+                    # select one; reaching this means the mask was bypassed
+                    raise RuntimeError("accepted candidate contains an already-open code")
+                orders = self.judge_open(selected, dev, ts)
+                if orders:
+                    issued.extend(orders)
+                    start = sol.run_index + 1  # re-batch the later runs under the new mask
+                    break
         return issued
 
     def judge_open(self, selected: np.ndarray, dev: DeviationVector, ts: int) -> list[Order]:

@@ -1,20 +1,35 @@
 """Ballistic simulated-bifurcation solver over day/tick split problems.
 
 The day component (dense couplings from correlations and the group-size
-penalty) is applied through an N x N matrix-vector product each step; the
-tick component (price deviations and the long/short balance penalty) enters
-through O(N) intermediate values only, so a quote change never touches the
-dense storage.
+penalty) is applied through one matrix product per step; the tick component
+(price deviations and the long/short balance penalty) enters through O(N)
+intermediate values only, so a quote change never touches the dense storage.
+
+Restarts run as one batch (`run_batch`): positions and momenta are (R, N)
+matrices, each step is a single `x @ j_day` product (j_day is symmetric), and
+row r draws its initial momenta from the RNG stream the caller passes for it,
+so a run keeps its key whichever batch it lands in. c0 and the tick biases
+are computed once per batch. Every step checks each row for non-finite
+state, because the wall clamp would turn an inf back into +-1; a diverged
+row is reported as None while the other rows finish. Each row's energy is
+read out from the split form, -1/2 s.J_day.s plus O(N) tick terms and the
+offsets, so the dense problem is never materialised on the solve path.
+`run` is the one-row batch and `solve` is one batch of `restarts` rows plus
+the best-of-R pick, whose tolerance absorbs the last-bit differences a
+batched product can give rows with equal spins. `step` applies the same
+kernel to an (N,) or (R, N) state; `step_dense`, `dense_reconstruct` and
+`ising.brute_force_min` are oracles for the tests.
 """
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ising import IsingProblem, ising_energy
+from .ising import IsingProblem, ising_energy  # ising_energy: re-exported readout oracle
 
 __all__ = [
     "DivergenceError",
@@ -31,6 +46,8 @@ __all__ = [
     "step",
     "step_dense",
     "run",
+    "run_batch",
+    "pick_best",
     "solve",
     "update_tick",
     "default_c0",
@@ -107,22 +124,13 @@ class SplitProblem:
     def __post_init__(self) -> None:
         self.j_day = np.asarray(self.j_day, dtype=np.float64)
         self.h_day = np.asarray(self.h_day, dtype=np.float64)
-        self.sgn_dp = np.asarray(self.sgn_dp, dtype=np.float64)
-        self.abs_dp = np.asarray(self.abs_dp, dtype=np.float64)
         n = self.j_day.shape[0]
         if self.j_day.shape != (n, n):
             raise ValueError("j_day must be square")
-        for name, vec in (("h_day", self.h_day), ("sgn_dp", self.sgn_dp), ("abs_dp", self.abs_dp)):
-            if vec.shape != (n,):
-                raise ValueError(f"{name} has shape {vec.shape}, expected ({n},)")
+        _check_vector("h_day", self.h_day, n)
         if np.any(self.j_day != self.j_day.T) or np.any(np.diag(self.j_day) != 0.0):
             raise ValueError("j_day must be symmetric with zero diagonal")
-        if not np.all(np.isin(self.sgn_dp, (-1.0, 0.0, 1.0))):
-            raise ValueError("sgn_dp entries must be -1, 0, or +1")
-        if np.any(self.abs_dp < 0.0):
-            raise ValueError("abs_dp entries must be >= 0")
-        if np.any(self.abs_dp[self.sgn_dp == 0.0] != 0.0):
-            raise ValueError("abs_dp must be 0 wherever sgn_dp is 0")
+        self.sgn_dp, self.abs_dp = _checked_tick(n, self.sgn_dp, self.abs_dp)
         if self.c1 < 0.0 or self.c3 < 0.0:
             raise ValueError("c1 and c3 must be >= 0")
 
@@ -131,9 +139,30 @@ class SplitProblem:
         return self.j_day.shape[0]
 
 
+def _check_vector(name: str, vec: np.ndarray, n: int) -> None:
+    if vec.shape != (n,):
+        raise ValueError(f"{name} has shape {vec.shape}, expected ({n},)")
+
+
+def _checked_tick(n: int, sgn_dp, abs_dp) -> tuple[np.ndarray, np.ndarray]:
+    """The O(n) tick-field checks, shared by SplitProblem and update_tick."""
+    sgn_dp = np.asarray(sgn_dp, dtype=np.float64)
+    abs_dp = np.asarray(abs_dp, dtype=np.float64)
+    _check_vector("sgn_dp", sgn_dp, n)
+    _check_vector("abs_dp", abs_dp, n)
+    zero = sgn_dp == 0.0
+    if not np.all(zero | (np.abs(sgn_dp) == 1.0)):
+        raise ValueError("sgn_dp entries must be -1, 0, or +1")
+    if not np.all(abs_dp >= 0.0):
+        raise ValueError("abs_dp entries must be >= 0")
+    if np.any(abs_dp[zero] != 0.0):
+        raise ValueError("abs_dp must be 0 wherever sgn_dp is 0")
+    return sgn_dp, abs_dp
+
+
 @dataclass
 class OscillatorState:
-    """Positions and momenta of the N oscillators at a given step."""
+    """Positions and momenta at a given step: (n,) for one run, (R, n) for a batch."""
 
     x: np.ndarray
     y: np.ndarray
@@ -142,6 +171,8 @@ class OscillatorState:
 
 @dataclass
 class SbSolution:
+    """One run's spins and energy; elapsed is the wall time of the batch that produced it."""
+
     spins: np.ndarray
     energy: float
     run_index: int
@@ -215,52 +246,108 @@ def initial_state(p: SplitProblem, rng: np.random.Generator) -> OscillatorState:
     return OscillatorState(x=np.zeros(p.n), y=rng.uniform(-0.1, 0.1, p.n), step=0)
 
 
-def _advance(state: OscillatorState, dy: np.ndarray, a_t: float, c0: float, params: SbParams) -> OscillatorState:
-    # Shared integration tail so the split and dense steppers differ only in dy.
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = state.y + (-(params.a0 - a_t) * state.x + c0 * dy) * params.dt
-        x = state.x + params.a0 * y * params.dt
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DivergenceError(f"state diverged at step {state.step}; lower c0 or dt")
+def _tick_terms(p: SplitProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Per-problem constants of the tick force: the coefficient -(c3/2) sgn(dp) and h_tick."""
+    return -(p.c3 / 2.0) * p.sgn_dp, compute_h_tick(p)
+
+
+def _force(x: np.ndarray, p: SplitProblem, tick_coef: np.ndarray, h_tick: np.ndarray) -> np.ndarray:
+    """J x - h for x of shape (n,) or (R, n), the tick part collapsed to O(n) via the shared sum."""
+    dy_day = x @ p.j_day - p.h_day  # j_day is symmetric: each row of x @ J is J x
+    dy_sum = (x @ p.sgn_dp)[..., None]
+    # Momentum correction of the tick component, (J_tick x)_i - h_tick_i.
+    dy_tick = tick_coef * (dy_sum - p.sgn_dp * x) - h_tick
+    return dy_day + dy_tick
+
+
+def _advance(x: np.ndarray, y: np.ndarray, dy: np.ndarray, a_t: float, c0: float, params: SbParams):
+    """Integrate one step and apply the walls; returns (x, y, finite) with one flag per row.
+
+    The flags are taken before the clamp, which would turn an inf back into +-1.
+    Checking x covers y: a non-finite momentum makes the position non-finite too.
+    Callers silence overflow warnings; divergence is reported through the flags.
+    """
+    y = y + (-(params.a0 - a_t) * x + c0 * dy) * params.dt
+    x = x + params.a0 * y * params.dt
+    finite = np.isfinite(x).all(axis=-1)
     over = np.abs(x) > 1.0
     if over.any():
-        x = np.where(over, np.sign(x), x)
+        x = np.clip(x, -1.0, 1.0)
         y = np.where(over, 0.0, y)
+    return x, y, finite
+
+
+def _stepped(state: OscillatorState, dy: np.ndarray, c0: float, params: SbParams) -> OscillatorState:
+    if state.step >= params.n_step:
+        raise ValueError(f"state.step={state.step} out of range for n_step={params.n_step}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y, finite = _advance(state.x, state.y, dy, params.pump(state.step), c0, params)
+    if not np.all(finite):
+        raise DivergenceError(f"state diverged at step {state.step}; lower c0 or dt")
     return OscillatorState(x=x, y=y, step=state.step + 1)
 
 
 def step(state: OscillatorState, p: SplitProblem, params: SbParams) -> OscillatorState:
-    """One ballistic-SB update using the O(n) tick path for the tick component."""
-    if state.step >= params.n_step:
-        raise ValueError(f"state.step={state.step} out of range for n_step={params.n_step}")
+    """One ballistic-SB update of an (n,) or (R, n) state, by the kernel run_batch iterates."""
     c0 = params.c0 if params.c0 is not None else default_c0(p, params.a0)
-    dy_day = p.j_day @ state.x - p.h_day
-    dy_sum = compute_dy_tick_sum(p.sgn_dp, state.x)
-    # Momentum correction of the tick component, (J_tick x)_i - h_tick_i,
-    # collapsed to O(n) via the shared sum.
-    dy_tick = -(p.c3 / 2.0) * p.sgn_dp * (dy_sum - p.sgn_dp * state.x) - compute_h_tick(p)
-    return _advance(state, dy_day + dy_tick, params.pump(state.step), c0, params)
+    return _stepped(state, _force(state.x, p, *_tick_terms(p)), c0, params)
 
 
 def step_dense(state: OscillatorState, dense: IsingProblem, params: SbParams, c0: float) -> OscillatorState:
     """Reference stepper over a materialized problem; oracle for :func:`step`."""
-    if state.step >= params.n_step:
-        raise ValueError(f"state.step={state.step} out of range for n_step={params.n_step}")
-    dy = dense.j @ state.x - dense.h
-    return _advance(state, dy, params.pump(state.step), c0, params)
+    return _stepped(state, dense.j @ state.x - dense.h, c0, params)
+
+
+def _energies(p: SplitProblem, spins: np.ndarray, h_tick: np.ndarray) -> np.ndarray:
+    """Ising energy of each row of spins, read from the split form without materialising J.
+
+    -1/2 s.J_day.s, plus the tick couplings (c3/4)((sgn.s)^2 - sgn.sgn), the
+    biases h_day + h_tick and both offsets; equals ising_energy(dense_reconstruct(p), s).
+    """
+    quad = np.einsum("ri,ri->r", spins @ p.j_day, spins)
+    tick_pair = (p.c3 / 4.0) * ((spins @ p.sgn_dp) ** 2 - float(p.sgn_dp @ p.sgn_dp))
+    return -0.5 * quad + tick_pair + spins @ (p.h_day + h_tick) + (p.offset_day + _tick_offset(p))
+
+
+def run_batch(
+    p: SplitProblem, params: SbParams, rngs: list[np.random.Generator], start: int = 0
+) -> list[SbSolution | None]:
+    """Runs start, start + 1, ... as one (R, n) batch; row r starts from rngs[r].
+
+    c0 and the tick terms are computed once per batch. Each row is checked for
+    divergence at every step; a diverged row comes back as None.
+    """
+    t0 = time.perf_counter()
+    c0 = params.c0 if params.c0 is not None else default_c0(p, params.a0)
+    tick_coef, h_tick = _tick_terms(p)
+    x = np.zeros((len(rngs), p.n))
+    y = np.array([initial_state(p, rng).y for rng in rngs])
+    finite = np.ones(len(rngs), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(params.n_step):
+            x, y, ok = _advance(x, y, _force(x, p, tick_coef, h_tick), params.pump(k), c0, params)
+            finite &= ok
+    spins = np.where(x >= 0.0, 1.0, -1.0)
+    energies = _energies(p, spins, h_tick)
+    elapsed = time.perf_counter() - t0
+    return [
+        SbSolution(spins=spins[r], energy=float(energies[r]), run_index=start + r, elapsed=elapsed)
+        if finite[r]
+        else None
+        for r in range(len(rngs))
+    ]
+
+
+def _solved(sols: list[SbSolution | None], start: int) -> list[SbSolution]:
+    for r, sol in enumerate(sols):
+        if sol is None:
+            raise DivergenceError(f"run {start + r} diverged; lower c0 or dt")
+    return sols
 
 
 def run(p: SplitProblem, params: SbParams, rng: np.random.Generator, run_index: int = 0) -> SbSolution:
-    """A single solve: init from rng, iterate n_step steps, read out spin signs."""
-    t0 = time.perf_counter()
-    if params.c0 is None:
-        params = replace(params, c0=default_c0(p, params.a0))
-    state = initial_state(p, rng)
-    for _ in range(params.n_step):
-        state = step(state, p, params)
-    spins = np.where(state.x >= 0.0, 1.0, -1.0)
-    energy = ising_energy(dense_reconstruct(p), spins)
-    return SbSolution(spins=spins, energy=energy, run_index=run_index, elapsed=time.perf_counter() - t0)
+    """A single run, the one-row batch: init from rng, iterate n_step steps, read out spin signs."""
+    return _solved(run_batch(p, params, [rng], start=run_index), run_index)[0]
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -268,15 +355,21 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *map(int, key)])
 
 
+def pick_best(sols: list[SbSolution]) -> SbSolution:
+    """Lowest run index whose energy is within 1e-9 max(1, |E_min|) of the minimum.
+
+    The tolerance makes the pick independent of summation order: rows ending in
+    the same spins can differ by a few ULPs when their energies come from one GEMM.
+    """
+    e_min = min(sol.energy for sol in sols)
+    tol = 1e-9 * max(1.0, abs(e_min))
+    return min((sol for sol in sols if sol.energy <= e_min + tol), key=lambda sol: sol.run_index)
+
+
 def solve(p: SplitProblem, params: SbParams) -> SbSolution:
-    """Best of `restarts` runs on independent substreams; ties go to the lowest run index."""
-    best: SbSolution | None = None
-    for i in range(params.restarts):
-        sol = run(p, params, substream(params.seed, i), run_index=i)
-        if best is None or sol.energy < best.energy:
-            best = sol
-    assert best is not None
-    return best
+    """Best of `restarts` rows of one batch on independent substreams (see pick_best)."""
+    rngs = [substream(params.seed, i) for i in range(params.restarts)]
+    return pick_best(_solved(run_batch(p, params, rngs), 0))
 
 
 def update_tick(
@@ -285,11 +378,14 @@ def update_tick(
     abs_dp: np.ndarray,
     counter: WriteCounter | None = None,
 ) -> SplitProblem:
-    """Replace the O(n) tick fields, leaving the day-side arrays untouched (shared)."""
-    sgn_dp = np.asarray(sgn_dp, dtype=np.float64)
-    abs_dp = np.asarray(abs_dp, dtype=np.float64)
-    if sgn_dp.shape != (p.n,) or abs_dp.shape != (p.n,):
-        raise ValueError("tick vectors must have length n")
+    """Replace the O(n) tick fields in O(n) time.
+
+    Only the tick fields are checked; the day side, checked when p was built,
+    is shared by identity.
+    """
+    sgn_dp, abs_dp = _checked_tick(p.n, sgn_dp, abs_dp)
     if counter is not None:
         counter.add(sgn_dp.size + abs_dp.size)
-    return replace(p, sgn_dp=sgn_dp.copy(), abs_dp=abs_dp.copy())
+    q = copy.copy(p)  # a shallow copy skips __post_init__ and its O(n^2) day checks
+    q.sgn_dp, q.abs_dp = sgn_dp.copy(), abs_dp.copy()
+    return q

@@ -243,6 +243,7 @@ class TestBench:
         )
         assert code == 0
         assert "mean_run_ms=" in out
+        assert "batch_ms=" in out
         assert "write_ratio=" in out
         assert "oracle_exact_rate=" in out
         ratio = float(next(l for l in out.splitlines() if l.startswith("write_ratio=")).split("=")[1])

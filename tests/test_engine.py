@@ -1,9 +1,12 @@
 """Tests for the event-driven engine: judgment, fills, closing, invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import helpers
+from sbtrader import engine as eng
 from sbtrader.backcast import FillModel
 from sbtrader.engine import (
     CLOSED,
@@ -13,7 +16,8 @@ from sbtrader.engine import (
     TradingEngine,
 )
 from sbtrader.feed import TickEvent
-from sbtrader.strategy import DeviationVector, StrategyParams, config_from_kv, read_kv
+from sbtrader.sb import DivergenceError, run, substream
+from sbtrader.strategy import DeviationVector, StrategyParams, config_from_kv, read_kv, evaluate_candidate
 
 
 def make_engine(commission_rate=0.0, restarts=3, p_max=4, fill=True):
@@ -238,6 +242,105 @@ class TestQuoteChangeFlow:
             engine.process(e)
             assert len(engine.open_codes) <= engine.config.strategy.p_max
         engine.finalize(110_000_000)
+
+
+class SequentialEngine(TradingEngine):
+    """Reference decision loop: one solver run at a time, re-preprocessing after an issuing run."""
+
+    def on_quote_change(self, ts, code=None):
+        if ts >= self.config.session_close_us - self.config.t_force_us:
+            return []
+        issued = []
+        need_preprocess = True
+        for run_index in range(self.config.restarts):
+            if need_preprocess:
+                dev = self._deviation()
+                self.split = eng.update_tick(self.split, dev.sgn(), np.abs(dev.dp))
+                need_preprocess = False
+                if dev.mask.all():
+                    break
+            rng = substream(self.seed, self.day_key, self.event_index, run_index)
+            try:
+                sol = run(self.split, self._params, rng, run_index=run_index)
+            except DivergenceError:
+                self.skipped_events += 1
+                break
+            if not evaluate_candidate(sol, dev, self.corr, self.config.strategy).accepted:
+                continue
+            orders = self.judge_open(np.flatnonzero(sol.spins > 0), dev, ts)
+            if orders:
+                issued.extend(orders)
+                need_preprocess = True
+        return issued
+
+
+def count_calls(monkeypatch, name):
+    """Wrap engine.<name>; returns the list of (args, kwargs) of every call."""
+    calls = []
+    original = getattr(eng, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(eng, name, wrapper)
+    return calls
+
+
+def order_log(engine):
+    return [(o.ts, o.code, o.side, o.action, o.lots, o.intended_price) for o, _ in engine.fills]
+
+
+class TestBatchedDecisions:
+    @pytest.mark.parametrize("restarts", [3, 10])
+    def test_batched_matches_sequential_reference(self, monkeypatch, restarts):
+        ticks = count_calls(monkeypatch, "update_tick")
+        batches = count_calls(monkeypatch, "sb_run")
+        logs, tick_counts = [], []
+        for cls in (TradingEngine, SequentialEngine):
+            ticks.clear()
+            config = helpers.convergence_params(restarts=restarts)
+            engine = cls(helpers.make_universe(), helpers.convergence_corr(), config, seed=7,
+                         fill_handler=FillModel().fill)
+            for e in helpers.convergence_events(engine.universe.codes):
+                engine.process(e)
+            engine.finalize(110_000_000)
+            logs.append(order_log(engine))
+            tick_counts.append(len(ticks))
+        assert logs[0] == logs[1] and len(logs[0]) == 8  # four opens, four closes
+        assert tick_counts[0] == tick_counts[1]
+        # the opening decision re-batched the runs after the issuing one
+        assert any(kwargs["start"] > 0 for _, kwargs in batches)
+
+    def test_divergence_skips_events_and_still_closes(self, monkeypatch):
+        batches = count_calls(monkeypatch, "sb_run")
+        config = replace(helpers.convergence_params(), c0=1e308)
+        engine = TradingEngine(helpers.make_universe(), helpers.convergence_corr(), config, seed=7,
+                               fill_handler=FillModel().fill)
+        codes = engine.universe.codes
+        signal = {codes[0]: (helpers.BASE - 20, helpers.BASE - 22), codes[1]: (helpers.BASE - 19, helpers.BASE - 21),
+                  codes[2]: (helpers.BASE + 22, helpers.BASE + 20), codes[3]: (helpers.BASE + 21, helpers.BASE + 19)}
+        prime_quotes(engine, quotes=signal)  # the signal would open a group, but every solve diverges
+        assert not engine.positions
+        engine.judge_open(np.array([0, 1, 2, 3]), engine._deviation(), ts=300_000)
+        opened = len(engine.fills)
+        for k, c in enumerate(codes[4:]):  # the two unmasked stocks still reach the solver
+            engine.process(TickEvent(1_000_000 + k, c, "quote", helpers.BASE - 20, helpers.BASE - 22))
+        assert len(batches) == len(codes) + 2
+        assert engine.skipped_events == len(batches)
+        assert len(engine.fills) == opened and all(p.state == OPEN for p in engine.positions)
+        engine.finalize(2_000_000)
+        assert len(engine.positions) == 4 and all(p.state == CLOSED for p in engine.positions)
+
+    def test_divergence_opens_nothing_on_the_scenario(self, monkeypatch):
+        batches = count_calls(monkeypatch, "sb_run")
+        config = replace(helpers.convergence_params(), c0=1e308)
+        engine = TradingEngine(helpers.make_universe(), helpers.convergence_corr(), config, seed=7)
+        for e in helpers.convergence_events(engine.universe.codes):
+            engine.process(e)
+        engine.finalize(110_000_000)
+        assert batches and engine.skipped_events == len(batches)
+        assert not engine.positions
 
 
 class TestEngineConfig:

@@ -8,6 +8,7 @@ from sbtrader.sb import (
     DivergenceError,
     OscillatorState,
     SbParams,
+    SbSolution,
     SplitProblem,
     WriteCounter,
     compute_dy_tick_sum,
@@ -15,7 +16,9 @@ from sbtrader.sb import (
     default_c0,
     dense_reconstruct,
     initial_state,
+    pick_best,
     run,
+    run_batch,
     solve,
     split_from_ising,
     step,
@@ -343,6 +346,35 @@ class TestUpdateTick:
         with pytest.raises(ValueError):
             update_tick(p, np.zeros(4), np.full(4, 0.1))
 
+    def test_day_side_not_revalidated(self, monkeypatch):
+        # a tick update must not re-run the O(n^2) day-side checks of __post_init__
+        p = random_split(6, np.random.default_rng(17))
+
+        def fail(self):
+            raise AssertionError("update_tick re-ran SplitProblem.__post_init__")
+
+        monkeypatch.setattr(SplitProblem, "__post_init__", fail)
+        q = update_tick(p, p.sgn_dp, p.abs_dp)
+        assert q.j_day is p.j_day and q.h_day is p.h_day
+        assert q.sgn_dp is not p.sgn_dp and np.array_equal(q.sgn_dp, p.sgn_dp)
+
+    @pytest.mark.parametrize(
+        "sgn,abs_dp,message",
+        [
+            ([1.0, 0.5, 0.0], [0.1, 0.1, 0.0], "sgn_dp entries"),
+            ([1.0, np.nan, 0.0], [0.1, 0.1, 0.0], "sgn_dp entries"),
+            ([1.0, -1.0, 0.0], [0.1, -0.1, 0.0], "abs_dp entries"),
+            ([1.0, -1.0, 0.0], [0.1, np.nan, 0.0], "abs_dp entries"),
+            ([1.0, -1.0, 0.0], [0.1, 0.1, 0.2], "wherever sgn_dp is 0"),
+        ],
+    )
+    def test_bad_tick_values_rejected_by_both_paths(self, sgn, abs_dp, message):
+        p = random_split(3, np.random.default_rng(18))
+        with pytest.raises(ValueError, match=message):
+            update_tick(p, sgn, abs_dp)
+        with pytest.raises(ValueError, match=message):
+            SplitProblem(j_day=p.j_day, h_day=p.h_day, sgn_dp=sgn, abs_dp=abs_dp, c1=1.0, c3=1.0)
+
 
 class TestSplitProblemValidation:
     def test_asymmetric_day_rejected(self):
@@ -360,3 +392,94 @@ class TestSplitProblemValidation:
                 c1=1.0,
                 c3=1.0,
             )
+
+
+class ConstRng:
+    """Stands in for a generator: every draw of initial momenta is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def uniform(self, lo, hi, n):
+        return np.full(n, self.value)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("n", [6, 16, 128])
+    @pytest.mark.parametrize("restarts", [1, 2, 10])
+    def test_rows_match_sequential_runs(self, n, restarts):
+        p = random_split(n, np.random.default_rng([30, n]))
+        params = SbParams(restarts=restarts, seed=3)
+        batch = run_batch(p, params, [substream(3, i) for i in range(restarts)])
+        dense = dense_reconstruct(p)
+        for i, sol in enumerate(batch):
+            single = run(p, params, substream(3, i), run_index=i)
+            assert sol.run_index == i
+            assert np.array_equal(sol.spins, single.spins)
+            assert sol.energy == pytest.approx(ising_energy(dense, sol.spins), abs=1e-9)
+            assert single.energy == pytest.approx(ising_energy(dense, single.spins), abs=1e-9)
+
+    def test_start_offsets_run_indices(self):
+        p = random_split(8, np.random.default_rng(31))
+        batch = run_batch(p, SbParams(), [substream(0, i) for i in (4, 5)], start=4)
+        assert [sol.run_index for sol in batch] == [4, 5]
+
+    @pytest.mark.parametrize("n", [5, 24])
+    def test_batched_step_matches_separate_steps(self, n):
+        rng = np.random.default_rng([32, n])
+        p = random_split(n, rng)
+        params = SbParams(n_step=300)
+        rows = [initial_state(p, np.random.default_rng([32, r])) for r in range(4)]
+        batch = OscillatorState(x=np.array([s.x for s in rows]), y=np.array([s.y for s in rows]))
+        for _ in range(params.n_step):
+            batch = step(batch, p, params)
+            rows = [step(s, p, params) for s in rows]
+            assert np.abs(batch.x - np.array([s.x for s in rows])).max() <= 1e-10
+            assert np.abs(batch.y - np.array([s.y for s in rows])).max() <= 1e-10
+
+    def test_diverged_row_reported_others_unchanged(self):
+        p = random_split(10, np.random.default_rng(33))
+        params = SbParams()
+        rngs = [substream(5, 0), substream(5, 1), ConstRng(1e308), substream(5, 3), substream(5, 4)]
+        batch = run_batch(p, params, rngs)
+        assert batch[2] is None
+        for i in (0, 1, 3, 4):
+            single = run(p, params, substream(5, i), run_index=i)
+            assert np.array_equal(batch[i].spins, single.spins)
+            assert batch[i].energy == pytest.approx(single.energy, abs=1e-9)
+        with pytest.raises(DivergenceError):
+            run(p, params, ConstRng(1e308), run_index=2)
+
+    def test_batched_step_raises_on_any_diverged_row(self):
+        p = random_split(4, np.random.default_rng(34))
+        state = OscillatorState(x=np.zeros((3, 4)), y=np.array([np.zeros(4), np.full(4, 1e308), np.zeros(4)]))
+        with pytest.raises(DivergenceError):
+            step(state, p, SbParams())
+
+
+class TestTieBreak:
+    def test_ulp_difference_goes_to_lower_index(self):
+        e = -21.39711077492566
+        sols = [SbSolution(np.ones(2), energy, i, 0.0) for i, energy in enumerate([e, e - 8e-15, e + 1e-15])]
+        assert pick_best(sols).run_index == 0
+
+    def test_real_improvement_wins(self):
+        sols = [SbSolution(np.ones(2), energy, i, 0.0) for i, energy in enumerate([-1.0, -1.0 - 1e-6, -1.0])]
+        assert pick_best(sols).run_index == 1
+
+    def test_rows_with_equal_spins_return_lower_index(self):
+        # every row of this batch reaches the ground state; the pick must be row 0
+        # whatever rounding the batched readout gives the later rows
+        p = random_split(16, np.random.default_rng([16, 2]))
+        params = SbParams(restarts=10, seed=2)
+        batch = run_batch(p, params, [substream(2, i) for i in range(10)])
+        best = solve(p, params)
+        same = [sol.run_index for sol in batch if np.array_equal(sol.spins, best.spins)]
+        assert len(same) >= 2
+        assert best.run_index == same[0]
+
+    def test_identical_rows_pick_first(self):
+        p = random_split(12, np.random.default_rng(35))
+        batch = run_batch(p, SbParams(), [ConstRng(0.05)] * 10)
+        assert all(np.array_equal(sol.spins, batch[0].spins) for sol in batch)
+        assert pick_best(batch).run_index == 0
