@@ -158,7 +158,6 @@ class TradingEngine:
         self.skipped_events = 0
         self._outstanding: dict[int, tuple[Order, Position]] = {}
         self._next_order_id = 0
-        self._base = universe.base_prices()
         self._params = config.sb_params()
 
     # -- event flow ---------------------------------------------------------
@@ -216,12 +215,8 @@ class TradingEngine:
                 verdict = evaluate_candidate(sol, dev, self.corr, self.config.strategy)
                 if not verdict.accepted:
                     continue
-                selected = np.flatnonzero(np.asarray(sol.spins) > 0)
-                if any(self.universe.codes[i] in self.open_codes for i in selected):
-                    # compute_deviation masks open stocks, so the solver can never
-                    # select one; reaching this means the mask was bypassed
-                    raise RuntimeError("accepted candidate contains an already-open code")
-                orders = self.judge_open(selected, dev, ts)
+                # an open stock is masked in dev, so check_constraints has rejected any run selecting one
+                orders = self.judge_open(np.flatnonzero(np.asarray(sol.spins) > 0), dev, ts)
                 if orders:
                     issued.extend(orders)
                     start = sol.run_index + 1  # re-batch the later runs under the new mask
@@ -248,8 +243,6 @@ class TradingEngine:
             self.positions.append(pos)
             self.open_codes.add(stock.code)
             orders.append(self._issue(pos, OPEN_ACTION, ts, price))
-        if len(self.open_codes) > self.config.strategy.p_max:
-            raise RuntimeError("open list exceeded p_max")
         return orders
 
     # -- closing ------------------------------------------------------------
@@ -267,7 +260,7 @@ class TradingEngine:
                 continue
             crossed = False
             if vwap is not None and np.isfinite(vwap[i]):
-                dp = (float(self.session.buffer.mid()[i]) - float(vwap[i])) / self._base[i]
+                dp = (float(self.session.buffer.mid()[i]) - float(vwap[i])) / self.universe.base_prices()[i]
                 crossed = dp >= 0.0 if pos.side == LONG else dp <= 0.0
             if forced or crossed:
                 orders.append(self._issue_close(pos, now))

@@ -105,8 +105,13 @@ class VwapAccumulator:
     def __init__(self, n: int) -> None:
         self.value_sum = np.zeros(n)
         self.volume_sum = np.zeros(n)
+        self.rejected = 0
 
     def add_trade(self, idx: int, price: float, volume: float) -> None:
+        """Accumulate a trade; a nonpositive or non-finite price or volume (NaN too) is counted, not added."""
+        if not (0 < price < np.inf and 0 < volume < np.inf):
+            self.rejected += 1
+            return
         self.value_sum[idx] += price * volume
         self.volume_sum[idx] += volume
 
@@ -184,14 +189,13 @@ class MarketSession:
         self.vwap_pub: np.ndarray | None = None
         self._last_publish_us: int | None = None
         self._next_sample_us = 0
-        self._base = universe.base_prices()
 
     def advance(self, ts: int) -> None:
         """Take any due samples and publishes using the pre-event state."""
         while self._next_sample_us <= ts:
             self.samples.append(sample_vector(self.buffer, self.accumulator))
             self._next_sample_us += SAMPLE_INTERVAL_US
-        published = publish_vwap(self.accumulator, self._base, ts, self._last_publish_us)
+        published = publish_vwap(self.accumulator, self.universe.base_prices(), ts, self._last_publish_us)
         if published is not None:
             self.vwap_pub = published
             self._last_publish_us = ts
@@ -255,12 +259,19 @@ class SynthSpec:
     volume_lots: int = 5
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0 or self.quote_rate < 0 or self.trade_rate < 0:
-            raise ValueError("duration must be positive and rates must be >= 0")
-        if self.spread_ticks < 0 or self.tick <= 0 or self.volume_lots < 1:
-            raise ValueError("invalid spread/tick/volume specification")
-        if self.vol < 0 or self.reversion < 0:
-            raise ValueError("vol and reversion must be >= 0")
+        # written `not x > 0` so that NaN fails; each message names its field
+        for ok, message in (
+            (self.duration_s > 0, "duration_s must be positive"),
+            (self.quote_rate >= 0, "quote_rate must be >= 0"),
+            (self.trade_rate >= 0, "trade_rate must be >= 0"),
+            (self.spread_ticks >= 0, "spread_ticks must be >= 0"),
+            (self.tick > 0, "tick must be positive"),
+            (self.vol >= 0, "vol must be >= 0"),
+            (self.reversion >= 0, "reversion must be >= 0"),
+            (self.volume_lots >= 1, "volume_lots must be >= 1"),
+        ):
+            if not ok:
+                raise ValueError(message)
 
 
 def synth_generate(universe: Universe, spec: SynthSpec, seed: int, path) -> int:

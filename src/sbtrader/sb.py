@@ -39,7 +39,6 @@ __all__ = [
     "SbSolution",
     "WriteCounter",
     "split_from_ising",
-    "compute_dy_tick_sum",
     "compute_h_tick",
     "dense_reconstruct",
     "initial_state",
@@ -110,7 +109,8 @@ class SplitProblem:
     group-size penalty; sgn_dp/abs_dp (plus the c1/c3 coefficients) are the
     only data a quote change may touch. offset_day carries the constant from
     the day-side QUBO-to-Ising conversion so reconstructed energies match the
-    QUBO exactly.
+    QUBO exactly. day_rms, derived here once per day split, is the rms of the
+    nonzero day couplings (0.0 when there are none); default_c0 reads it.
     """
 
     j_day: np.ndarray
@@ -130,6 +130,8 @@ class SplitProblem:
         _check_vector("h_day", self.h_day, n)
         if np.any(self.j_day != self.j_day.T) or np.any(np.diag(self.j_day) != 0.0):
             raise ValueError("j_day must be symmetric with zero diagonal")
+        nonzero = self.j_day[self.j_day != 0.0]  # the diagonal is zero: off-diagonal, row-major
+        self.day_rms = float(np.sqrt(np.mean(nonzero**2))) if nonzero.size else 0.0
         self.sgn_dp, self.abs_dp = _checked_tick(n, self.sgn_dp, self.abs_dp)
         if self.c1 < 0.0 or self.c3 < 0.0:
             raise ValueError("c1 and c3 must be >= 0")
@@ -193,15 +195,6 @@ def split_from_ising(problem: IsingProblem) -> SplitProblem:
     )
 
 
-def compute_dy_tick_sum(sgn_dp: np.ndarray, x: np.ndarray) -> float:
-    """The shared tick intermediate: sum_i sgn(dp_i) * x_i."""
-    sgn_dp = np.asarray(sgn_dp, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if sgn_dp.shape != x.shape:
-        raise ValueError("sgn_dp and x must have equal lengths")
-    return float(sgn_dp @ x)
-
-
 def compute_h_tick(p: SplitProblem) -> np.ndarray:
     """Tick-side biases: -c1|dp_i|/2 + c3 (sum_j sgn(dp_j)/2) sgn(dp_i)."""
     sgn_sum = float(p.sgn_dp.sum())
@@ -228,17 +221,14 @@ def dense_reconstruct(p: SplitProblem) -> IsingProblem:
 
 
 def default_c0(p: SplitProblem, a0: float = 1.0) -> float:
-    """1.5 a0 / (sqrt(n) * rms of nonzero day couplings), with tick/unit fallbacks."""
-    n = p.n
-    off = p.j_day[~np.eye(n, dtype=bool)]
-    nonzero = off[off != 0.0]
-    if nonzero.size:
-        scale = float(np.sqrt(np.mean(nonzero**2)))
+    """1.5 a0 / (sqrt(n) * p.day_rms), with tick/unit fallbacks; O(n), the day scan is in SplitProblem."""
+    if p.day_rms > 0.0:
+        scale = p.day_rms
     elif p.c3 > 0.0 and np.count_nonzero(p.sgn_dp) >= 2:
         scale = p.c3 / 2.0
     else:
         scale = 1.0
-    return 1.5 * a0 / (np.sqrt(n) * scale)
+    return 1.5 * a0 / (np.sqrt(p.n) * scale)
 
 
 def initial_state(p: SplitProblem, rng: np.random.Generator) -> OscillatorState:
@@ -381,7 +371,7 @@ def update_tick(
     """Replace the O(n) tick fields in O(n) time.
 
     Only the tick fields are checked; the day side, checked when p was built,
-    is shared by identity.
+    is shared by identity, and so is its derived day_rms.
     """
     sgn_dp, abs_dp = _checked_tick(p.n, sgn_dp, abs_dp)
     if counter is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ising import QuboProblem, qubo_to_ising, save_matrix, load_matrix
+from .ising import QuboProblem, qubo_to_ising, save_matrix, load_matrix, validate_bits
 from .sb import SbSolution, SplitProblem, WriteCounter
 
 __all__ = [
@@ -62,15 +62,22 @@ class Stock:
 
 @dataclass
 class Universe:
-    """The fixed list of tradable stocks; index order defines vector order."""
+    """The fixed list of tradable stocks; index order defines vector order.
+
+    The per-stock constants (codes, base prices, minimum lots) are derived
+    once here; the arrays are read-only and shared by every caller.
+    """
 
     stocks: list[Stock]
 
     def __post_init__(self) -> None:
-        codes = [s.code for s in self.stocks]
-        if len(set(codes)) != len(codes):
+        self.codes = [s.code for s in self.stocks]
+        if len(set(self.codes)) != len(self.codes):
             raise ValueError("duplicate stock codes in universe")
-        self._index = {code: i for i, code in enumerate(codes)}
+        self._index = {code: i for i, code in enumerate(self.codes)}
+        self._base = np.array([s.base_price for s in self.stocks], dtype=np.float64)
+        self._lots = np.array([s.min_lot for s in self.stocks], dtype=np.float64)
+        self._base.flags.writeable = self._lots.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.stocks)
@@ -79,18 +86,14 @@ class Universe:
     def n(self) -> int:
         return len(self.stocks)
 
-    @property
-    def codes(self) -> list[str]:
-        return [s.code for s in self.stocks]
-
     def index(self, code: str) -> int:
         return self._index[code]
 
     def base_prices(self) -> np.ndarray:
-        return np.array([s.base_price for s in self.stocks], dtype=np.float64)
+        return self._base
 
     def min_lots(self) -> np.ndarray:
-        return np.array([s.min_lot for s in self.stocks], dtype=np.float64)
+        return self._lots
 
 
 @dataclass
@@ -116,6 +119,8 @@ class StrategyParams:
             raise ValueError("c1 must be positive")
         if not (self.c2 >= 0 and self.c3 >= 0):
             raise ValueError("penalty coefficients c2 and c3 must be >= 0")
+        if math.isnan(self.accept_threshold):
+            raise ValueError("accept_threshold must not be NaN (+-inf is allowed)")
 
 
 @dataclass
@@ -319,13 +324,11 @@ def build_split(
 
 def cost_energy(bits: np.ndarray, dev: DeviationVector, corr: CorrelationMatrix, params: StrategyParams) -> float:
     """The objective part alone: -c1 sum |dp_i| b_i + sum_{i != j} sigma_ij b_i b_j."""
-    n = _check_dims(dev, corr)
-    b = np.asarray(bits, dtype=np.float64)
-    if b.shape != (n,):
-        raise ValueError("bit vector length mismatch")
-    sigma_off = corr.sigma.copy()
-    np.fill_diagonal(sigma_off, 0.0)
-    return float(-params.c1 * (np.abs(dev.dp) @ b) + b @ sigma_off @ b)
+    b = validate_bits(bits, _check_dims(dev, corr))
+    sel = np.flatnonzero(b)
+    pair = corr.sigma[np.ix_(sel, sel)]  # a copy of the selected block, O(n_s^2)
+    np.fill_diagonal(pair, 0.0)
+    return float(-params.c1 * (np.abs(dev.dp) @ b) + pair.sum())
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from sbtrader.engine import (
     TradingEngine,
 )
 from sbtrader.feed import TickEvent
-from sbtrader.sb import DivergenceError, run, substream
+from sbtrader.sb import DivergenceError, SbSolution, run, substream
 from sbtrader.strategy import DeviationVector, StrategyParams, config_from_kv, read_kv, evaluate_candidate
 
 
@@ -343,6 +343,42 @@ class TestBatchedDecisions:
         assert not engine.positions
 
 
+class TestOpenStockMasked:
+    def test_row_selecting_an_open_stock_rejected_as_masked(self, monkeypatch):
+        # check_constraints, through the open-stock mask, is the one guard against re-opening a stock
+        spins = np.array([-1.0, -1.0, 1.0, 1.0, 1.0, 1.0])  # stocks 2 and 3 (opened below) plus 4 and 5
+
+        def stub(p, params, rngs, start=0):
+            return [SbSolution(spins=spins.copy(), energy=0.0, run_index=start + r, elapsed=0.0)
+                    for r in range(len(rngs))]
+
+        verdicts, evaluate = [], eng.evaluate_candidate
+
+        def judged(*args):
+            verdicts.append(evaluate(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(eng, "sb_run", stub)
+        monkeypatch.setattr(eng, "evaluate_candidate", judged)
+        engine = make_engine(p_max=8)
+        codes = engine.universe.codes
+        signal = {codes[0]: (helpers.BASE - 20, helpers.BASE - 22), codes[1]: (helpers.BASE - 19, helpers.BASE - 21),
+                  codes[2]: (helpers.BASE + 22, helpers.BASE + 20), codes[3]: (helpers.BASE + 21, helpers.BASE + 19)}
+        prime_quotes(engine, quotes=signal)
+        engine.judge_open(np.array([0, 1, 2, 3]), engine._deviation(), ts=300_000)
+        opened = len(engine.fills)
+        verdicts.clear()
+        engine.process(TickEvent(1_000_000, codes[4], "quote", helpers.BASE + 22, helpers.BASE + 20))
+        engine.process(TickEvent(1_000_001, codes[5], "quote", helpers.BASE - 20, helpers.BASE - 22))
+        restarts = engine.config.restarts
+        assert len(verdicts) == 2 * restarts
+        assert not any(v.accepted for v in verdicts)
+        assert all(any(r.startswith("masked") for r in v.reasons) for v in verdicts)
+        # once stocks 4 and 5 balance each other, the mask is the only reason left
+        assert all(v.reasons == ("masked: selection includes a masked stock",) for v in verdicts[-restarts:])
+        assert len(engine.fills) == opened and engine.open_codes == set(codes[:4])
+
+
 class TestEngineConfig:
     def test_round_trip_keys(self, tmp_path):
         path = tmp_path / "e.cfg"
@@ -370,6 +406,7 @@ class TestEngineConfig:
             ("restarts=0", "restarts"),
             ("dt=-1", "dt"),
             ("dt=nan", "dt"),
+            ("accept_threshold=nan", "accept_threshold"),
             ("t_force_s=-5", "t_force_us"),
             ("corr_window=0", "corr_window"),
             ("commission_rate=-1", "commission_rate"),

@@ -82,6 +82,19 @@ class TestApplyEvent:
         changed = apply_event(buf, acc, u, TickEvent(0, "9001", "quote", ask, bid))
         assert not changed and buf.rejected == 1 and not buf.valid[0]
 
+    def test_non_finite_trades_rejected_with_count(self):
+        # one NaN-price and one inf-volume trade must not poison the stock's VWAP for the day
+        u = uni()
+        buf, acc, finite = PriceBuffer(u.n), VwapAccumulator(u.n), VwapAccumulator(u.n)
+        trades = [(100.0, 10.0), (np.nan, 10.0), (102.0, 30.0), (101.0, np.inf), (99.0, 5.0)]
+        for k, (price, volume) in enumerate(trades):
+            apply_event(buf, acc, u, TickEvent(k, "9002", "trade", price, volume))
+            if np.isfinite(price) and np.isfinite(volume):
+                finite.add_trade(1, price, volume)
+        assert acc.rejected == 2 and finite.rejected == 0
+        assert acc.vwap()[1] == finite.vwap()[1] == pytest.approx((1000 + 3060 + 495) / 45)
+        assert publish_vwap(acc, u.base_prices(), 0, None)[1] == finite.vwap()[1]
+
     @given(
         hs.integers(min_value=1, max_value=10_000),
         hs.integers(min_value=1, max_value=1_000),
@@ -224,6 +237,11 @@ class TestSynth:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SynthSpec(duration_s=-1.0)
+
+    @pytest.mark.parametrize("key", ["duration_s", "vol"])
+    def test_spec_nan_rejected_at_load_with_key(self, key):
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            config_from_kv(SynthSpec, {key: "nan"})
 
 
 class TestMarketSession:

@@ -11,7 +11,6 @@ from sbtrader.sb import (
     SbSolution,
     SplitProblem,
     WriteCounter,
-    compute_dy_tick_sum,
     compute_h_tick,
     default_c0,
     dense_reconstruct,
@@ -46,19 +45,6 @@ def random_split(n, rng, c1=1.0, c3=2.0):
 
 
 class TestTickPieces:
-    def test_dy_sum_direct(self):
-        assert compute_dy_tick_sum(np.array([1.0, 1.0, -1.0]), np.array([0.5, 0.2, 0.3])) == pytest.approx(0.4)
-
-    def test_dy_sum_zero_positions(self):
-        assert compute_dy_tick_sum(np.array([1.0, -1.0]), np.zeros(2)) == 0.0
-
-    def test_dy_sum_masked_universe(self):
-        assert compute_dy_tick_sum(np.zeros(4), np.array([0.3, -0.2, 0.9, 0.1])) == 0.0
-
-    def test_dy_sum_length_mismatch(self):
-        with pytest.raises(ValueError):
-            compute_dy_tick_sum(np.ones(3), np.ones(2))
-
     def test_h_tick_balanced_signs(self):
         p = SplitProblem(
             j_day=np.zeros((2, 2)),
@@ -374,6 +360,55 @@ class TestUpdateTick:
             update_tick(p, sgn, abs_dp)
         with pytest.raises(ValueError, match=message):
             SplitProblem(j_day=p.j_day, h_day=p.h_day, sgn_dp=sgn, abs_dp=abs_dp, c1=1.0, c3=1.0)
+
+
+def reference_c0(p, a0):
+    """default_c0 as it was before the day scale moved into SplitProblem: an n x n scan per call."""
+    off = p.j_day[~np.eye(p.n, dtype=bool)]
+    nonzero = off[off != 0.0]
+    if nonzero.size:
+        scale = float(np.sqrt(np.mean(nonzero**2)))
+    elif p.c3 > 0.0 and np.count_nonzero(p.sgn_dp) >= 2:
+        scale = p.c3 / 2.0
+    else:
+        scale = 1.0
+    return 1.5 * a0 / (np.sqrt(p.n) * scale)
+
+
+class TestDefaultC0:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_identical_to_reference_on_random_splits(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 65))
+        p = random_split(n, rng)
+        if seed % 2:  # sparse couplings: zeros must be skipped in the same order
+            j_day = p.j_day * (rng.uniform(size=(n, n)) < 0.3)
+            p = SplitProblem(np.triu(j_day, 1) + np.triu(j_day, 1).T, p.h_day, p.sgn_dp, p.abs_dp, p.c1, p.c3)
+        for a0 in (1.0, 10.0):
+            assert default_c0(p, a0) == reference_c0(p, a0)
+            q = update_tick(p, np.zeros(n), np.zeros(n))
+            assert q.day_rms == p.day_rms and default_c0(q, a0) == default_c0(p, a0) == reference_c0(q, a0)
+
+    def test_tick_fallback_without_day_couplings(self):
+        p = SplitProblem(np.zeros((4, 4)), np.zeros(4), np.array([1.0, -1.0, 1.0, 0.0]),
+                         np.array([0.1, 0.2, 0.1, 0.0]), c1=1.0, c3=3.0)
+        assert p.day_rms == 0.0
+        assert default_c0(p, 10.0) == reference_c0(p, 10.0) == 1.5 * 10.0 / (2.0 * 1.5)
+        # fewer than two nonzero signs after a tick update: the unit fallback, read from the new split
+        q = update_tick(p, np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.1, 0.0, 0.0, 0.0]))
+        assert default_c0(q, 10.0) == reference_c0(q, 10.0) == 1.5 * 10.0 / 2.0
+
+    def test_unit_fallback(self):
+        p = SplitProblem(np.zeros((9, 9)), np.ones(9), np.ones(9), np.full(9, 0.1), c1=1.0, c3=0.0)
+        assert default_c0(p, 1.0) == reference_c0(p, 1.0) == 0.5
+        assert default_c0(update_tick(p, np.ones(9), np.full(9, 0.2)), 1.0) == 0.5
+
+    def test_no_day_scan_per_call(self):
+        # the day scale is read, not recomputed: a poisoned j_day after construction goes unseen
+        p = random_split(8, np.random.default_rng(3))
+        c0 = default_c0(p, 10.0)
+        p.j_day = np.full((8, 8), np.nan)
+        assert default_c0(update_tick(p, p.sgn_dp, p.abs_dp), 10.0) == c0
 
 
 class TestSplitProblemValidation:

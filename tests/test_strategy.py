@@ -271,6 +271,23 @@ class TestBuildQubo:
         total = qubo_energy(qp, b) + params.c2 * params.n_s**2
         assert total == pytest.approx(cost_energy(b, dev, corr, params), abs=1e-9)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cost_energy_matches_dense_pair_term(self, seed):
+        dev, corr, params = small_instance(12, seed)
+        sigma_off = corr.sigma.copy()
+        np.fill_diagonal(sigma_off, 0.0)
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            b = (rng.uniform(size=12) < 0.4).astype(float)
+            dense = -params.c1 * (np.abs(dev.dp) @ b) + b @ sigma_off @ b
+            assert cost_energy(b, dev, corr, params) == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("bits", [[0.5, 0, 0, 0], [2, 0, 0, 0], [np.nan, 1, 0, 0], [1, 0, 0]])
+    def test_cost_energy_rejects_non_binary_bits(self, bits):
+        dev, corr, params = small_instance(4, 0)
+        with pytest.raises(ValueError, match="bit vector"):
+            cost_energy(np.array(bits, dtype=float), dev, corr, params)
+
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_exhaustive_against_direct_definitions(self, n):
         for seed in range(4):
@@ -430,6 +447,16 @@ class TestFilesAndConfig:
         assert np.array_equal(loaded.base_prices(), uni.base_prices())
         assert np.array_equal(loaded.min_lots(), uni.min_lots())
 
+    def test_per_stock_constants_derived_once_and_read_only(self):
+        uni = toy_universe()
+        assert uni.codes is uni.codes and isinstance(uni.codes, list)
+        for get in (uni.base_prices, uni.min_lots):
+            arr = get()
+            assert get() is arr and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert list(uni.base_prices()) == [s.base_price for s in uni.stocks]
+
     def test_universe_header_enforced(self, tmp_path):
         path = tmp_path / "u.csv"
         path.write_text("code,price\n7001,5000\n")
@@ -467,6 +494,12 @@ class TestFilesAndConfig:
             StrategyParams(n_s=3)
         with pytest.raises(ValueError):
             StrategyParams(c1=0.0)
+
+    def test_nan_accept_threshold_rejected_infinities_kept(self):
+        with pytest.raises(ValueError, match="accept_threshold"):
+            StrategyParams(accept_threshold=float("nan"))
+        assert StrategyParams(accept_threshold=float("inf")).accept_threshold == float("inf")
+        assert StrategyParams(accept_threshold=float("-inf")).accept_threshold == float("-inf")
 
 
 class TestRandomInstance:
