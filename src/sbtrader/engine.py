@@ -107,7 +107,7 @@ class EngineConfig:
     warmup_days: int = 5
 
     def __post_init__(self) -> None:
-        self.sb_params()  # SbParams checks n_step, dt and restarts
+        self.sb_params()  # SbParams checks n_step, dt, a0, c0 and restarts
         if not self.session_close_us > 0:
             raise ValueError("session_close_us must be positive")
         if not self.t_force_us >= 0:

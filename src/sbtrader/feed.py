@@ -3,6 +3,11 @@
 Feed files are line-based CSV `ts_us,code,kind,p1,p2` where a quote carries
 (ask, bid) and a trade carries (price, volume). Timestamps are integer
 microseconds since session open and must be nondecreasing.
+
+`replay` owns the format: a bad header, field count, number, kind or timestamp
+order is a corrupt file and raises with the line number. The market session
+owns the values: a bad price or volume, or a code outside the universe, is
+dropped and counted in `PriceBuffer.rejected` or `VwapAccumulator.rejected`.
 """
 
 from __future__ import annotations
@@ -50,8 +55,6 @@ class TickEvent:
     def __post_init__(self) -> None:
         if self.kind not in (QUOTE, TRADE):
             raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.kind == TRADE and self.p2 <= 0:
-            raise ValueError("trade volume must be positive")
 
     @property
     def ask(self) -> float:
@@ -79,13 +82,13 @@ class PriceBuffer:
         self.valid = np.zeros(n, dtype=bool)
         self.rejected = 0
 
-    def update_quote(self, idx: int, ask: float, bid: float) -> bool:
+    def update_quote(self, idx: int | None, ask: float, bid: float) -> bool:
         """Apply a quote; returns True iff ask or bid actually changed.
 
-        Crossed, nonpositive or non-finite quotes are rejected (counted, not
-        raised); the chained comparison is False for NaN, so NaN is rejected too.
+        A quote for no stock (idx None) or a crossed, nonpositive or non-finite
+        one (NaN fails the chained comparison) is rejected: counted, not raised.
         """
-        if not 0 < bid <= ask < np.inf:
+        if idx is None or not 0 < bid <= ask < np.inf:
             self.rejected += 1
             logger.warning("rejected quote #%d: ask=%s bid=%s", self.rejected, ask, bid)
             return False
@@ -107,9 +110,10 @@ class VwapAccumulator:
         self.volume_sum = np.zeros(n)
         self.rejected = 0
 
-    def add_trade(self, idx: int, price: float, volume: float) -> None:
-        """Accumulate a trade; a nonpositive or non-finite price or volume (NaN too) is counted, not added."""
-        if not (0 < price < np.inf and 0 < volume < np.inf):
+    def add_trade(self, idx: int | None, price: float, volume: float) -> None:
+        """Accumulate a trade; one for no stock (idx None) or with a price or volume
+        outside (0, inf), NaN too, is counted, not added."""
+        if idx is None or not (0 < price < np.inf and 0 < volume < np.inf):
             self.rejected += 1
             return
         self.value_sum[idx] += price * volume
@@ -126,11 +130,12 @@ def apply_event(buffer: PriceBuffer, accumulator: VwapAccumulator, universe: Uni
 
     Returns True only for quotes that changed the buffer; trades update the
     VWAP accumulator silently (they reach the solver at the next publish).
+    An unknown code passes no index, so the buffer or accumulator counts it.
     """
     try:
         idx = universe.index(e.code)
     except KeyError:
-        raise ValueError(f"event for unknown code {e.code!r}") from None
+        idx = None
     if e.kind == QUOTE:
         return buffer.update_quote(idx, e.ask, e.bid)
     accumulator.add_trade(idx, e.price, e.volume)

@@ -77,12 +77,16 @@ class SbParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.n_step >= 1:
-            raise ValueError("n_step must be >= 1")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.restarts >= 1:
-            raise ValueError("restarts must be >= 1")
+        # chained comparisons are False for NaN; c0=None means default_c0
+        for ok, message in (
+            (self.n_step >= 1, "n_step must be >= 1"),
+            (0 < self.dt < np.inf, "dt must be positive and finite"),
+            (0 < self.a0 < np.inf, "a0 must be positive and finite"),
+            (self.c0 is None or 0 < self.c0 < np.inf, "c0 must be positive and finite"),
+            (self.restarts >= 1, "restarts must be >= 1"),
+        ):
+            if not ok:
+                raise ValueError(message)
 
     def pump(self, k: int) -> float:
         """Pumping amplitude a(t) at step k."""

@@ -26,7 +26,6 @@ __all__ = [
     "CorrelationMatrix",
     "ConstraintReport",
     "CandidateEvaluation",
-    "mid_price",
     "lot_size",
     "compute_deviation",
     "daily_correlation",
@@ -167,15 +166,6 @@ class CorrelationMatrix:
     @property
     def n(self) -> int:
         return self.sigma.shape[0]
-
-
-def mid_price(ask: float, bid: float) -> float:
-    """Middle of best ask and best bid."""
-    if bid <= 0 or ask <= 0:
-        raise ValueError(f"quotes must be positive, got ask={ask}, bid={bid}")
-    if ask < bid:
-        raise ValueError(f"crossed quote: ask={ask} < bid={bid}")
-    return (ask + bid) / 2.0
 
 
 def lot_size(a_trans: float, s_min: float, p_b: float) -> int:

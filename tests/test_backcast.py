@@ -1,9 +1,14 @@
 """Tests for backcast accounting, Sharpe statistics, and report determinism."""
 
 import math
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import helpers
 from sbtrader.backcast import BackcastReport, FillModel, run_backcast, sharpe, transaction_amount
@@ -70,6 +75,14 @@ def scenario_feeds(tmp_path):
     return uni, [("2023-02-24", str(path))]
 
 
+def replayed_session(uni, path):
+    session = MarketSession(uni)
+    for e in replay(path):
+        session.advance(e.ts)
+        session.apply(e)
+    return session
+
+
 class TestRunBackcast:
     def test_engineered_scenario_matches_hand_accounting(self, tmp_path):
         uni, feeds = scenario_feeds(tmp_path)
@@ -99,6 +112,34 @@ class TestRunBackcast:
             session.advance(e.ts)
             session.apply(e)
         assert session.buffer.rejected == 1
+
+    def test_bad_trades_and_unknown_codes_dropped_and_counted(self, tmp_path):
+        # a zero- or negative-volume print and events for a code outside the universe
+        # are dropped and counted; the run completes with the report of the clean feed
+        uni, feeds = scenario_feeds(tmp_path)
+        events = helpers.convergence_events(uni.codes)
+        events += [
+            TickEvent(200_000, uni.codes[0], "trade", helpers.BASE, 0),
+            TickEvent(2_500_050, "9999", "quote", helpers.BASE + 1, helpers.BASE - 1),
+            TickEvent(3_000_000, uni.codes[1], "trade", helpers.BASE, -5),
+            TickEvent(50_000_000, "9999", "trade", helpers.BASE, 100),
+        ]
+        events.sort(key=lambda e: (e.ts, e.code, e.kind))
+        path = tmp_path / "bad.csv"
+        write_feed(path, events)
+        config = helpers.convergence_params(commission_rate=0.0005)
+        clean = run_backcast(feeds, uni, config, seed=3, corr_override=helpers.convergence_corr())
+        report = run_backcast(
+            [("2023-02-24", str(path))], uni, config, seed=3, corr_override=helpers.convergence_corr()
+        )
+        assert report.days == clean.days and report.days[0].n_trades == 8
+        clean.write(tmp_path / "clean")
+        report.write(tmp_path / "bad")
+        for name in ("report.csv", "cumulative.csv", "orders.csv", "summary.txt"):
+            assert (tmp_path / "bad" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+        session = replayed_session(uni, path)
+        assert session.buffer.rejected == 1
+        assert session.accumulator.rejected == 3
 
     def test_empty_feed_day_zero_row(self, tmp_path):
         uni = helpers.make_universe()
@@ -234,3 +275,50 @@ class TestReportFiles:
         tx, pnl = report.cumulative()
         assert np.array_equal(tx, [10.0, 15.0])
         assert np.array_equal(pnl, [1.0, -1.0])
+
+
+FUZZ_UNIVERSE = helpers.make_universe()
+BAD_VALUES = (0.0, -helpers.BASE, math.nan, math.inf, -math.inf)
+
+
+@hs.composite
+def feed_line(draw):
+    """One well-formed feed line as (event, is_bad); a bad line breaks one value rule."""
+    ts = draw(hs.integers(min_value=0, max_value=60_000_000))
+    kind = draw(hs.sampled_from(("quote", "trade")))
+    fault = draw(hs.sampled_from(("ok", "ok", "ok", "value", "unknown") + (("crossed",) if kind == "quote" else ())))
+    code = "9999" if fault == "unknown" else draw(hs.sampled_from(FUZZ_UNIVERSE.codes))
+    price = float(draw(hs.integers(min_value=int(0.98 * helpers.BASE), max_value=int(1.02 * helpers.BASE))))
+    if kind == "quote":
+        spread = float(draw(hs.integers(min_value=0, max_value=4)))
+        p1, p2 = (price - spread - 1, price) if fault == "crossed" else (price + spread, price)  # (ask, bid)
+    else:
+        p1, p2 = price, float(helpers.MIN_LOT * draw(hs.integers(min_value=1, max_value=10)))  # (price, volume)
+    if fault == "value":
+        bad = draw(hs.sampled_from(BAD_VALUES))
+        p1, p2 = (bad, p2) if draw(hs.booleans()) else (p1, bad)
+    return TickEvent(ts, code, kind, p1, p2), fault != "ok"
+
+
+class TestMalformedFeedFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(hs.lists(feed_line(), min_size=20, max_size=60))
+    def test_run_completes_and_counters_account_for_every_dropped_line(self, lines):
+        lines.sort(key=lambda line: line[0].ts)
+        bad_quotes = sum(bad for e, bad in lines if e.kind == "quote")
+        bad_trades = sum(bad for e, bad in lines if e.kind == "trade")
+        config = helpers.convergence_params()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "day.csv"
+            write_feed(path, [e for e, _ in lines])
+            report = run_backcast([("d0", str(path))], FUZZ_UNIVERSE, config, corr_override=helpers.convergence_corr())
+            session = replayed_session(FUZZ_UNIVERSE, path)
+        day = report.days[0]
+        assert math.isfinite(day.pnl) and math.isfinite(day.transactions)
+        assert all(math.isfinite(row[4]) for row in report.order_rows)
+        # every open leg has its close (finalize forces out what is still open)
+        opens = Counter((code, side) for _, code, side, _, _, action in report.order_rows if action == "open")
+        closes = Counter((code, side) for _, code, side, _, _, action in report.order_rows if action == "close")
+        assert opens == closes and day.n_trades == len(report.order_rows)
+        assert session.buffer.rejected == bad_quotes
+        assert session.accumulator.rejected == bad_trades

@@ -406,6 +406,11 @@ class TestEngineConfig:
             ("restarts=0", "restarts"),
             ("dt=-1", "dt"),
             ("dt=nan", "dt"),
+            ("dt=inf", "dt"),
+            ("a0=nan", "a0"),
+            ("a0=0", "a0"),
+            ("c0=nan", "c0"),
+            ("c0=-1", "c0"),
             ("accept_threshold=nan", "accept_threshold"),
             ("t_force_s=-5", "t_force_us"),
             ("corr_window=0", "corr_window"),

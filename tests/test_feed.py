@@ -31,8 +31,13 @@ class TestTickEvent:
             TickEvent(0, "9001", "order", 1.0, 2.0)
 
     def test_trade_volume_positive(self):
-        with pytest.raises(ValueError):
-            TickEvent(0, "9001", "trade", 100.0, 0.0)
+        # a volume <= 0 constructs; the session drops it, counts it and leaves the VWAP alone
+        u = uni()
+        buf, acc = PriceBuffer(u.n), VwapAccumulator(u.n)
+        apply_event(buf, acc, u, TickEvent(0, "9001", "trade", 100.0, 10.0))
+        for volume in (0.0, -5.0):
+            assert not apply_event(buf, acc, u, TickEvent(1, "9001", "trade", 101.0, volume))
+        assert acc.rejected == 2 and acc.vwap()[0] == 100.0 and acc.volume_sum[0] == 10.0
 
     def test_accessors(self):
         q = TickEvent(1, "9001", "quote", 101.0, 99.0)
@@ -65,9 +70,14 @@ class TestApplyEvent:
         assert acc.vwap()[0] == pytest.approx(101.5)
 
     def test_unknown_code(self):
+        # dropped and counted by the quote or trade rule; the market state is unchanged
         u = uni()
-        with pytest.raises(ValueError, match="unknown code"):
-            apply_event(PriceBuffer(u.n), VwapAccumulator(u.n), u, TickEvent(0, "zzz", "quote", 1, 1))
+        buf, acc = PriceBuffer(u.n), VwapAccumulator(u.n)
+        assert not apply_event(buf, acc, u, TickEvent(0, "zzz", "quote", 101, 99))
+        assert not apply_event(buf, acc, u, TickEvent(1, "zzz", "trade", 100, 10))
+        assert buf.rejected == 1 and acc.rejected == 1
+        assert not buf.valid.any() and np.isnan(buf.ask).all() and np.isnan(buf.bid).all()
+        assert not acc.value_sum.any() and not acc.volume_sum.any()
 
     def test_crossed_quote_rejected_with_count(self):
         u = uni()

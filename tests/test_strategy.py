@@ -26,7 +26,6 @@ from sbtrader.strategy import (
     evaluate_candidate,
     load_universe,
     lot_size,
-    mid_price,
     random_instance,
     config_from_kv,
     read_kv,
@@ -51,22 +50,6 @@ def direct_energy(bits, dev, corr, params):
 
 def small_instance(n, seed, **kw):
     return random_instance(n, 4, np.random.default_rng(seed), **kw)
-
-
-class TestMidPrice:
-    def test_plain(self):
-        assert mid_price(101, 99) == 100
-
-    def test_locked_market(self):
-        assert mid_price(100, 100) == 100
-
-    def test_crossed_rejected(self):
-        with pytest.raises(ValueError, match="crossed"):
-            mid_price(99, 101)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            mid_price(100, 0)
 
 
 class TestLotSize:
