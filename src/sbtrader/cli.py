@@ -1,4 +1,4 @@
-"""Command-line entry points: solve, gen-feed, corr, backcast, bench.
+"""Command-line entry points: solve, gen-feed, corr, backcast.
 
 Exit codes: 0 success, 1 usage or input errors, 2 solver finished but found
 no acceptable (feasible and below-threshold) selection.
@@ -7,6 +7,7 @@ no acceptable (feasible and below-threshold) selection.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -39,21 +40,14 @@ def _load_deviations(path, n: int) -> st.DeviationVector:
                 mask.append(bool(int(parts[1])) if len(parts) == 2 else False)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: cannot parse deviation entry") from None
+            if not np.isfinite(dp[-1]):
+                raise ValueError(f"{path}:{lineno}: deviation must be finite")
     if len(dp) != n:
         raise ValueError(f"{path}: {len(dp)} deviations for a universe of {n}")
     dp_arr = np.array(dp)
     mask_arr = np.array(mask)
     dp_arr[mask_arr] = 0.0
     return st.DeviationVector(dp=dp_arr, mask=mask_arr)
-
-
-def _sb_params(args, restarts_default: int = 10) -> sb.SbParams:
-    return sb.SbParams(
-        n_step=args.n_step,
-        dt=args.dt,
-        restarts=args.restarts if args.restarts is not None else restarts_default,
-        seed=args.seed,
-    )
 
 
 def _config(cls, path):
@@ -65,7 +59,8 @@ def _spin_string(spins: np.ndarray) -> str:
 
 
 def cmd_solve(args) -> int:
-    params = _sb_params(args)
+    config = _config(eng.EngineConfig, args.config)
+    params = dataclasses.replace(config.sb_params(), seed=args.seed)
     if args.qubo:
         problem = ising.QuboProblem(ising.load_matrix(args.qubo)).symmetrized()
         split = sb.split_from_ising(ising.qubo_to_ising(problem))
@@ -78,20 +73,17 @@ def cmd_solve(args) -> int:
         return 0
     universe = st.load_universe(args.universe)
     corr = st.load_correlation(args.corr)
-    sparams = _config(eng.EngineConfig, args.config).strategy
     dev = _load_deviations(args.deviations, universe.n)
-    split = st.build_split(dev, corr, sparams)
+    split = st.build_split(dev, corr, config.strategy)
     sol = sb.solve(split, params)
-    bits = (np.asarray(sol.spins) + 1.0) / 2.0
-    report = st.check_constraints(bits, dev, sparams.n_s)
-    verdict = st.evaluate_candidate(sol, dev, corr, sparams)
-    selected = np.flatnonzero(bits > 0)
+    verdict = st.evaluate_candidate(sol, dev, corr, config.strategy)
+    selected = np.flatnonzero(np.asarray(sol.spins) > 0)
     sides = ["long" if dev.dp[i] < 0 else "short" for i in selected]
     print(f"spins={_spin_string(sol.spins)}")
     print("selected=" + ",".join(f"{universe.codes[i]}:{side}" for i, side in zip(selected, sides)))
     print(f"energy={sol.energy!r}")
-    print(f"feasible={report.ok}")
-    for reason in report.reasons:
+    print(f"feasible={verdict.feasible}")
+    for reason in verdict.reasons:
         print(f"reason={reason}")
     print(f"h_cost={verdict.h_cost!r}")
     print(f"accepted={verdict.accepted}")
@@ -137,52 +129,9 @@ def cmd_backcast(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    rng = np.random.default_rng([args.seed])
-    dev, corr, sparams = st.random_instance(args.n, args.n_s, rng)
-    split = st.build_split(dev, corr, sparams)
-    params = _sb_params(args)
-    timings = []
-    for i in range(params.restarts):
-        sol = sb.run(split, params, sb.substream(args.seed, i), run_index=i)
-        timings.append(sol.elapsed)
-    rngs = [sb.substream(args.seed, i) for i in range(params.restarts)]
-    batch_s = sb.run_batch(split, params, rngs)[0].elapsed
-    tick_counter = sb.WriteCounter()
-    sb.update_tick(split, dev.sgn(), np.abs(dev.dp), counter=tick_counter)
-    day_counter = sb.WriteCounter()
-    st.build_split(dev, corr, sparams, counter=day_counter)
-    print(f"n={args.n} n_step={params.n_step} runs={params.restarts}")
-    print(f"mean_run_ms={1e3 * float(np.mean(timings)):.3f}")
-    print(f"min_run_ms={1e3 * float(np.min(timings)):.3f}")
-    print(f"batch_ms={1e3 * batch_s:.3f}")
-    print(f"tick_update_writes={tick_counter.elements}")
-    print(f"day_rebuild_writes={day_counter.elements}")
-    print(f"write_ratio={day_counter.elements / tick_counter.elements:.2f}")
-    if args.oracle_instances:
-        hits = 0
-        for k in range(args.oracle_instances):
-            dev_k, corr_k, sp_k = st.random_instance(16, 4, np.random.default_rng([args.seed, k]))
-            split_k = st.build_split(dev_k, corr_k, sp_k)
-            sol = sb.solve(split_k, sb.SbParams(n_step=params.n_step, dt=params.dt, restarts=params.restarts, seed=k))
-            _, best = ising.brute_force_min(st.build_qubo(dev_k, corr_k, sp_k))
-            bits = (np.asarray(sol.spins) + 1.0) / 2.0
-            if abs(ising.qubo_energy(st.build_qubo(dev_k, corr_k, sp_k), bits) - best) <= 1e-9:
-                hits += 1
-        print(f"oracle_instances={args.oracle_instances}")
-        print(f"oracle_exact_rate={hits / args.oracle_instances:.3f}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sbtrader", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_solver_flags(p, restarts_default=None):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=restarts_default)
-        p.add_argument("--n-step", type=int, default=300, dest="n_step")
-        p.add_argument("--dt", type=float, default=0.02)
 
     p = sub.add_parser("solve", help="solve a QUBO file or a strategy instance")
     p.add_argument("--qubo", help="matrix text file (first line n, then n rows)")
@@ -191,11 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corr", help="correlation matrix text file")
     p.add_argument(
         "--config",
-        help="key=value file in the backcast format; only its strategy keys are used here. Keys are the "
-        "field names of EngineConfig and StrategyParams, with session_close_s and t_force_s in seconds; "
-        "unknown keys are rejected",
+        help="key=value file in the backcast format (field names of EngineConfig and StrategyParams; "
+        "unknown keys are rejected). Its solver keys (n_step, dt, restarts, a0, c0) set the solver; its "
+        "strategy keys are used only with --universe/--deviations/--corr; the other keys are checked "
+        "and ignored",
     )
-    add_solver_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("gen-feed", help="generate a deterministic synthetic tick feed")
@@ -229,13 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_backcast)
 
-    p = sub.add_parser("bench", help="time solver runs and one batch of them, and measure update write counts")
-    p.add_argument("--n", type=int, default=128)
-    p.add_argument("--n-s", type=int, default=4, dest="n_s")
-    p.add_argument("--oracle-instances", type=int, default=0, dest="oracle_instances")
-    add_solver_flags(p, restarts_default=10)
-    p.set_defaults(fn=cmd_bench)
-
     return parser
 
 
@@ -250,7 +193,7 @@ def main(argv=None) -> int:
             parser.error("provide --qubo or all of --universe/--deviations/--corr")
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, sb.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

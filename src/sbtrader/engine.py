@@ -248,7 +248,11 @@ class TradingEngine:
     # -- closing ------------------------------------------------------------
 
     def close_policy(self, now: int) -> list[Order]:
-        """Close on deviation sign-cross (convergence take-profit) or forced unwind."""
+        """Close on deviation sign-cross (convergence take-profit) or forced unwind.
+
+        A position opens only on an unmasked stock, so its quote stays valid for
+        the day and the published VWAP has a finite entry for it.
+        """
         forced = now >= self.config.session_close_us - self.config.t_force_us
         vwap = self.session.vwap_pub
         orders = []
@@ -256,12 +260,8 @@ class TradingEngine:
             if pos.state != OPEN:
                 continue
             i = self.universe.index(pos.code)
-            if not self.session.buffer.valid[i]:
-                continue
-            crossed = False
-            if vwap is not None and np.isfinite(vwap[i]):
-                dp = (float(self.session.buffer.mid()[i]) - float(vwap[i])) / self.universe.base_prices()[i]
-                crossed = dp >= 0.0 if pos.side == LONG else dp <= 0.0
+            dp = (float(self.session.buffer.mid()[i]) - float(vwap[i])) / self.universe.base_prices()[i]
+            crossed = dp >= 0.0 if pos.side == LONG else dp <= 0.0
             if forced or crossed:
                 orders.append(self._issue_close(pos, now))
         return orders

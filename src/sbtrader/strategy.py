@@ -53,8 +53,8 @@ class Stock:
     min_lot: int
 
     def __post_init__(self) -> None:
-        if self.base_price <= 0:
-            raise ValueError(f"{self.code}: base_price must be positive")
+        if not 0 < self.base_price < math.inf:  # NaN fails the chained comparison
+            raise ValueError(f"{self.code}: base_price must be positive and finite")
         if self.min_lot < 1:
             raise ValueError(f"{self.code}: min_lot must be >= 1")
 

@@ -36,10 +36,23 @@ class TestSolve:
         rng = np.random.default_rng(5)
         m = rng.normal(0, 1, (8, 8))
         save_matrix(path, (m + m.T) / 2)
-        _, out_a, _ = run_cli(capsys, "solve", "--qubo", str(path), "--restarts", "1", "--seed", "7")
-        _, out_b, _ = run_cli(capsys, "solve", "--qubo", str(path), "--restarts", "1", "--seed", "7")
+        config = tmp_path / "one_run.cfg"
+        config.write_text("restarts=1\n")
+        _, out_a, _ = run_cli(capsys, "solve", "--qubo", str(path), "--config", str(config), "--seed", "7")
+        _, out_b, _ = run_cli(capsys, "solve", "--qubo", str(path), "--config", str(config), "--seed", "7")
+        assert "run_index=0" in out_a
         strip = lambda s: [l for l in s.splitlines() if not l.startswith("elapsed")]
         assert strip(out_a) == strip(out_b)
+
+    def test_config_solver_keys_apply(self, tmp_path, capsys):
+        # c0=1e308 makes every run diverge, so the run fails only if the config reaches the solver
+        path = tmp_path / "q.txt"
+        save_matrix(path, np.array([[-1.0, 50.0], [50.0, -1.0]]))
+        config = tmp_path / "huge_c0.cfg"
+        config.write_text("c0=1e308\n")
+        code, out, err = run_cli(capsys, "solve", "--qubo", str(path), "--config", str(config))
+        assert code == 1
+        assert "diverged" in err and "spins=" not in out
 
     def test_malformed_matrix_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -80,6 +93,41 @@ class TestSolve:
         )
         assert code == 2
         assert "accepted=False" in out
+
+    def test_feasible_above_threshold_gives_its_reason(self, tmp_path, capsys):
+        files = helpers.write_convergence_fixture(tmp_path)
+        dev = tmp_path / "dev.txt"
+        dev.write_text("-0.0042\n-0.004\n0.0042\n0.004\n0\n0\n")
+        config = tmp_path / "strict.cfg"
+        config.write_text(files["config"].read_text().replace("accept_threshold=0", "accept_threshold=-inf"))
+        code, out, _ = run_cli(
+            capsys,
+            "solve",
+            "--universe", str(files["universe"]),
+            "--deviations", str(dev),
+            "--corr", str(files["corr"]),
+            "--config", str(config),
+            "--seed", "2",
+        )
+        assert code == 2
+        assert "feasible=True" in out and "accepted=False" in out
+        reasons = [l for l in out.splitlines() if l.startswith("reason=")]
+        assert len(reasons) == 1 and reasons[0].startswith("reason=cost ") and "above threshold -inf" in reasons[0]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_deviation_exit_1(self, tmp_path, capsys, value):
+        files = helpers.write_convergence_fixture(tmp_path)
+        dev = tmp_path / "dev.txt"
+        dev.write_text(f"-0.0042\n-0.004\n{value}\n0.004\n0\n0\n")
+        code, _, err = run_cli(
+            capsys,
+            "solve",
+            "--universe", str(files["universe"]),
+            "--deviations", str(dev),
+            "--corr", str(files["corr"]),
+            "--config", str(files["config"]),
+        )
+        assert code == 1 and f"{dev}:3:" in err and "finite" in err
 
     def test_misspelt_config_key_exit_1(self, tmp_path, capsys):
         files = helpers.write_convergence_fixture(tmp_path)
@@ -218,6 +266,26 @@ class TestBackcast:
         for name in ("report.csv", "cumulative.csv", "orders.csv", "summary.txt"):
             assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
+    @pytest.mark.parametrize("price", ["nan", "inf"])
+    def test_non_finite_base_price_exits_before_replay(self, tmp_path, capsys, monkeypatch, price):
+        files = helpers.write_convergence_fixture(tmp_path)
+        lines = files["universe"].read_text().splitlines()
+        code_2, _, lot_2 = lines[2].split(",")
+        lines[2] = f"{code_2},{price},{lot_2}"
+        files["universe"].write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(bc, "replay", lambda path: pytest.fail("a feed was replayed"))
+        code, _, err = run_cli(
+            capsys,
+            "backcast",
+            "--feed-dir", str(files["feed_dir"]),
+            "--universe", str(files["universe"]),
+            "--config", str(files["config"]),
+            "--corr", str(files["corr"]),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1 and f"{files['universe']}:3:" in err and "base_price" in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_feed_dir(self, tmp_path, capsys):
         files = helpers.write_convergence_fixture(tmp_path)
         code, _, err = run_cli(
@@ -229,22 +297,3 @@ class TestBackcast:
         )
         assert code == 1 and "not found" in err
 
-
-class TestBench:
-    def test_smoke_with_oracle(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "bench",
-            "--n", "32",
-            "--n-step", "100",
-            "--restarts", "3",
-            "--seed", "5",
-            "--oracle-instances", "2",
-        )
-        assert code == 0
-        assert "mean_run_ms=" in out
-        assert "batch_ms=" in out
-        assert "write_ratio=" in out
-        assert "oracle_exact_rate=" in out
-        ratio = float(next(l for l in out.splitlines() if l.startswith("write_ratio=")).split("=")[1])
-        assert ratio >= 32 / 4

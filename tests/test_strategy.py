@@ -446,6 +446,13 @@ class TestFilesAndConfig:
         with pytest.raises(ValueError, match="header"):
             load_universe(path)
 
+    @pytest.mark.parametrize("price", ["nan", "inf", "0", "-5"])
+    def test_bad_base_price_rejected_with_line(self, tmp_path, price):
+        path = tmp_path / "u.csv"
+        path.write_text(f"code,base_price,min_lot\n7001,5000,100\n7002,{price},100\n")
+        with pytest.raises(ValueError, match=rf"u\.csv:3: 7002: base_price must be positive and finite"):
+            load_universe(path)
+
     def test_duplicate_codes_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Universe([Stock("a", 1.0, 1), Stock("a", 2.0, 1)])
