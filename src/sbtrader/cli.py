@@ -24,7 +24,7 @@ __all__ = ["main"]
 
 
 def _load_deviations(path, n: int) -> st.DeviationVector:
-    """One line per stock: `dp` or `dp,mask` (mask 1 excludes the stock)."""
+    """One line per stock: `dp` or `dp,mask`, where mask is 0 or 1 (1 excludes the stock)."""
     dp = []
     mask = []
     with open(path) as fh:
@@ -37,11 +37,14 @@ def _load_deviations(path, n: int) -> st.DeviationVector:
                 raise ValueError(f"{path}:{lineno}: expected `dp` or `dp,mask`")
             try:
                 dp.append(float(parts[0]))
-                mask.append(bool(int(parts[1])) if len(parts) == 2 else False)
+                flag = int(parts[1]) if len(parts) == 2 else 0
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: cannot parse deviation entry") from None
             if not np.isfinite(dp[-1]):
                 raise ValueError(f"{path}:{lineno}: deviation must be finite")
+            if flag not in (0, 1):
+                raise ValueError(f"{path}:{lineno}: mask must be 0 or 1")
+            mask.append(flag == 1)
     if len(dp) != n:
         raise ValueError(f"{path}: {len(dp)} deviations for a universe of {n}")
     dp_arr = np.array(dp)

@@ -260,7 +260,9 @@ class TradingEngine:
             if pos.state != OPEN:
                 continue
             i = self.universe.index(pos.code)
-            dp = (float(self.session.buffer.mid()[i]) - float(vwap[i])) / self.universe.base_prices()[i]
+            # one element of buffer.mid(), in the same IEEE arithmetic
+            mid = (float(self.session.buffer.ask[i]) + float(self.session.buffer.bid[i])) / 2.0
+            dp = (mid - float(vwap[i])) / self.universe.base_prices()[i]
             crossed = dp >= 0.0 if pos.side == LONG else dp <= 0.0
             if forced or crossed:
                 orders.append(self._issue_close(pos, now))

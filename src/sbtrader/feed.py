@@ -4,6 +4,9 @@ Feed files are line-based CSV `ts_us,code,kind,p1,p2` where a quote carries
 (ask, bid) and a trade carries (price, volume). Timestamps are integer
 microseconds since session open and must be nondecreasing.
 
+`TickEvent` is an immutable named tuple whose kind is checked on every
+construction path (call, `_make`, `_replace`, copy and pickle).
+
 `replay` owns the format: a bad header, field count, number, kind or timestamp
 order is a corrupt file and raises with the line number. The market session
 owns the values: a bad price or volume, or a code outside the universe, is
@@ -13,8 +16,9 @@ dropped and counted in `PriceBuffer.rejected` or `VwapAccumulator.rejected`.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -44,33 +48,32 @@ PUBLISH_INTERVAL_US = 1_000_000
 SAMPLE_INTERVAL_US = 1_000_000
 
 
-@dataclass(frozen=True)
-class TickEvent:
+class _TickFields(NamedTuple):
     ts: int
     code: str
     kind: str
     p1: float
     p2: float
 
-    def __post_init__(self) -> None:
-        if self.kind not in (QUOTE, TRADE):
-            raise ValueError(f"unknown event kind {self.kind!r}")
 
-    @property
-    def ask(self) -> float:
-        return self.p1
+class TickEvent(_TickFields):
+    """One feed event; a quote carries (ask, bid) and a trade (price, volume)."""
 
-    @property
-    def bid(self) -> float:
-        return self.p2
+    __slots__ = ()
 
-    @property
-    def price(self) -> float:
-        return self.p1
+    def __new__(cls, ts: int, code: str, kind: str, p1: float, p2: float) -> TickEvent:
+        if kind not in (QUOTE, TRADE):
+            raise ValueError(f"unknown event kind {kind!r}")
+        # not super().__new__: that is one more Python call per feed line
+        return tuple.__new__(cls, (ts, code, kind, p1, p2))
 
-    @property
-    def volume(self) -> float:
-        return self.p2
+    @classmethod
+    def _make(cls, iterable) -> TickEvent:
+        # namedtuple's own _make, which _replace calls, bypasses __new__
+        return cls(*iterable)
+
+    ask = price = _TickFields.p1
+    bid = volume = _TickFields.p2
 
 
 class PriceBuffer:
@@ -222,27 +225,33 @@ def write_feed(path, events: list[TickEvent]) -> None:
 
 
 def replay(path) -> Iterator[TickEvent]:
-    """Stream events from a feed file in order, enforcing nondecreasing timestamps."""
-    last_ts = None
+    """Stream events from a feed file in order, enforcing nondecreasing timestamps.
+
+    Line 1 must be the header; an empty file yields nothing. Blank lines after
+    it are skipped.
+    """
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        header = next(fh, None)
+        if header is None:
+            return
+        if header.strip() != FEED_HEADER:
+            raise ValueError(f"{path}:1: expected header {FEED_HEADER!r}")
+        last_ts = -math.inf
+        for lineno, raw in enumerate(fh, start=2):
             line = raw.strip()
             if not line:
-                continue
-            if lineno == 1:
-                if line != FEED_HEADER:
-                    raise ValueError(f"{path}:1: expected header {FEED_HEADER!r}")
                 continue
             parts = line.split(",")
             if len(parts) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 fields")
             try:
-                e = TickEvent(ts=int(parts[0]), code=parts[1], kind=parts[2], p1=float(parts[3]), p2=float(parts[4]))
+                ts = int(parts[0])
+                e = TickEvent(ts, parts[1], parts[2], float(parts[3]), float(parts[4]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if last_ts is not None and e.ts < last_ts:
-                raise ValueError(f"{path}:{lineno}: timestamp regression {e.ts} < {last_ts}")
-            last_ts = e.ts
+            if ts < last_ts:
+                raise ValueError(f"{path}:{lineno}: timestamp regression {ts} < {last_ts}")
+            last_ts = ts
             yield e
 
 

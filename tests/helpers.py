@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from sbtrader.engine import EngineConfig
-from sbtrader.feed import TickEvent, write_feed
+from sbtrader.feed import FEED_HEADER, TickEvent, write_feed
 from sbtrader.ising import qubo_energy
 from sbtrader.strategy import (
     CorrelationMatrix,
@@ -138,3 +138,32 @@ def feasible_qubo_energies(dev, corr, params, qubo):
         b[list(combo)] = 1.0
         energies.append(qubo_energy(qubo, b))
     return np.array(energies)
+
+
+def reference_replay(path):
+    """The line-by-line feed parser that `feed.replay` replaced, kept as its oracle.
+
+    It differs only on a file whose line 1 is blank or whitespace: it skips
+    that line and never checks a header, where `replay` rejects line 1.
+    """
+    last_ts = None
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if lineno == 1:
+                if line != FEED_HEADER:
+                    raise ValueError(f"{path}:1: expected header {FEED_HEADER!r}")
+                continue
+            parts = line.split(",")
+            if len(parts) != 5:
+                raise ValueError(f"{path}:{lineno}: expected 5 fields")
+            try:
+                e = TickEvent(ts=int(parts[0]), code=parts[1], kind=parts[2], p1=float(parts[3]), p2=float(parts[4]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if last_ts is not None and e.ts < last_ts:
+                raise ValueError(f"{path}:{lineno}: timestamp regression {e.ts} < {last_ts}")
+            last_ts = e.ts
+            yield e

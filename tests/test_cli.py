@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from sbtrader import backcast as bc
-from sbtrader.cli import main
+from sbtrader.cli import _load_deviations, main
 from sbtrader.ising import save_matrix
 from sbtrader.strategy import load_correlation
 
@@ -128,6 +128,30 @@ class TestSolve:
             "--config", str(files["config"]),
         )
         assert code == 1 and f"{dev}:3:" in err and "finite" in err
+
+    @pytest.mark.parametrize("value, lineno", [("7", 1), ("-1", 3), ("2", 6)])
+    def test_mask_other_than_0_or_1_exit_1(self, tmp_path, capsys, value, lineno):
+        files = helpers.write_convergence_fixture(tmp_path)
+        lines = ["-0.0042", "-0.004", "0.0042", "0.004", "0", "0"]
+        lines[lineno - 1] += f",{value}"
+        dev = tmp_path / "dev.txt"
+        dev.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(
+            capsys,
+            "solve",
+            "--universe", str(files["universe"]),
+            "--deviations", str(dev),
+            "--corr", str(files["corr"]),
+            "--config", str(files["config"]),
+        )
+        assert code == 1 and f"{dev}:{lineno}: mask must be 0 or 1" in err
+
+    def test_mask_0_and_1_load(self, tmp_path):
+        dev = tmp_path / "dev.txt"
+        dev.write_text("-0.0042,1\n-0.004,0\n0.0042\n")
+        loaded = _load_deviations(dev, 3)
+        assert loaded.mask.tolist() == [True, False, False]
+        assert loaded.dp.tolist() == [0.0, -0.004, 0.0042]
 
     def test_misspelt_config_key_exit_1(self, tmp_path, capsys):
         files = helpers.write_convergence_fixture(tmp_path)

@@ -15,7 +15,7 @@ from sbtrader.engine import (
     Fill,
     TradingEngine,
 )
-from sbtrader.feed import TickEvent
+from sbtrader.feed import PriceBuffer, TickEvent
 from sbtrader.sb import DivergenceError, SbSolution, run, substream
 from sbtrader.strategy import DeviationVector, StrategyParams, config_from_kv, read_kv, evaluate_candidate
 
@@ -162,6 +162,22 @@ class TestClosePolicy:
         engine = make_engine()
         prime_quotes(engine)
         assert engine.close_policy(500_000) == []
+
+    def test_reads_one_mid_per_open_position(self, monkeypatch):
+        # same verdicts as the full mid() vector gives, without building it
+        engine = make_engine()
+        self.open_group(engine)
+        codes = engine.universe.codes
+        buffer = engine.session.buffer
+        buffer.update_quote(0, helpers.BASE - 3, helpers.BASE - 5)  # long still below VWAP
+        buffer.update_quote(2, helpers.BASE + 5, helpers.BASE + 3)  # short still above VWAP
+        gap = dict(zip(codes, buffer.mid() - engine.session.vwap_pub))
+        expected = {p.code for p in engine.positions if (gap[p.code] >= 0 if p.side == eng.LONG else gap[p.code] <= 0)}
+        assert expected == {codes[1], codes[3]}
+        with monkeypatch.context() as m:
+            m.setattr(PriceBuffer, "mid", lambda self: pytest.fail("close_policy built the mid vector"))
+            orders = engine.close_policy(400_000)
+        assert {o.code for o in orders} == expected
 
     def test_long_sign_cross_closes(self):
         engine = make_engine()

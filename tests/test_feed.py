@@ -1,5 +1,9 @@
 """Tests for feed parsing/replay, VWAP accumulation, and the synthetic generator."""
 
+import copy
+import pickle
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +24,8 @@ from sbtrader.feed import (
 )
 from sbtrader.strategy import Stock, Universe, config_from_kv
 
+import helpers
+
 
 def uni(n=3, base=1000.0):
     return Universe([Stock(f"90{i:02d}", base, 100) for i in range(1, n + 1)])
@@ -29,6 +35,31 @@ class TestTickEvent:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             TickEvent(0, "9001", "order", 1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TickEvent(ts=0, code="9001", kind="order", p1=1.0, p2=2.0),
+            lambda: TickEvent._make((0, "9001", "order", 1.0, 2.0)),
+            lambda: TickEvent(0, "9001", "quote", 1.0, 2.0)._replace(kind="order"),
+            lambda: pickle.loads(pickle.dumps(TickEvent(0, "9001", "quote", 1.0, 2.0)).replace(b"quote", b"quota")),
+            lambda: copy.copy(tuple.__new__(TickEvent, (0, "9001", "order", 1.0, 2.0))),
+        ],
+        ids=["keyword", "_make", "_replace", "pickle", "copy"],
+    )
+    def test_kind_checked_on_every_construction_path(self, build):
+        # positional construction is test_bad_kind
+        with pytest.raises(ValueError, match="unknown event kind"):
+            build()
+
+    def test_immutable_record(self):
+        e = TickEvent(1, "9001", "quote", 101.0, 99.0)
+        assert repr(e) == "TickEvent(ts=1, code='9001', kind='quote', p1=101.0, p2=99.0)"
+        assert e == TickEvent(ts=1, code="9001", kind="quote", p1=101.0, p2=99.0) != e._replace(ts=2)
+        assert pickle.loads(pickle.dumps(e)) == copy.copy(e) == e
+        for name in ("ts", "p1", "ask", "volume", "other"):
+            with pytest.raises(AttributeError):
+                setattr(e, name, 0)
 
     def test_trade_volume_positive(self):
         # a volume <= 0 constructs; the session drops it, counts it and leaves the VWAP alone
@@ -192,6 +223,76 @@ class TestReplay:
         path.write_text("10,9001,quote,101,99\n")
         with pytest.raises(ValueError, match="header"):
             list(replay(path))
+
+    @pytest.mark.parametrize("text", ["\n10,9001,quote,101,99\n", "\nts_us,code,kind,p1,p2\n10,9001,quote,101,99\n"])
+    def test_header_must_be_line_1(self, tmp_path, text):
+        # the reference parser skips a blank line 1, so neither file's header is checked there
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:1: expected header")):
+            list(replay(path))
+
+
+def outcome(parse, path):
+    """The events with the type of every field, or the error message."""
+    try:
+        events = list(parse(path))
+    except ValueError as exc:
+        return str(exc)
+    return events, [tuple(map(type, e)) for e in events]
+
+
+HEADER = "ts_us,code,kind,p1,p2\n"
+
+
+class TestReplayMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("spread_ticks", [0, 2])
+    def test_synthetic_feeds(self, tmp_path, seed, spread_ticks):
+        path = tmp_path / "f.csv"
+        synth_generate(uni(4), SynthSpec(duration_s=20.0, trade_rate=0.5, spread_ticks=spread_ticks), seed, path)
+        events, types = outcome(replay, path)
+        assert {e.kind for e in events} == {"quote", "trade"}
+        assert set(types) == {(int, str, str, float, float)}
+        assert outcome(helpers.reference_replay, path) == (events, types)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            HEADER + "10,9001,quote,101\n",
+            HEADER + "10,9001,quote,101,99,1\n",
+            HEADER + "10,9001,quote,101,99\n1.5,9001,quote,101,99\n",
+            HEADER + "10,9001,quote,abc,99\n",
+            HEADER + "10,9001,trade,100, 5x \n",
+            HEADER + "10,9001,order,101,99\n",
+            HEADER + "10,9001,quote,101,99\n5,9001,quote,101,99\n",
+            HEADER + "10,9001,quote,101,99\n\n\n11,9002,trade,100,5\n\n12,9001,quote,101\n",
+            HEADER + " \t \n 10,9001,quote,101,99 \n   \n5,9001,quote,101,99\n",
+            (HEADER + "10,9001,quote,101,99\n11,9001,trade,100,5\n9,9001,quote,1,2\n").replace("\n", "\r\n"),
+            HEADER.replace("\n", " \n") + "10,9001,quote,101,99\n",
+            HEADER,
+            "ts,code,kind,p1,p2\n10,9001,quote,101,99\n",
+        ],
+        ids=[
+            "short-line",
+            "six-fields",
+            "non-integer-ts",
+            "non-numeric-price",
+            "non-numeric-volume",
+            "unknown-kind",
+            "ts-regression",
+            "blank-lines",
+            "whitespace-lines",
+            "crlf",
+            "padded-header",
+            "header-only",
+            "wrong-header",
+        ],
+    )
+    def test_malformed_files(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode())
+        assert outcome(replay, path) == outcome(helpers.reference_replay, path)
 
 
 class TestSynth:
