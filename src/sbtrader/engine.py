@@ -112,8 +112,8 @@ class EngineConfig:
             raise ValueError("session_close_us must be positive")
         if not self.t_force_us >= 0:
             raise ValueError("t_force_us must be >= 0")
-        if not self.commission_rate >= 0:
-            raise ValueError("commission_rate must be >= 0")
+        if not 0 <= self.commission_rate < np.inf:
+            raise ValueError("commission_rate must be >= 0 and finite")
         if not self.corr_window >= 1:
             raise ValueError("corr_window must be >= 1")
         if not self.warmup_days >= 0:

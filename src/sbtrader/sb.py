@@ -8,17 +8,19 @@ intermediate values only, so a quote change never touches the dense storage.
 Restarts run as one batch (`run_batch`): positions and momenta are (R, N)
 matrices, each step is a single `x @ j_day` product (j_day is symmetric), and
 row r draws its initial momenta from the RNG stream the caller passes for it,
-so a run keeps its key whichever batch it lands in. c0 and the tick biases
-are computed once per batch. Every step checks each row for non-finite
-state, because the wall clamp would turn an inf back into +-1; a diverged
-row is reported as None while the other rows finish. Each row's energy is
-read out from the split form, -1/2 s.J_day.s plus O(N) tick terms and the
-offsets, so the dense problem is never materialised on the solve path.
-`run` is the one-row batch and `solve` is one batch of `restarts` rows plus
-the best-of-R pick, whose tolerance absorbs the last-bit differences a
-batched product can give rows with equal spins. `step` applies the same
-kernel to an (N,) or (R, N) state; `step_dense`, `dense_reconstruct` and
-`ising.brute_force_min` are oracles for the tests.
+so a run keeps its key whichever batch it lands in. c0, the tick biases and
+the work buffers are set up once per batch, and every step runs in place. The
+wall maps x to x/|x| wherever |x| > 1: exactly +-1 for a finite x, NaN for an
+inf, and a NaN stays NaN. A row that goes non-finite therefore stays so, and
+one check after the loop finds it; a diverged row is reported as None while
+the other rows finish. Each row's energy is read out from the split form,
+-1/2 s.J_day.s plus O(N) tick terms and the offsets, so the dense problem is
+never materialised on the solve path. `run` is the one-row batch and `solve`
+is one batch of `restarts` rows plus the best-of-R pick, whose tolerance
+absorbs the last-bit differences a batched product can give rows with equal
+spins. `step` applies the same kernel to a copy of an (N,) or (R, N) state;
+`step_dense`, `dense_reconstruct` and `ising.brute_force_min` are oracles for
+the tests.
 """
 
 from __future__ import annotations
@@ -245,38 +247,65 @@ def _tick_terms(p: SplitProblem) -> tuple[np.ndarray, np.ndarray]:
     return -(p.c3 / 2.0) * p.sgn_dp, compute_h_tick(p)
 
 
-def _force(x: np.ndarray, p: SplitProblem, tick_coef: np.ndarray, h_tick: np.ndarray) -> np.ndarray:
-    """J x - h for x of shape (n,) or (R, n), the tick part collapsed to O(n) via the shared sum."""
-    dy_day = x @ p.j_day - p.h_day  # j_day is symmetric: each row of x @ J is J x
-    dy_sum = (x @ p.sgn_dp)[..., None]
-    # Momentum correction of the tick component, (J_tick x)_i - h_tick_i.
-    dy_tick = tick_coef * (dy_sum - p.sgn_dp * x) - h_tick
-    return dy_day + dy_tick
+def _scratch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Work buffers for _force/_advance on states shaped like x: dy, tmp, the per-row sgn.x, the wall mask."""
+    return np.empty_like(x), np.empty_like(x), np.empty(x.shape[:-1]), np.empty(x.shape, dtype=bool)
 
 
-def _advance(x: np.ndarray, y: np.ndarray, dy: np.ndarray, a_t: float, c0: float, params: SbParams):
-    """Integrate one step and apply the walls; returns (x, y, finite) with one flag per row.
+def _force(x, p: SplitProblem, tick_coef, h_tick, dy, tmp, dot) -> None:
+    """Write J x - h into dy, for x of shape (n,) or (R, n); the tick part is O(n) via the shared sum.
 
-    The flags are taken before the clamp, which would turn an inf back into +-1.
-    Checking x covers y: a non-finite momentum makes the position non-finite too.
-    Callers silence overflow warnings; divergence is reported through the flags.
+    _force and _advance write into the buffers of _scratch (each ufunc's third
+    argument is its output) and do the operations of `reference_run_batch` in
+    tests/helpers.py in its order, so their results are bit-identical to it.
+    Prescaling by c0*dt or folding h or the tick coupling into the product
+    would change the rounding and the step at which a row overflows.
     """
-    y = y + (-(params.a0 - a_t) * x + c0 * dy) * params.dt
-    x = x + params.a0 * y * params.dt
-    finite = np.isfinite(x).all(axis=-1)
-    over = np.abs(x) > 1.0
-    if over.any():
-        x = np.clip(x, -1.0, 1.0)
-        y = np.where(over, 0.0, y)
-    return x, y, finite
+    np.matmul(x, p.j_day, dy)  # j_day is symmetric: each row of x @ J is J x
+    dy -= p.h_day
+    np.matmul(x, p.sgn_dp, dot)
+    # Momentum correction of the tick component, (J_tick x)_i - h_tick_i.
+    np.multiply(p.sgn_dp, x, tmp)
+    np.subtract(dot[..., None], tmp, tmp)
+    tmp *= tick_coef
+    tmp -= h_tick
+    dy += tmp
 
 
-def _stepped(state: OscillatorState, dy: np.ndarray, c0: float, params: SbParams) -> OscillatorState:
+def _advance(x, y, dy, tmp, over, a_t: float, c0: float, params: SbParams) -> None:
+    """Integrate one step in place and apply the walls; dy is consumed.
+
+    The wall zeroes y and maps x to x/|x| wherever |x| > 1, by dividing x by
+    max(|x|, 1). That is exactly +-1 for a finite x and NaN for an inf, and a
+    NaN stays NaN, so a row that goes non-finite stays non-finite to the end.
+    A non-finite y makes x non-finite in the same step, so checking x covers
+    y. Callers silence the overflow and invalid warnings and check x.
+    """
+    np.multiply(x, -(params.a0 - a_t), tmp)
+    dy *= c0
+    tmp += dy
+    tmp *= params.dt
+    y += tmp
+    np.multiply(y, params.a0, tmp)
+    tmp *= params.dt
+    x += tmp
+    np.abs(x, tmp)
+    np.greater(tmp, 1.0, over)
+    np.maximum(tmp, 1.0, out=tmp)
+    x /= tmp
+    np.putmask(y, over, 0.0)
+
+
+def _stepped(state: OscillatorState, params: SbParams, c0: float, force) -> OscillatorState:
+    """One step on copies of state.x and state.y; force(x, dy, tmp, dot) writes J x - h into dy."""
     if state.step >= params.n_step:
         raise ValueError(f"state.step={state.step} out of range for n_step={params.n_step}")
+    x, y = np.array(state.x, dtype=np.float64), np.array(state.y, dtype=np.float64)
+    dy, tmp, dot, over = _scratch(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        x, y, finite = _advance(state.x, state.y, dy, params.pump(state.step), c0, params)
-    if not np.all(finite):
+        force(x, dy, tmp, dot)
+        _advance(x, y, dy, tmp, over, params.pump(state.step), c0, params)
+    if not np.isfinite(x).all():
         raise DivergenceError(f"state diverged at step {state.step}; lower c0 or dt")
     return OscillatorState(x=x, y=y, step=state.step + 1)
 
@@ -284,12 +313,13 @@ def _stepped(state: OscillatorState, dy: np.ndarray, c0: float, params: SbParams
 def step(state: OscillatorState, p: SplitProblem, params: SbParams) -> OscillatorState:
     """One ballistic-SB update of an (n,) or (R, n) state, by the kernel run_batch iterates."""
     c0 = params.c0 if params.c0 is not None else default_c0(p, params.a0)
-    return _stepped(state, _force(state.x, p, *_tick_terms(p)), c0, params)
+    tick_coef, h_tick = _tick_terms(p)
+    return _stepped(state, params, c0, lambda x, *buffers: _force(x, p, tick_coef, h_tick, *buffers))
 
 
 def step_dense(state: OscillatorState, dense: IsingProblem, params: SbParams, c0: float) -> OscillatorState:
     """Reference stepper over a materialized problem; oracle for :func:`step`."""
-    return _stepped(state, dense.j @ state.x - dense.h, c0, params)
+    return _stepped(state, params, c0, lambda x, dy, *_: np.subtract(dense.j @ x, dense.h, out=dy))
 
 
 def _energies(p: SplitProblem, spins: np.ndarray, h_tick: np.ndarray) -> np.ndarray:
@@ -308,19 +338,22 @@ def run_batch(
 ) -> list[SbSolution | None]:
     """Runs start, start + 1, ... as one (R, n) batch; row r starts from rngs[r].
 
-    c0 and the tick terms are computed once per batch. Each row is checked for
-    divergence at every step; a diverged row comes back as None.
+    c0, the tick terms and the work buffers are set up once per batch, and the
+    steps run in place. No step checks for divergence: the wall turns an inf
+    into NaN, which every later step carries, so one check of x after the loop
+    finds each row that went non-finite; such a row comes back as None.
     """
     t0 = time.perf_counter()
     c0 = params.c0 if params.c0 is not None else default_c0(p, params.a0)
     tick_coef, h_tick = _tick_terms(p)
     x = np.zeros((len(rngs), p.n))
     y = np.array([initial_state(p, rng).y for rng in rngs])
-    finite = np.ones(len(rngs), dtype=bool)
+    dy, tmp, dot, over = _scratch(x)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(params.n_step):
-            x, y, ok = _advance(x, y, _force(x, p, tick_coef, h_tick), params.pump(k), c0, params)
-            finite &= ok
+            _force(x, p, tick_coef, h_tick, dy, tmp, dot)
+            _advance(x, y, dy, tmp, over, params.pump(k), c0, params)
+    finite = np.isfinite(x).all(axis=1)
     spins = np.where(x >= 0.0, 1.0, -1.0)
     energies = _energies(p, spins, h_tick)
     elapsed = time.perf_counter() - t0

@@ -112,12 +112,15 @@ class StrategyParams:
             raise ValueError("n_s must be even and >= 2 (delta-neutral groups pair long/short)")
         if self.p_max < 1:
             raise ValueError("p_max must be >= 1")
-        if not self.a_trans > 0:
-            raise ValueError("a_trans must be positive")
-        if not self.c1 > 0:
-            raise ValueError("c1 must be positive")
-        if not (self.c2 >= 0 and self.c3 >= 0):
-            raise ValueError("penalty coefficients c2 and c3 must be >= 0")
+        # chained comparisons are False for NaN
+        for ok, message in (
+            (0 < self.a_trans < math.inf, "a_trans must be positive and finite"),
+            (0 < self.c1 < math.inf, "c1 must be positive and finite"),
+            (0 <= self.c2 < math.inf, "c2 must be >= 0 and finite"),
+            (0 <= self.c3 < math.inf, "c3 must be >= 0 and finite"),
+        ):
+            if not ok:
+                raise ValueError(message)
         if math.isnan(self.accept_threshold):
             raise ValueError("accept_threshold must not be NaN (+-inf is allowed)")
 

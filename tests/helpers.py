@@ -1,4 +1,4 @@
-"""Shared fixtures: the engineered convergence scenario and oracle-calibrated instances."""
+"""Shared fixtures: the engineered convergence scenario, oracle-calibrated instances and reference code."""
 
 import itertools
 
@@ -7,6 +7,7 @@ import numpy as np
 from sbtrader.engine import EngineConfig
 from sbtrader.feed import FEED_HEADER, TickEvent, write_feed
 from sbtrader.ising import qubo_energy
+from sbtrader.sb import DivergenceError, OscillatorState, SbSolution, _energies, _tick_terms, default_c0, initial_state
 from sbtrader.strategy import (
     CorrelationMatrix,
     Stock,
@@ -167,3 +168,62 @@ def reference_replay(path):
                 raise ValueError(f"{path}:{lineno}: timestamp regression {e.ts} < {last_ts}")
             last_ts = e.ts
             yield e
+
+
+def _reference_force(x, p, tick_coef, h_tick):
+    dy_day = x @ p.j_day - p.h_day
+    dy_sum = (x @ p.sgn_dp)[..., None]
+    dy_tick = tick_coef * (dy_sum - p.sgn_dp * x) - h_tick
+    return dy_day + dy_tick
+
+
+def _reference_advance(x, y, dy, a_t, c0, params):
+    y = y + (-(params.a0 - a_t) * x + c0 * dy) * params.dt
+    x = x + params.a0 * y * params.dt
+    finite = np.isfinite(x).all(axis=-1)
+    over = np.abs(x) > 1.0
+    if over.any():
+        x = np.clip(x, -1.0, 1.0)
+        y = np.where(over, 0.0, y)
+    return x, y, finite
+
+
+def reference_step(state, p, params):
+    """The allocating `sb.step` that the in-place kernel replaced, kept as its oracle."""
+    if state.step >= params.n_step:
+        raise ValueError(f"state.step={state.step} out of range for n_step={params.n_step}")
+    c0 = params.c0 if params.c0 is not None else default_c0(p, params.a0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dy = _reference_force(state.x, p, *_tick_terms(p))
+        x, y, finite = _reference_advance(state.x, state.y, dy, params.pump(state.step), c0, params)
+    if not np.all(finite):
+        raise DivergenceError(f"state diverged at step {state.step}; lower c0 or dt")
+    return OscillatorState(x=x, y=y, step=state.step + 1)
+
+
+def reference_run_batch(p, params, rngs, start=0):
+    """The allocating `sb.run_batch` that the in-place kernel replaced, kept as its oracle.
+
+    It checks every row for non-finite state at every step, before the wall
+    clamps an inf back to +-1, and keeps the flags sticky. The energy readout
+    `sb._energies` is shared with `run_batch`, not copied: only the step
+    kernel was replaced.
+    """
+    c0 = params.c0 if params.c0 is not None else default_c0(p, params.a0)
+    tick_coef, h_tick = _tick_terms(p)
+    x = np.zeros((len(rngs), p.n))
+    y = np.array([initial_state(p, rng).y for rng in rngs])
+    finite = np.ones(len(rngs), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(params.n_step):
+            dy = _reference_force(x, p, tick_coef, h_tick)
+            x, y, ok = _reference_advance(x, y, dy, params.pump(k), c0, params)
+            finite &= ok
+    spins = np.where(x >= 0.0, 1.0, -1.0)
+    energies = _energies(p, spins, h_tick)
+    return [
+        SbSolution(spins=spins[r], energy=float(energies[r]), run_index=start + r, elapsed=0.0)
+        if finite[r]
+        else None
+        for r in range(len(rngs))
+    ]

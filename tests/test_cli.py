@@ -273,6 +273,23 @@ class TestBackcast:
         assert code == 1 and "t_force_us" in err
         assert not (tmp_path / "o").exists()
 
+    def test_infinite_a_trans_exits_before_replay(self, tmp_path, capsys, monkeypatch):
+        files = helpers.write_convergence_fixture(tmp_path)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(files["config"].read_text().replace("a_trans=4000000", "a_trans=inf"))
+        monkeypatch.setattr(bc, "replay", lambda path: pytest.fail("a feed was replayed"))
+        code, _, err = run_cli(
+            capsys,
+            "backcast",
+            "--feed-dir", str(files["feed_dir"]),
+            "--universe", str(files["universe"]),
+            "--config", str(bad),
+            "--corr", str(files["corr"]),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1 and "a_trans" in err
+        assert not (tmp_path / "o").exists()
+
     def test_golden_reports(self, tmp_path, capsys):
         files = helpers.write_convergence_fixture(tmp_path, commission_rate=0.0005)
         out_dir = tmp_path / "out"

@@ -431,6 +431,15 @@ class TestEngineConfig:
             ("t_force_s=-5", "t_force_us"),
             ("corr_window=0", "corr_window"),
             ("commission_rate=-1", "commission_rate"),
+            ("commission_rate=inf", "commission_rate"),
+            ("a_trans=inf", "a_trans"),
+            ("a_trans=nan", "a_trans"),
+            ("c1=inf", "c1"),
+            ("c1=nan", "c1"),
+            ("c2=inf", "c2"),
+            ("c2=nan", "c2"),
+            ("c3=inf", "c3"),
+            ("c3=nan", "c3"),
             ("n_s=abc", "n_s"),
             ("n_steps=100", "n_steps"),
         ],

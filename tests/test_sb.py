@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import helpers
 from sbtrader.ising import IsingProblem, QuboProblem, ising_energy
 from sbtrader.sb import (
     DivergenceError,
@@ -490,6 +491,105 @@ class TestBatch:
         state = OscillatorState(x=np.zeros((3, 4)), y=np.array([np.zeros(4), np.full(4, 1e308), np.zeros(4)]))
         with pytest.raises(DivergenceError):
             step(state, p, SbParams())
+
+
+def zero_bias_split(n, rng):
+    """Random day couplings with no bias and an all-zero tick side."""
+    return SplitProblem(
+        j_day=random_split(n, rng).j_day, h_day=np.zeros(n), sgn_dp=np.zeros(n), abs_dp=np.zeros(n), c1=0.0, c3=0.0
+    )
+
+
+def assert_same_batches(got, want):
+    """Exact equality: spins, energies, run indices and the diverged (None) rows."""
+    assert len(got) == len(want)
+    for sol, ref in zip(got, want):
+        assert (sol is None) == (ref is None)
+        if ref is not None:
+            assert np.array_equal(sol.spins, ref.spins)
+            assert sol.energy == ref.energy
+            assert sol.run_index == ref.run_index
+
+
+class TestReferenceKernel:
+    """The in-place kernel against the allocating one it replaced (tests/helpers.py)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 16, 128])
+    @pytest.mark.parametrize("restarts", [1, 3, 10])
+    def test_run_batch_bit_identical(self, n, restarts):
+        for seed in range(3):
+            for tick in ("random", "zero"):
+                rng = np.random.default_rng([41, n, seed])
+                p = random_split(n, rng) if tick == "random" else zero_bias_split(n, rng)
+                for c0 in (None, 1e308):
+                    params = SbParams(c0=c0)
+
+                    def rngs():
+                        rows = [substream(seed, i) for i in range(restarts)]
+                        if restarts >= 3 and seed == 1:
+                            rows[restarts // 2] = ConstRng(1e308)  # a 1e308-momentum row
+                        return rows
+
+                    got = run_batch(p, params, rngs(), start=seed)
+                    assert_same_batches(got, helpers.reference_run_batch(p, params, rngs(), start=seed))
+                    if c0 is None and not (restarts >= 3 and seed == 1):
+                        assert all(sol is not None for sol in got)
+
+    def test_rows_diverging_after_the_wall(self):
+        # With no bias and c0=1e308, the walls clamp every row at step 1 and
+        # the rows first go non-finite at step 2: the wall must not hide that.
+        p = zero_bias_split(6, np.random.default_rng(42))
+        params = SbParams(c0=1e308)
+        for r in range(3):
+            state, walled = initial_state(p, substream(7, r)), False
+            with pytest.raises(DivergenceError, match="at step [23];"):
+                for _ in range(params.n_step):
+                    state = helpers.reference_step(state, p, params)
+                    walled |= bool(np.any(np.abs(state.x) == 1.0))
+            assert walled
+        got = run_batch(p, params, [substream(7, r) for r in range(3)])
+        assert got == [None, None, None]
+        assert_same_batches(got, helpers.reference_run_batch(p, params, [substream(7, r) for r in range(3)]))
+
+    @pytest.mark.parametrize("rows", [None, 4])
+    @pytest.mark.parametrize("n", [6, 24])
+    def test_step_bit_identical(self, n, rows):
+        p = random_split(n, np.random.default_rng([43, n]))
+        params = SbParams()
+        shape = (n,) if rows is None else (rows, n)
+        state = OscillatorState(x=np.zeros(shape), y=np.random.default_rng(44).uniform(-0.1, 0.1, shape))
+        ref = state
+        for _ in range(params.n_step):
+            state, ref = step(state, p, params), helpers.reference_step(ref, p, params)
+            assert np.array_equal(state.x, ref.x) and np.array_equal(state.y, ref.y)
+            assert state.step == ref.step
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_step_raises_where_reference_does(self, rows):
+        p = zero_bias_split(6, np.random.default_rng(45))
+        params = SbParams(c0=1e308)
+        shape = (6,) if rows is None else (rows, 6)
+        state = OscillatorState(x=np.zeros(shape), y=np.random.default_rng(46).uniform(-0.1, 0.1, shape))
+        ref = state
+        with pytest.raises(DivergenceError, match="at step 2;"):
+            for _ in range(params.n_step):
+                ref = helpers.reference_step(ref, p, params)
+        with pytest.raises(DivergenceError, match="at step 2;"):
+            for _ in range(params.n_step):
+                state = step(state, p, params)
+
+    @pytest.mark.parametrize("shape", [(8,), (3, 8)])
+    def test_step_leaves_caller_state_alone(self, shape):
+        p = random_split(8, np.random.default_rng(47))
+        rng = np.random.default_rng(48)
+        state = OscillatorState(x=rng.uniform(-1.0, 1.0, shape), y=rng.uniform(-2.0, 2.0, shape), step=3)
+        state.x[..., 0], state.y[..., 0] = 0.99, 5.0  # x would reach 0.99 + 10*5*0.02 > 1
+        x0, y0 = state.x.copy(), state.y.copy()
+        new = step(state, p, SbParams())
+        assert np.array_equal(state.x, x0) and np.array_equal(state.y, y0) and state.step == 3
+        assert not np.array_equal(new.x, x0)  # the step did move it, on its own copy
+        walled = np.abs(new.x) == 1.0
+        assert np.any(walled) and np.all(new.y[walled] == 0.0)
 
 
 class TestTieBreak:
