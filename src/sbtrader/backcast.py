@@ -8,6 +8,7 @@ five days' correlation factors built from that run's own one-second samples.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +29,8 @@ __all__ = [
     "replay_day_sigma",
     "run_backcast",
 ]
+
+logger = logging.getLogger(__name__)
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -159,7 +162,15 @@ def replay_day_sigma(universe: Universe, path) -> np.ndarray:
     for e in replay(path):
         session.advance(e.ts)
         session.apply(e)
+    _log_day(path, session)
     return day_sigma_matrix(session.samples.matrix())
+
+
+def _log_day(path, session: MarketSession, skipped_events: int = 0) -> None:
+    """One line per replayed day: a warning if it dropped or skipped anything."""
+    counts = (session.buffer.rejected, session.accumulator.rejected, skipped_events)
+    level = logging.WARNING if any(counts) else logging.INFO
+    logger.log(level, "%s: rejected quotes=%d trades=%d; skipped events=%d (solver diverged)", path, *counts)
 
 
 def run_backcast(
@@ -198,6 +209,7 @@ def run_backcast(
                 engine.process(e)
                 last_ts = e.ts
             engine.finalize(last_ts)
+            _log_day(path, engine.session, engine.skipped_events)
             history.append(day_sigma_matrix(engine.session.samples.matrix()))
             transactions, pnl, n_trades = _account_day(engine, universe, config.commission_rate)
             report.days.append(DayRow(date=date, transactions=transactions, pnl=pnl, n_trades=n_trades))

@@ -24,7 +24,7 @@ __all__ = ["main"]
 
 
 def _load_deviations(path, n: int) -> st.DeviationVector:
-    """One line per stock: `dp` or `dp,mask`, where mask is 0 or 1 (1 excludes the stock)."""
+    """One line per stock: `dp` or `dp,mask` (mask 0 or 1); a mask of 1 or a dp of 0 (no side) masks it."""
     dp = []
     mask = []
     with open(path) as fh:

@@ -1,16 +1,16 @@
 """Event-driven decision loop: quote changes trigger tick updates, solves, and judgment.
 
 The engine owns one day's market state. On each quote change it rebuilds the
-deviation vector (masking open positions), refreshes the O(N) tick side of
-the split problem, and solves one batch of restarts with fresh random initial
-states; accepted, judged groups become orders. Closing is driven by the
+deviation vector, whose mask is the one gate on which stocks may join a group,
+refreshes the O(N) tick side of the split problem, and, unless every stock is
+masked, solves one batch of restarts with fresh random initial states; an
+accepted group opens if the open list has room for it. Closing is driven by the
 deviation sign crossing zero (taking the convergence profit) and by a forced
 unwind window before session close.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +27,6 @@ from .strategy import (
     evaluate_candidate,
     lot_size,
 )
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "LONG",
@@ -80,9 +78,7 @@ class Position:
     lots: int
     state: str = PENDING_OPEN
     open_price: float | None = None
-    open_ts: int | None = None
     close_price: float | None = None
-    close_ts: int | None = None
 
     def advance_state(self, new_state: str) -> None:
         if _NEXT_STATE.get(self.state) != new_state:
@@ -148,6 +144,13 @@ class TradingEngine:
         self.seed = int(seed)
         self.day_key = int(day_key)
         self.fill_handler = fill_handler
+        self._lots = []
+        for stock in universe.stocks:
+            try:
+                self._lots.append(lot_size(config.strategy.a_trans, stock.min_lot, stock.base_price))
+            except ValueError as exc:
+                raise ValueError(f"{stock.code}: {exc}") from None
+        self._priced_out = np.array(self._lots) < 1
         self.session = MarketSession(universe)
         empty = DeviationVector(dp=np.zeros(universe.n), mask=np.zeros(universe.n, dtype=bool))
         self.split = build_split(empty, corr, config.strategy)
@@ -185,12 +188,14 @@ class TradingEngine:
         """Re-solve after a quote change; returns any orders issued.
 
         Runs 0..restarts-1 are solved speculatively as one batch on the current
-        split, then judged in index order. Opening changes the open-list mask,
-        so after the first run that issues orders the preprocessing (deviation
-        plus tick update) is redone and only the later runs are re-batched. Each
-        run draws from its own (seed, day, event, run) stream, so the decisions
-        are those of solving and judging the runs one at a time. A diverged run
-        skips the rest of the event once the runs before it have been judged.
+        split, then judged in index order. Opening masks the opened stocks, so
+        after the first run that issues orders the preprocessing (deviation plus
+        tick update) is redone and only the later runs are re-batched. No batch
+        runs while every stock is masked. Each run draws from its own (seed,
+        day, event, run) stream, so the decisions are those of solving and
+        judging the runs one at a time. A diverged run skips the rest of the
+        event once the runs before it have been judged; `skipped_events` counts
+        it.
         """
         if ts >= self.config.session_close_us - self.config.t_force_us:
             return []  # inside the forced-unwind window; judgment would reject
@@ -210,12 +215,11 @@ class TradingEngine:
             for sol in batch:
                 if sol is None:
                     self.skipped_events += 1
-                    logger.warning("solver diverged at ts=%d (lower c0 or dt); skipping event", ts)
                     return issued
                 verdict = evaluate_candidate(sol, dev, self.corr, self.config.strategy)
                 if not verdict.accepted:
                     continue
-                # an open stock is masked in dev, so check_constraints has rejected any run selecting one
+                # check_constraints has rejected any run selecting a masked stock
                 orders = self.judge_open(np.flatnonzero(np.asarray(sol.spins) > 0), dev, ts)
                 if orders:
                     issued.extend(orders)
@@ -224,22 +228,19 @@ class TradingEngine:
         return issued
 
     def judge_open(self, selected: np.ndarray, dev: DeviationVector, ts: int) -> list[Order]:
-        """Open the whole group or nothing; register before issuing orders."""
-        codes = [self.universe.codes[i] for i in selected]
-        if len(self.open_codes) + len(codes) > self.config.strategy.p_max:
+        """Open the whole group if the open list has room for it; register before issuing orders.
+
+        The group passed `check_constraints`, so no stock in it is masked: none is
+        open or priced out, and each dp is nonzero, its sign giving the side.
+        """
+        if len(self.open_codes) + len(selected) > self.config.strategy.p_max:
             return []
-        if any(code in self.open_codes for code in codes):
-            return []  # duplicate pair positions are not allowed
-        sgn = dev.sgn()
-        if any(sgn[i] == 0 for i in selected):
-            return []  # zero deviation leaves the position direction undefined
         orders = []
         for i in selected:
             stock = self.universe.stocks[int(i)]
-            side = LONG if sgn[i] < 0 else SHORT
-            lots = lot_size(self.config.strategy.a_trans, stock.min_lot, stock.base_price)
+            side = LONG if dev.dp[i] < 0 else SHORT
             price = float(self.session.buffer.ask[i] if side == LONG else self.session.buffer.bid[i])
-            pos = Position(code=stock.code, side=side, lots=lots)
+            pos = Position(code=stock.code, side=side, lots=self._lots[i])
             self.positions.append(pos)
             self.open_codes.add(stock.code)
             orders.append(self._issue(pos, OPEN_ACTION, ts, price))
@@ -303,24 +304,15 @@ class TradingEngine:
         if order.action == OPEN_ACTION:
             pos.advance_state(OPEN)
             pos.open_price = fill.price
-            pos.open_ts = fill.ts
         else:
             pos.advance_state(CLOSED)
             pos.close_price = fill.price
-            pos.close_ts = fill.ts
             self.open_codes.discard(pos.code)
         self.fills.append((order, fill))
 
     # -- helpers --------------------------------------------------------------
 
     def _deviation(self) -> DeviationVector:
-        open_mask = np.array([c in self.open_codes for c in self.universe.codes], dtype=bool)
-        return compute_deviation(
-            self.universe,
-            self.session.buffer.ask,
-            self.session.buffer.bid,
-            self.session.buffer.valid,
-            self.session.vwap_pub,
-            open_mask,
-            self.config.strategy.a_trans,
-        )
+        excluded = self._priced_out | np.array([c in self.open_codes for c in self.universe.codes], dtype=bool)
+        b = self.session.buffer
+        return compute_deviation(self.universe, b.ask, b.bid, b.valid, self.session.vwap_pub, excluded)

@@ -10,12 +10,12 @@ construction path (call, `_make`, `_replace`, copy and pickle).
 `replay` owns the format: a bad header, field count, number, kind or timestamp
 order is a corrupt file and raises with the line number. The market session
 owns the values: a bad price or volume, or a code outside the universe, is
-dropped and counted in `PriceBuffer.rejected` or `VwapAccumulator.rejected`.
+dropped and counted in `PriceBuffer.rejected` or `VwapAccumulator.rejected`;
+the backcast logs these counts once per replayed day.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -23,8 +23,6 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .strategy import Universe
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "TickEvent",
@@ -93,7 +91,6 @@ class PriceBuffer:
         """
         if idx is None or not 0 < bid <= ask < np.inf:
             self.rejected += 1
-            logger.warning("rejected quote #%d: ask=%s bid=%s", self.rejected, ask, bid)
             return False
         changed = not self.valid[idx] or self.ask[idx] != ask or self.bid[idx] != bid
         self.ask[idx] = ask

@@ -9,8 +9,6 @@ import numpy as np
 __all__ = [
     "QuboProblem",
     "IsingProblem",
-    "bits_from_spins",
-    "spins_from_bits",
     "validate_bits",
     "validate_spins",
     "qubo_energy",
@@ -112,16 +110,6 @@ def validate_spins(spins: np.ndarray, n: int | None = None) -> np.ndarray:
     if not np.all((s == -1.0) | (s == 1.0)):
         raise ValueError("spin vector entries must be -1 or +1")
     return s
-
-
-def spins_from_bits(bits: np.ndarray) -> np.ndarray:
-    """Map b in {0,1} to s = 2b - 1 in {-1,+1}."""
-    return 2.0 * validate_bits(bits) - 1.0
-
-
-def bits_from_spins(spins: np.ndarray) -> np.ndarray:
-    """Map s in {-1,+1} to b = (s + 1)/2 in {0,1}."""
-    return (validate_spins(spins) + 1.0) / 2.0
 
 
 def qubo_energy(problem: QuboProblem, bits: np.ndarray) -> float:

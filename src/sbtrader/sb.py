@@ -128,7 +128,7 @@ class SplitProblem:
     offset_day: float = 0.0
 
     def __post_init__(self) -> None:
-        self.j_day = np.asarray(self.j_day, dtype=np.float64)
+        self.j_day = _cache_line_aligned(np.asarray(self.j_day, dtype=np.float64))
         self.h_day = np.asarray(self.h_day, dtype=np.float64)
         n = self.j_day.shape[0]
         if self.j_day.shape != (n, n):
@@ -145,6 +145,18 @@ class SplitProblem:
     @property
     def n(self) -> int:
         return self.j_day.shape[0]
+
+
+def _cache_line_aligned(a: np.ndarray) -> np.ndarray:
+    """A copy of `a` whose data starts on a 64-byte boundary, wherever malloc would have put it.
+
+    At n=512 a j_day starting mid cache line made x @ j_day 30-50% slower (OpenBLAS, one thread).
+    """
+    buf = np.empty(a.nbytes + 64, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    out = buf[start : start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
 
 
 def _check_vector(name: str, vec: np.ndarray, n: int) -> None:

@@ -63,8 +63,8 @@ class Stock:
 class Universe:
     """The fixed list of tradable stocks; index order defines vector order.
 
-    The per-stock constants (codes, base prices, minimum lots) are derived
-    once here; the arrays are read-only and shared by every caller.
+    The per-stock codes and base prices are derived once here; the price
+    array is read-only and shared by every caller.
     """
 
     stocks: list[Stock]
@@ -75,11 +75,7 @@ class Universe:
             raise ValueError("duplicate stock codes in universe")
         self._index = {code: i for i, code in enumerate(self.codes)}
         self._base = np.array([s.base_price for s in self.stocks], dtype=np.float64)
-        self._lots = np.array([s.min_lot for s in self.stocks], dtype=np.float64)
-        self._base.flags.writeable = self._lots.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.stocks)
+        self._base.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -90,9 +86,6 @@ class Universe:
 
     def base_prices(self) -> np.ndarray:
         return self._base
-
-    def min_lots(self) -> np.ndarray:
-        return self._lots
 
 
 @dataclass
@@ -127,7 +120,10 @@ class StrategyParams:
 
 @dataclass
 class DeviationVector:
-    """Per-stock VWAP deviations; masked entries (open/untradable) are forced to 0."""
+    """Per-stock VWAP deviations; the mask marks the stocks that may not join a group.
+
+    A masked stock must have dp == 0, and dp == 0 (no side: long below VWAP, short above) is masked.
+    """
 
     dp: np.ndarray
     mask: np.ndarray
@@ -139,6 +135,7 @@ class DeviationVector:
             raise ValueError("dp and mask must be equal-length vectors")
         if np.any(self.dp[self.mask] != 0.0):
             raise ValueError("masked entries must have dp == 0")
+        self.mask = self.dp == 0.0
 
     @property
     def n(self) -> int:
@@ -172,10 +169,13 @@ class CorrelationMatrix:
 
 
 def lot_size(a_trans: float, s_min: float, p_b: float) -> int:
-    """Lots per order targeting a common transaction amount; 0 means untradable."""
+    """Lots per order targeting a common transaction amount; 0 means priced out."""
     if a_trans <= 0 or s_min <= 0 or p_b <= 0:
         raise ValueError("lot_size inputs must be positive")
-    return int(math.floor(a_trans / (s_min * p_b)))
+    lots = a_trans / (s_min * p_b)
+    if not math.isfinite(lots):
+        raise ValueError(f"lot count a_trans / (min_lot * base_price) = {lots} is not finite")
+    return int(math.floor(lots))
 
 
 def compute_deviation(
@@ -184,28 +184,25 @@ def compute_deviation(
     bid: np.ndarray,
     quote_valid: np.ndarray,
     vwap: np.ndarray | None,
-    open_mask: np.ndarray,
-    a_trans: float,
+    excluded: np.ndarray,
 ) -> DeviationVector:
-    """Per-stock (mid - VWAP) / base_price, with exclusions turned into masks.
+    """Per-stock (mid - VWAP) / base_price, masked where a stock may not join a group.
 
-    Masked: stocks with open positions, stocks priced out of the lot budget,
-    and stocks without a valid quote or a published VWAP. When no VWAP vector
-    has been published yet, everything is masked.
+    Masked: the `excluded` stocks (the engine passes its open positions and
+    the stocks priced out of the lot budget), stocks without a valid quote or
+    a published VWAP, and stocks whose mid equals the VWAP (dp == 0 has no
+    side). When no VWAP vector has been published yet, everything is masked.
     """
     n = universe.n
-    open_mask = np.asarray(open_mask, dtype=bool)
     if vwap is None:
         return DeviationVector(dp=np.zeros(n), mask=np.ones(n, dtype=bool))
     ask = np.asarray(ask, dtype=np.float64)
     bid = np.asarray(bid, dtype=np.float64)
     base = universe.base_prices()
-    lots = np.floor(a_trans / (universe.min_lots() * base))
     mask = (
         ~np.asarray(quote_valid, dtype=bool)
         | ~np.isfinite(np.asarray(vwap, dtype=np.float64))
-        | (lots < 1)
-        | open_mask
+        | np.asarray(excluded, dtype=bool)
     )
     mid = (ask + bid) / 2.0
     dp = np.where(mask, 0.0, (mid - vwap) / base)

@@ -1,5 +1,6 @@
 """Tests for backcast accounting, Sharpe statistics, and report determinism."""
 
+import logging
 import math
 import tempfile
 from collections import Counter
@@ -113,7 +114,7 @@ class TestRunBackcast:
             session.apply(e)
         assert session.buffer.rejected == 1
 
-    def test_bad_trades_and_unknown_codes_dropped_and_counted(self, tmp_path):
+    def test_bad_trades_and_unknown_codes_dropped_and_counted(self, tmp_path, caplog):
         # a zero- or negative-volume print and events for a code outside the universe
         # are dropped and counted; the run completes with the report of the clean feed
         uni, feeds = scenario_feeds(tmp_path)
@@ -128,10 +129,16 @@ class TestRunBackcast:
         path = tmp_path / "bad.csv"
         write_feed(path, events)
         config = helpers.convergence_params(commission_rate=0.0005)
-        clean = run_backcast(feeds, uni, config, seed=3, corr_override=helpers.convergence_corr())
-        report = run_backcast(
-            [("2023-02-24", str(path))], uni, config, seed=3, corr_override=helpers.convergence_corr()
-        )
+        with caplog.at_level(logging.INFO, logger="sbtrader"):
+            clean = run_backcast(feeds, uni, config, seed=3, corr_override=helpers.convergence_corr())
+            report = run_backcast(
+                [("2023-02-24", str(path))], uni, config, seed=3, corr_override=helpers.convergence_corr()
+            )
+        # one line per day, a warning only for the day that dropped events
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.INFO, f"{feeds[0][1]}: rejected quotes=0 trades=0; skipped events=0 (solver diverged)"),
+            (logging.WARNING, f"{path}: rejected quotes=1 trades=3; skipped events=0 (solver diverged)"),
+        ]
         assert report.days == clean.days and report.days[0].n_trades == 8
         clean.write(tmp_path / "clean")
         report.write(tmp_path / "bad")

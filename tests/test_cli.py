@@ -9,7 +9,7 @@ import helpers
 from sbtrader import backcast as bc
 from sbtrader.cli import _load_deviations, main
 from sbtrader.ising import save_matrix
-from sbtrader.strategy import load_correlation
+from sbtrader.strategy import CorrelationMatrix, load_correlation, save_correlation, save_universe
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -152,6 +152,26 @@ class TestSolve:
         loaded = _load_deviations(dev, 3)
         assert loaded.mask.tolist() == [True, False, False]
         assert loaded.dp.tolist() == [0.0, -0.004, 0.0042]
+
+    def test_zero_deviation_masked_exit_2(self, tmp_path, capsys):
+        # dp == 0 gives C and D no side: the group A, B, C, D balances but holds masked stocks
+        save_universe(tmp_path / "u.csv", helpers.make_universe(4))
+        sigma = np.full((4, 4), 0.1)
+        np.fill_diagonal(sigma, 0.0)
+        save_correlation(tmp_path / "corr.txt", CorrelationMatrix(sigma), ["seed"])
+        (tmp_path / "dev.txt").write_text("-0.01\n0.01\n0\n0\n")
+        (tmp_path / "s.cfg").write_text("n_s=4\np_max=4\nc1=1000\nc2=30\nc3=30\n")
+        code, out, _ = run_cli(
+            capsys,
+            "solve",
+            "--universe", str(tmp_path / "u.csv"),
+            "--deviations", str(tmp_path / "dev.txt"),
+            "--corr", str(tmp_path / "corr.txt"),
+            "--config", str(tmp_path / "s.cfg"),
+        )
+        assert code == 2
+        assert "spins=++++" in out and "reason=masked: selection includes a masked stock" in out
+        assert "accepted=False" in out
 
     def test_misspelt_config_key_exit_1(self, tmp_path, capsys):
         files = helpers.write_convergence_fixture(tmp_path)
@@ -325,6 +345,26 @@ class TestBackcast:
             "--out", str(tmp_path / "o"),
         )
         assert code == 1 and f"{files['universe']}:3:" in err and "base_price" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_lot_count_exits_before_replay(self, tmp_path, capsys, monkeypatch):
+        files = helpers.write_convergence_fixture(tmp_path)
+        lines = files["universe"].read_text().splitlines()
+        code_2, _, lot_2 = lines[2].split(",")
+        lines[2] = f"{code_2},1e-310,{lot_2}"  # positive and finite, but 4e6 / (100 * 1e-310) is inf
+        files["universe"].write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(bc, "replay", lambda path: pytest.fail("a feed was replayed"))
+        code, _, err = run_cli(
+            capsys,
+            "backcast",
+            "--feed-dir", str(files["feed_dir"]),
+            "--universe", str(files["universe"]),
+            "--config", str(files["config"]),
+            "--corr", str(files["corr"]),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1 and err.startswith(f"error: {code_2}: lot count") and "not finite" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_missing_feed_dir(self, tmp_path, capsys):

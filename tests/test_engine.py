@@ -17,7 +17,16 @@ from sbtrader.engine import (
 )
 from sbtrader.feed import PriceBuffer, TickEvent
 from sbtrader.sb import DivergenceError, SbSolution, run, substream
-from sbtrader.strategy import DeviationVector, StrategyParams, config_from_kv, read_kv, evaluate_candidate
+from sbtrader.strategy import (
+    CorrelationMatrix,
+    DeviationVector,
+    Stock,
+    StrategyParams,
+    Universe,
+    config_from_kv,
+    evaluate_candidate,
+    read_kv,
+)
 
 
 def make_engine(commission_rate=0.0, restarts=3, p_max=4, fill=True):
@@ -82,28 +91,6 @@ class TestJudgeOpen:
         # second group would exceed p_max=4
         assert engine.judge_open(np.array([4, 5]), dev, ts=300_001) == []
         assert len(engine.open_codes) == 4
-
-    def test_duplicate_rejects_whole_group(self):
-        engine = make_engine(p_max=8)
-        prime_quotes(engine)
-        dev = DeviationVector(
-            dp=np.array([-0.004, -0.004, 0.004, 0.004, -0.004, 0.004]),
-            mask=np.zeros(6, dtype=bool),
-        )
-        engine.judge_open(np.array([0, 1, 2, 3]), dev, ts=300_000)
-        before = set(engine.open_codes)
-        assert engine.judge_open(np.array([0, 4, 5, 2]), dev, ts=300_001) == []
-        assert engine.open_codes == before
-
-    def test_zero_deviation_stock_rejects_group(self):
-        engine = make_engine()
-        prime_quotes(engine)
-        dev = DeviationVector(
-            dp=np.array([-0.004, 0.0, 0.004, 0.0, 0.0, 0.0]),
-            mask=np.zeros(6, dtype=bool),
-        )
-        assert engine.judge_open(np.array([0, 1, 2, 3]), dev, ts=300_000) == []
-        assert not engine.open_codes
 
 
 class TestFills:
@@ -308,14 +295,13 @@ def order_log(engine):
 
 
 class TestBatchedDecisions:
-    @pytest.mark.parametrize("restarts", [3, 10])
-    def test_batched_matches_sequential_reference(self, monkeypatch, restarts):
+    def matches_sequential_reference(self, monkeypatch, config):
+        """Runs the scenario batched and one run at a time; returns the order log and the batches' starts."""
         ticks = count_calls(monkeypatch, "update_tick")
         batches = count_calls(monkeypatch, "sb_run")
         logs, tick_counts = [], []
         for cls in (TradingEngine, SequentialEngine):
             ticks.clear()
-            config = helpers.convergence_params(restarts=restarts)
             engine = cls(helpers.make_universe(), helpers.convergence_corr(), config, seed=7,
                          fill_handler=FillModel().fill)
             for e in helpers.convergence_events(engine.universe.codes):
@@ -323,10 +309,28 @@ class TestBatchedDecisions:
             engine.finalize(110_000_000)
             logs.append(order_log(engine))
             tick_counts.append(len(ticks))
-        assert logs[0] == logs[1] and len(logs[0]) == 8  # four opens, four closes
+        assert logs[0] == logs[1]
         assert tick_counts[0] == tick_counts[1]
+        # no batch runs once every stock is masked, that is once every deviation is 0
+        assert batches and all(np.any(args[0].sgn_dp != 0) for args, _ in batches)
+        return logs[0], [kwargs["start"] for _, kwargs in batches]
+
+    @pytest.mark.parametrize("restarts", [3, 10])
+    def test_batched_matches_sequential_reference(self, monkeypatch, restarts):
+        config = helpers.convergence_params(restarts=restarts)
+        log, starts = self.matches_sequential_reference(monkeypatch, config)
+        assert len(log) == 8  # four opens, four closes
+        # the opened group and the two flat stocks (dp == 0) mask every stock, so nothing is re-batched
+        assert not any(start > 0 for start in starts)
+
+    @pytest.mark.parametrize("restarts", [3, 10])
+    def test_rebatch_matches_sequential_reference(self, monkeypatch, restarts):
+        config = helpers.convergence_params(restarts=restarts)
+        config.strategy = replace(config.strategy, n_s=2)  # two pairs fit in p_max=4
+        log, starts = self.matches_sequential_reference(monkeypatch, config)
+        assert len(log) >= 4  # a pair opened and closed
         # the opening decision re-batched the runs after the issuing one
-        assert any(kwargs["start"] > 0 for _, kwargs in batches)
+        assert any(start > 0 for start in starts)
 
     def test_divergence_skips_events_and_still_closes(self, monkeypatch):
         batches = count_calls(monkeypatch, "sb_run")
@@ -393,6 +397,33 @@ class TestOpenStockMasked:
         # once stocks 4 and 5 balance each other, the mask is the only reason left
         assert all(v.reasons == ("masked: selection includes a masked stock",) for v in verdicts[-restarts:])
         assert len(engine.fills) == opened and engine.open_codes == set(codes[:4])
+
+
+class TestLotCounts:
+    def test_counted_once_at_construction(self, monkeypatch):
+        calls = count_calls(monkeypatch, "lot_size")
+        engine = make_engine()
+        assert len(calls) == engine.universe.n
+        for e in helpers.convergence_events(engine.universe.codes):
+            engine.process(e)
+        assert len(calls) == engine.universe.n
+        assert len(engine.positions) == 4 and all(p.lots == helpers.LOTS for p in engine.positions)
+
+    def test_priced_out_stock_masked(self):
+        # at the 4M budget one lot of the 50,000 stock costs 5M: zero lots
+        uni = Universe([Stock("7001", 5_000.0, 100), Stock("7002", 50_000.0, 100), Stock("7003", 2_000.0, 100)])
+        engine = TradingEngine(uni, CorrelationMatrix(np.full((3, 3), 0.5)), EngineConfig(restarts=1))
+        for i, stock in enumerate(uni.stocks):
+            engine.process(TickEvent(i, stock.code, "trade", stock.base_price, 100))
+        for i, stock in enumerate(uni.stocks):
+            ask, bid = stock.base_price + 30, stock.base_price + 20
+            engine.process(TickEvent(200_000 + i, stock.code, "quote", ask, bid))
+        assert list(engine._deviation().mask) == [False, True, False]
+
+    def test_overflowing_lot_count_names_the_stock(self):
+        uni = Universe([Stock("7001", 5_000.0, 100), Stock("7002", 1e-310, 100)])
+        with pytest.raises(ValueError, match=r"^7002: lot count .* not finite"):
+            TradingEngine(uni, CorrelationMatrix(np.full((2, 2), 0.5)), EngineConfig())
 
 
 class TestEngineConfig:

@@ -4,20 +4,16 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as hs
 
 from sbtrader.ising import (
     IsingProblem,
     QuboProblem,
-    bits_from_spins,
     brute_force_min,
     ising_energy,
     load_matrix,
     qubo_energy,
     qubo_to_ising,
     save_matrix,
-    spins_from_bits,
 )
 
 
@@ -78,16 +74,6 @@ class TestIsingEnergy:
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ValueError):
             IsingProblem(j=np.eye(2), h=np.zeros(2))
-
-
-class TestBitSpinBijection:
-    @given(hs.lists(hs.integers(min_value=0, max_value=1), min_size=1, max_size=32))
-    def test_round_trip(self, bits):
-        b = np.array(bits, dtype=float)
-        assert np.array_equal(bits_from_spins(spins_from_bits(b)), b)
-
-    def test_values(self):
-        assert np.array_equal(spins_from_bits(np.array([0, 1])), np.array([-1.0, 1.0]))
 
 
 class TestQuboToIsing:

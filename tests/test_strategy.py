@@ -1,6 +1,7 @@
 """Tests for deviation/correlation pipelines and QUBO assembly."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -66,6 +67,11 @@ class TestLotSize:
         with pytest.raises(ValueError):
             lot_size(0, 100, 5_000)
 
+    @pytest.mark.parametrize("p_b", [1e-310, math.nan])
+    def test_non_finite_quotient_rejected(self, p_b):
+        with pytest.raises(ValueError, match="not finite"):
+            lot_size(4_000_000, 100, p_b)
+
 
 def toy_universe():
     return Universe(
@@ -77,6 +83,16 @@ def toy_universe():
     )
 
 
+class TestDeviationVector:
+    def test_zero_deviation_masked(self):
+        dev = DeviationVector(dp=np.array([-0.01, 0.0, 0.01]), mask=np.zeros(3, dtype=bool))
+        assert list(dev.mask) == [False, True, False]
+
+    def test_masked_entry_must_be_zero(self):
+        with pytest.raises(ValueError, match="dp == 0"):
+            DeviationVector(dp=np.array([0.01, 0.0]), mask=np.array([True, False]))
+
+
 class TestComputeDeviation:
     def test_mid_equals_vwap(self):
         uni = toy_universe()
@@ -86,11 +102,10 @@ class TestComputeDeviation:
             bid=np.array([4_999.0, 49_990.0, 1_999.0]),
             quote_valid=np.array([True, True, True]),
             vwap=np.array([5_000.0, 50_000.0, 2_000.0]),
-            open_mask=np.zeros(3, dtype=bool),
-            a_trans=4_000_000.0,
+            excluded=np.zeros(3, dtype=bool),
         )
-        assert dev.dp[0] == 0.0 and dev.dp[2] == 0.0
-        assert dev.mask[1]  # lot budget excludes the expensive stock
+        assert np.array_equal(dev.dp, np.zeros(3))
+        assert dev.mask.all()  # mid == VWAP leaves no side, so the stock is masked
 
     def test_short_candidate_sign(self):
         uni = toy_universe()
@@ -100,8 +115,7 @@ class TestComputeDeviation:
             bid=np.array([5_099.0, 49_990.0, 1_999.0]),
             quote_valid=np.array([True, True, True]),
             vwap=np.array([5_002.0, 50_000.0, 2_000.0]),
-            open_mask=np.zeros(3, dtype=bool),
-            a_trans=4_000_000.0,
+            excluded=np.zeros(3, dtype=bool),
         )
         # mid 5100 vs vwap 5002 over base 5000
         assert dev.dp[0] == pytest.approx((5_100 - 5_002) / 5_000)
@@ -115,8 +129,7 @@ class TestComputeDeviation:
             bid=np.array([5_099.0, 49_990.0, 1_999.0]),
             quote_valid=np.array([True, True, True]),
             vwap=np.array([5_000.0, 50_000.0, 2_000.0]),
-            open_mask=np.array([True, False, False]),
-            a_trans=4_000_000.0,
+            excluded=np.array([True, False, False]),
         )
         assert dev.mask[0] and dev.dp[0] == 0.0
 
@@ -128,8 +141,7 @@ class TestComputeDeviation:
             bid=np.ones(3),
             quote_valid=np.ones(3, dtype=bool),
             vwap=None,
-            open_mask=np.zeros(3, dtype=bool),
-            a_trans=4_000_000.0,
+            excluded=np.zeros(3, dtype=bool),
         )
         assert dev.mask.all()
 
@@ -141,8 +153,7 @@ class TestComputeDeviation:
             bid=np.array([np.nan, 49_990.0, 1_999.0]),
             quote_valid=np.array([False, True, True]),
             vwap=np.array([5_000.0, 50_000.0, 2_000.0]),
-            open_mask=np.zeros(3, dtype=bool),
-            a_trans=4_000_000.0,
+            excluded=np.zeros(3, dtype=bool),
         )
         assert dev.mask[0] and dev.dp[0] == 0.0
 
@@ -385,6 +396,12 @@ class TestConstraints:
         report = check_constraints(bits, dev, 4)
         assert not report.ok and any("masked" in r for r in report.reasons)
 
+    def test_zero_deviation_selection_fails_as_masked(self):
+        # dp == 0 gives a stock no side, so a group holding one is masked, however it balances
+        dev = self.make_dev([-0.01, 0.0, 0.01, 0.0, 0.02])
+        report = check_constraints(np.array([1, 1, 1, 1, 0.0]), dev, 4)
+        assert report.reasons == ("masked: selection includes a masked stock",)
+
 
 class TestEvaluateCandidate:
     def make_sol(self, bits):
@@ -428,16 +445,15 @@ class TestFilesAndConfig:
         loaded = load_universe(path)
         assert loaded.codes == uni.codes
         assert np.array_equal(loaded.base_prices(), uni.base_prices())
-        assert np.array_equal(loaded.min_lots(), uni.min_lots())
+        assert [s.min_lot for s in loaded.stocks] == [s.min_lot for s in uni.stocks]
 
     def test_per_stock_constants_derived_once_and_read_only(self):
         uni = toy_universe()
         assert uni.codes is uni.codes and isinstance(uni.codes, list)
-        for get in (uni.base_prices, uni.min_lots):
-            arr = get()
-            assert get() is arr and not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
+        arr = uni.base_prices()
+        assert uni.base_prices() is arr and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
         assert list(uni.base_prices()) == [s.base_price for s in uni.stocks]
 
     def test_universe_header_enforced(self, tmp_path):
