@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import CLOSED, ORDER_LOG_HEADER, EngineConfig, Fill, LONG, Order, TradingEngine
+from .engine import ORDER_LOG_HEADER, EngineConfig, Fill, LONG, Order, TradingEngine
 from .feed import MarketSession, replay
 from .strategy import CorrelationMatrix, Universe, correlation_matrix, day_sigma_matrix
 
@@ -148,8 +148,6 @@ def _account_day(engine: TradingEngine, universe: Universe, commission_rate: flo
         commissions += commission_rate * leg
     pnl = 0.0
     for pos in engine.positions:
-        if pos.state != CLOSED:
-            raise RuntimeError(f"unclosed position {pos.code} in accounting")
         shares = pos.lots * universe.stocks[universe.index(pos.code)].min_lot
         direction = 1.0 if pos.side == LONG else -1.0
         pnl += direction * (pos.close_price - pos.open_price) * shares

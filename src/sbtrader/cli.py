@@ -1,7 +1,8 @@
 """Command-line entry points: solve, gen-feed, corr, backcast.
 
-Exit codes: 0 success, 1 usage or input errors, 2 solver finished but found
-no acceptable (feasible and below-threshold) selection.
+Exit codes: 0 success or `--help`, 1 usage or input errors (argparse's usage
+errors included), 2 solver finished but found no acceptable (feasible and
+below-threshold) selection.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ def _load_deviations(path, n: int) -> st.DeviationVector:
     mask_arr = np.array(mask)
     dp_arr[mask_arr] = 0.0
     return st.DeviationVector(dp=dp_arr, mask=mask_arr)
+
+
+def nonnegative_int(text: str) -> int:
+    """The argparse type of --seed: numpy's seed sequences take integers >= 0 only."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _config(cls, path):
@@ -148,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         "strategy keys are used only with --universe/--deviations/--corr; the other keys are checked "
         "and ignored",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("gen-feed", help="generate a deterministic synthetic tick feed")
@@ -158,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="key=value file whose keys are the field names of SynthSpec (duration_s is in seconds); "
         "unknown keys are rejected",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_feed)
 
@@ -178,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "session_close_s and t_force_s in seconds; unknown keys are rejected",
     )
     p.add_argument("--corr", help="correlation matrix override (skips warm-up)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_backcast)
 
@@ -187,13 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.fn is cmd_solve:
-        strategy_inputs = (args.universe, args.deviations, args.corr)
-        if args.qubo and any(strategy_inputs):
-            parser.error("--qubo and strategy inputs are mutually exclusive")
-        if not args.qubo and not all(strategy_inputs):
-            parser.error("provide --qubo or all of --universe/--deviations/--corr")
+    try:
+        args = parser.parse_args(argv)
+        if args.fn is cmd_solve:
+            strategy_inputs = (args.universe, args.deviations, args.corr)
+            if args.qubo and any(strategy_inputs):
+                parser.error("--qubo and strategy inputs are mutually exclusive")
+            if not args.qubo and not all(strategy_inputs):
+                parser.error("provide --qubo or all of --universe/--deviations/--corr")
+    except SystemExit as exc:  # argparse's exit: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
     except (ValueError, OSError, sb.DivergenceError) as exc:

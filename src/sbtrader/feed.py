@@ -8,9 +8,10 @@ microseconds since session open and must be nondecreasing.
 construction path (call, `_make`, `_replace`, copy and pickle).
 
 `replay` owns the format: a bad header, field count, number, kind or timestamp
-order is a corrupt file and raises with the line number. The market session
-owns the values: a bad price or volume, or a code outside the universe, is
-dropped and counted in `PriceBuffer.rejected` or `VwapAccumulator.rejected`;
+order is a corrupt file and raises with the line number. `MarketSession` owns
+every per-event market rule: it routes events, takes the one-second samples
+and publishes the VWAP. A bad price or volume, or a code outside the universe,
+is dropped and counted in `PriceBuffer.rejected` or `VwapAccumulator.rejected`;
 the backcast logs these counts once per replayed day.
 """
 
@@ -31,9 +32,6 @@ __all__ = [
     "SampledSeries",
     "MarketSession",
     "SynthSpec",
-    "apply_event",
-    "publish_vwap",
-    "sample_vector",
     "replay",
     "write_feed",
     "synth_generate",
@@ -125,48 +123,6 @@ class VwapAccumulator:
             return np.where(self.volume_sum > 0, self.value_sum / self.volume_sum, np.nan)
 
 
-def apply_event(buffer: PriceBuffer, accumulator: VwapAccumulator, universe: Universe, e: TickEvent) -> bool:
-    """Route one event into the market state.
-
-    Returns True only for quotes that changed the buffer; trades update the
-    VWAP accumulator silently (they reach the solver at the next publish).
-    An unknown code passes no index, so the buffer or accumulator counts it.
-    """
-    try:
-        idx = universe.index(e.code)
-    except KeyError:
-        idx = None
-    if e.kind == QUOTE:
-        return buffer.update_quote(idx, e.ask, e.bid)
-    accumulator.add_trade(idx, e.price, e.volume)
-    return False
-
-
-def publish_vwap(
-    accumulator: VwapAccumulator,
-    base_prices: np.ndarray,
-    now_us: int,
-    last_publish_us: int | None,
-) -> np.ndarray | None:
-    """Snapshot VWAP vector, at most once per second.
-
-    Stocks without trades carry their base price, which keeps their deviation
-    at zero until they actually trade. Returns None when the publish is not
-    yet due.
-    """
-    if last_publish_us is not None and now_us - last_publish_us < PUBLISH_INTERVAL_US:
-        return None
-    vwap = accumulator.vwap()
-    return np.where(np.isfinite(vwap), vwap, base_prices)
-
-
-def sample_vector(buffer: PriceBuffer, accumulator: VwapAccumulator) -> np.ndarray:
-    """Per-stock (mid - VWAP) sample; NaN where quote or VWAP is undefined."""
-    vwap = accumulator.vwap()
-    ok = buffer.valid & np.isfinite(vwap)
-    return np.where(ok, buffer.mid() - vwap, np.nan)
-
-
 @dataclass
 class SampledSeries:
     """One-second (mid - VWAP) samples for the daily correlation factors."""
@@ -184,7 +140,19 @@ class SampledSeries:
 
 
 class MarketSession:
-    """Per-day market state with the one-second publish and sample clocks."""
+    """Per-day market state; the one owner of the per-event market rules.
+
+    `apply(e)` returns True only for a quote that changed the stock's ask or
+    bid. Trades feed the VWAP and never trigger a decision; they reach the
+    solver at the next publish. An unknown code passes no index, so the buffer
+    or the accumulator drops and counts the event.
+
+    `advance(ts)` runs on the pre-event state. It takes one (mid - VWAP)
+    sample per whole second up to ts, NaN for a stock without a valid quote
+    or a VWAP, then publishes `vwap_pub` at the first event and at most once
+    per second after it. A stock that has not traded is published at its base
+    price, a placeholder, until it trades.
+    """
 
     def __init__(self, universe: Universe) -> None:
         self.universe = universe
@@ -196,17 +164,25 @@ class MarketSession:
         self._next_sample_us = 0
 
     def advance(self, ts: int) -> None:
-        """Take any due samples and publishes using the pre-event state."""
         while self._next_sample_us <= ts:
-            self.samples.append(sample_vector(self.buffer, self.accumulator))
+            vwap = self.accumulator.vwap()
+            ok = self.buffer.valid & np.isfinite(vwap)
+            self.samples.append(np.where(ok, self.buffer.mid() - vwap, np.nan))
             self._next_sample_us += SAMPLE_INTERVAL_US
-        published = publish_vwap(self.accumulator, self.universe.base_prices(), ts, self._last_publish_us)
-        if published is not None:
-            self.vwap_pub = published
+        if self._last_publish_us is None or ts - self._last_publish_us >= PUBLISH_INTERVAL_US:
+            vwap = self.accumulator.vwap()
+            self.vwap_pub = np.where(np.isfinite(vwap), vwap, self.universe.base_prices())
             self._last_publish_us = ts
 
     def apply(self, e: TickEvent) -> bool:
-        return apply_event(self.buffer, self.accumulator, self.universe, e)
+        try:
+            idx = self.universe.index(e.code)
+        except KeyError:
+            idx = None
+        if e.kind == QUOTE:
+            return self.buffer.update_quote(idx, e.ask, e.bid)
+        self.accumulator.add_trade(idx, e.price, e.volume)
+        return False
 
 
 def _fmt(v: float) -> str:
@@ -270,15 +246,15 @@ class SynthSpec:
     volume_lots: int = 5
 
     def __post_init__(self) -> None:
-        # written `not x > 0` so that NaN fails; each message names its field
+        # chained comparisons are False for NaN; each message names its field
         for ok, message in (
-            (self.duration_s > 0, "duration_s must be positive"),
-            (self.quote_rate >= 0, "quote_rate must be >= 0"),
-            (self.trade_rate >= 0, "trade_rate must be >= 0"),
+            (0 < self.duration_s < math.inf, "duration_s must be positive and finite"),
+            (0 <= self.quote_rate < math.inf, "quote_rate must be >= 0 and finite"),
+            (0 <= self.trade_rate < math.inf, "trade_rate must be >= 0 and finite"),
             (self.spread_ticks >= 0, "spread_ticks must be >= 0"),
-            (self.tick > 0, "tick must be positive"),
-            (self.vol >= 0, "vol must be >= 0"),
-            (self.reversion >= 0, "reversion must be >= 0"),
+            (0 < self.tick < math.inf, "tick must be positive and finite"),
+            (0 <= self.vol < math.inf, "vol must be >= 0 and finite"),
+            (0 <= self.reversion < math.inf, "reversion must be >= 0 and finite"),
             (self.volume_lots >= 1, "volume_lots must be >= 1"),
         ):
             if not ok:

@@ -49,8 +49,8 @@ class QuboProblem:
         """Return an equivalent problem with q replaced by (q + q.T) / 2."""
         return QuboProblem((self.q + self.q.T) / 2.0)
 
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.q - self.q.T) <= tol))
+    def is_symmetric(self) -> bool:
+        return bool(np.all(self.q == self.q.T))
 
 
 @dataclass

@@ -238,7 +238,7 @@ def dense_reconstruct(p: SplitProblem) -> IsingProblem:
     )
 
 
-def default_c0(p: SplitProblem, a0: float = 1.0) -> float:
+def default_c0(p: SplitProblem, a0: float) -> float:
     """1.5 a0 / (sqrt(n) * p.day_rms), with tick/unit fallbacks; O(n), the day scan is in SplitProblem."""
     if p.day_rms > 0.0:
         scale = p.day_rms
@@ -247,6 +247,11 @@ def default_c0(p: SplitProblem, a0: float = 1.0) -> float:
     else:
         scale = 1.0
     return 1.5 * a0 / (np.sqrt(p.n) * scale)
+
+
+def _c0(p: SplitProblem, params: SbParams) -> float:
+    """params.c0, else default_c0; looked up per call, so a patched default_c0 is used."""
+    return params.c0 if params.c0 is not None else default_c0(p, params.a0)
 
 
 def initial_state(p: SplitProblem, rng: np.random.Generator) -> OscillatorState:
@@ -324,7 +329,7 @@ def _stepped(state: OscillatorState, params: SbParams, c0: float, force) -> Osci
 
 def step(state: OscillatorState, p: SplitProblem, params: SbParams) -> OscillatorState:
     """One ballistic-SB update of an (n,) or (R, n) state, by the kernel run_batch iterates."""
-    c0 = params.c0 if params.c0 is not None else default_c0(p, params.a0)
+    c0 = _c0(p, params)
     tick_coef, h_tick = _tick_terms(p)
     return _stepped(state, params, c0, lambda x, *buffers: _force(x, p, tick_coef, h_tick, *buffers))
 
@@ -356,7 +361,7 @@ def run_batch(
     finds each row that went non-finite; such a row comes back as None.
     """
     t0 = time.perf_counter()
-    c0 = params.c0 if params.c0 is not None else default_c0(p, params.a0)
+    c0 = _c0(p, params)
     tick_coef, h_tick = _tick_terms(p)
     x = np.zeros((len(rngs), p.n))
     y = np.array([initial_state(p, rng).y for rng in rngs])

@@ -103,8 +103,8 @@ class StrategyParams:
     def __post_init__(self) -> None:
         if self.n_s < 2 or self.n_s % 2 != 0:
             raise ValueError("n_s must be even and >= 2 (delta-neutral groups pair long/short)")
-        if self.p_max < 1:
-            raise ValueError("p_max must be >= 1")
+        if self.p_max < self.n_s:
+            raise ValueError("p_max must be >= n_s (a smaller cap leaves no room for a group)")
         # chained comparisons are False for NaN
         for ok, message in (
             (0 < self.a_trans < math.inf, "a_trans must be positive and finite"),

@@ -221,6 +221,18 @@ class TestGenFeedAndCorr:
             assert code == 0 and "events=" in stdout
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("key", ["duration_s", "vol", "tick"])
+    def test_infinite_spec_value_exit_1_names_key(self, tmp_path, capsys, key):
+        files = helpers.write_convergence_fixture(tmp_path)
+        spec = tmp_path / "synth.cfg"
+        spec.write_text(f"duration_s=20\n{key}=inf\n")
+        out = tmp_path / "f.csv"
+        code, _, err = run_cli(
+            capsys, "gen-feed", "--universe", str(files["universe"]), "--spec", str(spec), "--out", str(out)
+        )
+        assert code == 1 and err.startswith(f"error: {key} must be") and "Traceback" not in err
+        assert not out.exists()
+
     def test_corr_writes_manifest_matrix(self, tmp_path, capsys):
         files = helpers.write_convergence_fixture(tmp_path)
         spec = tmp_path / "synth.cfg"
@@ -378,3 +390,42 @@ class TestBackcast:
         )
         assert code == 1 and "not found" in err
 
+
+class TestUsageErrors:
+    """A usage error exits 1 like any input error; 2 means only "no acceptable selection"."""
+
+    def test_help_exits_0(self, capsys):
+        for argv in (["--help"], ["backcast", "--help"]):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and "usage:" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve"], "provide --qubo"),
+            (["solve", "--qubo", "q.txt", "--universe", "u.csv"], "mutually exclusive"),
+            (["gen-feed", "--universe", "u.csv"], "--out"),
+            (["solve", "--qubo", "q.txt", "--seed", "abc"], "--seed"),
+            ([], "required"),
+            (["frobnicate"], "invalid choice"),
+        ],
+        ids=["solve-alone", "qubo-with-universe", "missing-out", "seed-abc", "no-command", "unknown-command"],
+    )
+    def test_usage_error_exit_1(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and "usage:" in err and message in err
+
+    def test_negative_seed_rejected_at_parse_time(self, tmp_path, capsys, monkeypatch):
+        files = helpers.write_convergence_fixture(tmp_path)
+        qubo = tmp_path / "q.txt"
+        save_matrix(qubo, np.array([[-1.0]]))
+        monkeypatch.setattr(bc, "replay", lambda path: pytest.fail("a feed was replayed"))
+        for argv in (
+            ["solve", "--qubo", str(qubo)],
+            ["gen-feed", "--universe", str(files["universe"]), "--out", str(tmp_path / "f.csv")],
+            ["backcast", "--feed-dir", str(files["feed_dir"]), "--universe", str(files["universe"]),
+             "--config", str(files["config"]), "--out", str(tmp_path / "o")],
+        ):
+            code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+            assert code == 1 and "argument --seed" in err and ">= 0" in err and out == ""
+        assert not (tmp_path / "f.csv").exists() and not (tmp_path / "o").exists()

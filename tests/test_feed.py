@@ -11,14 +11,10 @@ from hypothesis import strategies as hs
 
 from sbtrader.feed import (
     MarketSession,
-    PriceBuffer,
     SynthSpec,
     TickEvent,
     VwapAccumulator,
-    apply_event,
-    publish_vwap,
     replay,
-    sample_vector,
     synth_generate,
     write_feed,
 )
@@ -63,11 +59,11 @@ class TestTickEvent:
 
     def test_trade_volume_positive(self):
         # a volume <= 0 constructs; the session drops it, counts it and leaves the VWAP alone
-        u = uni()
-        buf, acc = PriceBuffer(u.n), VwapAccumulator(u.n)
-        apply_event(buf, acc, u, TickEvent(0, "9001", "trade", 100.0, 10.0))
+        s = MarketSession(uni())
+        s.apply(TickEvent(0, "9001", "trade", 100.0, 10.0))
         for volume in (0.0, -5.0):
-            assert not apply_event(buf, acc, u, TickEvent(1, "9001", "trade", 101.0, volume))
+            assert not s.apply(TickEvent(1, "9001", "trade", 101.0, volume))
+        acc = s.accumulator
         assert acc.rejected == 2 and acc.vwap()[0] == 100.0 and acc.volume_sum[0] == 10.0
 
     def test_accessors(self):
@@ -78,63 +74,60 @@ class TestTickEvent:
 
 
 class TestApplyEvent:
+    """`MarketSession.apply`: routing by code and the quote and trade value rules."""
+
     def test_quote_change_flag(self):
-        u = uni()
-        buf, acc = PriceBuffer(u.n), VwapAccumulator(u.n)
-        first = apply_event(buf, acc, u, TickEvent(0, "9001", "quote", 101, 99))
-        repeat = apply_event(buf, acc, u, TickEvent(1, "9001", "quote", 101, 99))
-        moved = apply_event(buf, acc, u, TickEvent(2, "9001", "quote", 102, 99))
+        s = MarketSession(uni())
+        first = s.apply(TickEvent(0, "9001", "quote", 101, 99))
+        repeat = s.apply(TickEvent(1, "9001", "quote", 101, 99))
+        moved = s.apply(TickEvent(2, "9001", "quote", 102, 99))
         assert first and not repeat and moved
 
     def test_trades_never_trigger(self):
-        u = uni()
-        buf, acc = PriceBuffer(u.n), VwapAccumulator(u.n)
-        assert not apply_event(buf, acc, u, TickEvent(0, "9001", "trade", 100, 10))
-        assert not buf.valid[0]
-        assert acc.vwap()[0] == 100.0
+        s = MarketSession(uni())
+        assert not s.apply(TickEvent(0, "9001", "trade", 100, 10))
+        assert not s.buffer.valid[0]
+        assert s.accumulator.vwap()[0] == 100.0
 
     def test_vwap_weighted_mean(self):
-        u = uni()
-        buf, acc = PriceBuffer(u.n), VwapAccumulator(u.n)
-        apply_event(buf, acc, u, TickEvent(0, "9001", "trade", 100, 10))
-        apply_event(buf, acc, u, TickEvent(1, "9001", "trade", 102, 30))
-        assert acc.vwap()[0] == pytest.approx(101.5)
+        s = MarketSession(uni())
+        s.apply(TickEvent(0, "9001", "trade", 100, 10))
+        s.apply(TickEvent(1, "9001", "trade", 102, 30))
+        assert s.accumulator.vwap()[0] == pytest.approx(101.5)
 
     def test_unknown_code(self):
         # dropped and counted by the quote or trade rule; the market state is unchanged
-        u = uni()
-        buf, acc = PriceBuffer(u.n), VwapAccumulator(u.n)
-        assert not apply_event(buf, acc, u, TickEvent(0, "zzz", "quote", 101, 99))
-        assert not apply_event(buf, acc, u, TickEvent(1, "zzz", "trade", 100, 10))
+        s = MarketSession(uni())
+        assert not s.apply(TickEvent(0, "zzz", "quote", 101, 99))
+        assert not s.apply(TickEvent(1, "zzz", "trade", 100, 10))
+        buf, acc = s.buffer, s.accumulator
         assert buf.rejected == 1 and acc.rejected == 1
         assert not buf.valid.any() and np.isnan(buf.ask).all() and np.isnan(buf.bid).all()
         assert not acc.value_sum.any() and not acc.volume_sum.any()
 
     def test_crossed_quote_rejected_with_count(self):
-        u = uni()
-        buf, acc = PriceBuffer(u.n), VwapAccumulator(u.n)
-        changed = apply_event(buf, acc, u, TickEvent(0, "9001", "quote", 99, 101))
-        assert not changed and buf.rejected == 1 and not buf.valid[0]
+        s = MarketSession(uni())
+        changed = s.apply(TickEvent(0, "9001", "quote", 99, 101))
+        assert not changed and s.buffer.rejected == 1 and not s.buffer.valid[0]
 
     @pytest.mark.parametrize("ask, bid", [(np.nan, 99.0), (np.inf, 99.0), (101.0, np.nan)])
     def test_non_finite_quote_rejected_with_count(self, ask, bid):
-        u = uni()
-        buf, acc = PriceBuffer(u.n), VwapAccumulator(u.n)
-        changed = apply_event(buf, acc, u, TickEvent(0, "9001", "quote", ask, bid))
-        assert not changed and buf.rejected == 1 and not buf.valid[0]
+        s = MarketSession(uni())
+        changed = s.apply(TickEvent(0, "9001", "quote", ask, bid))
+        assert not changed and s.buffer.rejected == 1 and not s.buffer.valid[0]
 
     def test_non_finite_trades_rejected_with_count(self):
         # one NaN-price and one inf-volume trade must not poison the stock's VWAP for the day
-        u = uni()
-        buf, acc, finite = PriceBuffer(u.n), VwapAccumulator(u.n), VwapAccumulator(u.n)
+        s, finite = MarketSession(uni()), VwapAccumulator(3)
         trades = [(100.0, 10.0), (np.nan, 10.0), (102.0, 30.0), (101.0, np.inf), (99.0, 5.0)]
         for k, (price, volume) in enumerate(trades):
-            apply_event(buf, acc, u, TickEvent(k, "9002", "trade", price, volume))
+            s.apply(TickEvent(k, "9002", "trade", price, volume))
             if np.isfinite(price) and np.isfinite(volume):
                 finite.add_trade(1, price, volume)
-        assert acc.rejected == 2 and finite.rejected == 0
-        assert acc.vwap()[1] == finite.vwap()[1] == pytest.approx((1000 + 3060 + 495) / 45)
-        assert publish_vwap(acc, u.base_prices(), 0, None)[1] == finite.vwap()[1]
+        assert s.accumulator.rejected == 2 and finite.rejected == 0
+        assert s.accumulator.vwap()[1] == finite.vwap()[1] == pytest.approx((1000 + 3060 + 495) / 45)
+        s.advance(5)
+        assert s.vwap_pub[1] == finite.vwap()[1]
 
     @given(
         hs.integers(min_value=1, max_value=10_000),
@@ -154,39 +147,43 @@ class TestApplyEvent:
 
 
 class TestPublish:
+    """`MarketSession.advance`: the publish cadence and the one-second samples."""
+
     def test_cadence(self):
-        u = uni()
-        acc = VwapAccumulator(u.n)
-        base = u.base_prices()
-        first = publish_vwap(acc, base, 0, None)
+        s = MarketSession(uni())
+        assert s.vwap_pub is None
+        s.advance(0)
+        first = s.vwap_pub
         assert first is not None
-        again = publish_vwap(acc, base, 500_000, 0)
-        assert again is None
-        due = publish_vwap(acc, base, 1_000_000, 0)
-        assert due is not None
+        s.apply(TickEvent(0, "9001", "trade", 100, 10))
+        s.advance(500_000)
+        assert s.vwap_pub is first  # not due: the trade waits for the next publish
+        s.advance(1_000_000)
+        assert s.vwap_pub is not first and s.vwap_pub[0] == 100.0
 
     def test_placeholder_base_prices(self):
         u = uni()
-        out = publish_vwap(VwapAccumulator(u.n), u.base_prices(), 0, None)
-        assert np.array_equal(out, u.base_prices())
+        s = MarketSession(u)
+        s.advance(0)
+        assert np.array_equal(s.vwap_pub, u.base_prices())
 
     def test_constant_trade_price(self):
-        u = uni()
-        acc = VwapAccumulator(u.n)
+        s = MarketSession(uni())
         for k in range(5):
-            acc.add_trade(1, 250.0, 10.0)
-        out = publish_vwap(acc, u.base_prices(), 0, None)
-        assert out[1] == 250.0
+            s.apply(TickEvent(k, "9002", "trade", 250.0, 10.0))
+        s.advance(5)
+        assert s.vwap_pub[1] == 250.0
 
     def test_sample_vector_requires_quote_and_vwap(self):
-        u = uni()
-        buf, acc = PriceBuffer(u.n), VwapAccumulator(u.n)
-        apply_event(buf, acc, u, TickEvent(0, "9001", "quote", 101, 99))
-        apply_event(buf, acc, u, TickEvent(1, "9001", "trade", 99, 5))
-        apply_event(buf, acc, u, TickEvent(2, "9002", "trade", 50, 5))  # no quote
-        s = sample_vector(buf, acc)
-        assert s[0] == pytest.approx(1.0)  # mid 100 - vwap 99
-        assert np.isnan(s[1]) and np.isnan(s[2])
+        s = MarketSession(uni())
+        s.apply(TickEvent(0, "9001", "quote", 101, 99))
+        s.apply(TickEvent(0, "9001", "trade", 99, 5))
+        s.apply(TickEvent(0, "9002", "trade", 50, 5))  # no quote
+        s.apply(TickEvent(0, "9003", "quote", 51, 49))  # no VWAP
+        s.advance(0)
+        (row,) = s.samples.rows
+        assert row[0] == pytest.approx(1.0)  # mid 100 - vwap 99
+        assert np.isnan(row[1]) and np.isnan(row[2])
 
 
 class TestReplay:
@@ -349,10 +346,12 @@ class TestSynth:
         with pytest.raises(ValueError):
             SynthSpec(duration_s=-1.0)
 
-    @pytest.mark.parametrize("key", ["duration_s", "vol"])
+    @pytest.mark.parametrize("key", ["duration_s", "vol", "quote_rate", "trade_rate", "tick", "reversion"])
     def test_spec_nan_rejected_at_load_with_key(self, key):
-        with pytest.raises(ValueError, match=rf"\b{key}\b"):
-            config_from_kv(SynthSpec, {key: "nan"})
+        # +-inf too: an infinite duration, vol or tick used to crash synth_generate
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ValueError, match=rf"\b{key}\b"):
+                config_from_kv(SynthSpec, {key: value})
 
 
 class TestMarketSession:

@@ -492,14 +492,23 @@ class TestFilesAndConfig:
             read_kv(path)
 
     def test_params_from_kv(self):
-        params = config_from_kv(StrategyParams, {"n_s": "6", "c1": "2.0", "accept_threshold": "-1.0"})
-        assert params.n_s == 6 and params.c1 == 2.0 and params.accept_threshold == -1.0
+        params = config_from_kv(StrategyParams, {"n_s": "6", "p_max": "6", "c1": "2.0", "accept_threshold": "-1.0"})
+        assert params.n_s == params.p_max == 6 and params.c1 == 2.0 and params.accept_threshold == -1.0
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
             StrategyParams(n_s=3)
         with pytest.raises(ValueError):
             StrategyParams(c1=0.0)
+
+    def test_p_max_below_n_s_rejected(self):
+        # no group of n_s stocks could ever open, yet every quote change would solve a batch
+        for n_s, p_max in ((4, 2), (4, 3), (6, 4)):
+            with pytest.raises(ValueError, match="p_max must be >= n_s"):
+                StrategyParams(n_s=n_s, p_max=p_max)
+        with pytest.raises(ValueError, match="p_max"):
+            config_from_kv(StrategyParams, {"p_max": "2"})
+        assert StrategyParams(n_s=2, p_max=2).p_max == 2
 
     def test_nan_accept_threshold_rejected_infinities_kept(self):
         with pytest.raises(ValueError, match="accept_threshold"):
