@@ -289,7 +289,10 @@ def synth_generate(universe: Universe, spec: SynthSpec, seed: int, path) -> int:
             drift = spec.reversion * (stock.base_price - mid) * dt_s
             shock = spec.vol * stock.base_price * np.sqrt(dt_s) * rng.standard_normal()
             mid = max(mid + drift + shock, floor)
-            px = round(mid / spec.tick) * spec.tick
+            ticks = float(mid) / spec.tick  # a Python division overflows to inf without a warning
+            if not math.isfinite(ticks):  # an extreme but finite vol or tick
+                raise ValueError(f"stock {stock.code}: mid {mid} / tick {spec.tick} overflows; lower vol or raise tick")
+            px = round(ticks) * spec.tick
             if kinds[k] == QUOTE:
                 events.append(
                     TickEvent(ts=ts, code=stock.code, kind=QUOTE, p1=px + half_hi * spec.tick, p2=px - half_lo * spec.tick)

@@ -6,21 +6,24 @@ penalty) is applied through one matrix product per step; the tick component
 intermediate values only, so a quote change never touches the dense storage.
 
 Restarts run as one batch (`run_batch`): positions and momenta are (R, N)
-matrices, each step is a single `x @ j_day` product (j_day is symmetric), and
+float32 matrices, each step is a single `x @ j_day32` product (the day
+couplings are symmetric; the float32 copy is made once per day split), and
 row r draws its initial momenta from the RNG stream the caller passes for it,
-so a run keeps its key whichever batch it lands in. c0, the tick biases and
-the work buffers are set up once per batch, and every step runs in place. The
-wall maps x to x/|x| wherever |x| > 1: exactly +-1 for a finite x, NaN for an
-inf, and a NaN stays NaN. A row that goes non-finite therefore stays so, and
-one check after the loop finds it; a diverged row is reported as None while
-the other rows finish. Each row's energy is read out from the split form,
--1/2 s.J_day.s plus O(N) tick terms and the offsets, so the dense problem is
-never materialised on the solve path. `run` is the one-row batch and `solve`
-is one batch of `restarts` rows plus the best-of-R pick, whose tolerance
-absorbs the last-bit differences a batched product can give rows with equal
-spins. `step` applies the same kernel to a copy of an (N,) or (R, N) state;
-`step_dense`, `dense_reconstruct` and `ising.brute_force_min` are oracles for
-the tests.
+so a run keeps its key whichever batch it lands in. c0, the tick biases, the
+scalars and the work buffers are cast or set up once per batch, and every step
+runs in place. The wall maps x to x/|x| wherever |x| > 1: exactly +-1 for a
+finite x, NaN for an inf, and a NaN stays NaN. A row that goes non-finite
+therefore stays so, and one check after the loop finds it; a diverged row is
+reported as None while the other rows finish. A c0 or an initial momentum
+outside float32 range is inf from the start, so its row diverges. Each row's
+energy is read out in float64 from the split form, -1/2 s.J_day.s plus O(N)
+tick terms and the offsets, so the dense problem is never materialised on the
+solve path and equal spins give equal energies. `run` is the one-row batch
+and `solve` is one batch of `restarts` rows plus the best-of-R pick, whose
+tolerance absorbs the last-bit differences a batched product can give rows
+with equal spins. `step` applies the same kernel to a float64 copy of an (N,)
+or (R, N) state; `step_dense`, `dense_reconstruct` and
+`ising.brute_force_min` are oracles for the tests.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ class SbParams:
     rescales time, so a0 sets the effective anneal length at fixed n_step*dt;
     the default pairing (a0=10 with c0 = 1.5 a0 / (sqrt(n) * rms of nonzero
     day couplings)) was calibrated against the brute-force oracle on
-    selection instances.
+    selection instances. `run_batch` steps in float32, so a c0 beyond float32
+    range (about 3.4e38) makes every row diverge.
     """
 
     n_step: int = 300
@@ -117,6 +121,9 @@ class SplitProblem:
     the day-side QUBO-to-Ising conversion so reconstructed energies match the
     QUBO exactly. day_rms, derived here once per day split, is the rms of the
     nonzero day couplings (0.0 when there are none); default_c0 reads it.
+    j_day32, derived next to it, is the float32 copy of j_day that run_batch
+    steps with (a coupling beyond float32 range is inf there, so every row
+    diverges). update_tick's shallow copy shares both by identity.
     """
 
     j_day: np.ndarray
@@ -128,7 +135,7 @@ class SplitProblem:
     offset_day: float = 0.0
 
     def __post_init__(self) -> None:
-        self.j_day = _cache_line_aligned(np.asarray(self.j_day, dtype=np.float64))
+        self.j_day = _cache_line_aligned(np.asarray(self.j_day, dtype=np.float64), np.float64)
         self.h_day = np.asarray(self.h_day, dtype=np.float64)
         n = self.j_day.shape[0]
         if self.j_day.shape != (n, n):
@@ -138,6 +145,7 @@ class SplitProblem:
             raise ValueError("j_day must be symmetric with zero diagonal")
         nonzero = self.j_day[self.j_day != 0.0]  # the diagonal is zero: off-diagonal, row-major
         self.day_rms = float(np.sqrt(np.mean(nonzero**2))) if nonzero.size else 0.0
+        self.j_day32 = _cache_line_aligned(self.j_day, np.float32)
         self.sgn_dp, self.abs_dp = _checked_tick(n, self.sgn_dp, self.abs_dp)
         if self.c1 < 0.0 or self.c3 < 0.0:
             raise ValueError("c1 and c3 must be >= 0")
@@ -147,14 +155,16 @@ class SplitProblem:
         return self.j_day.shape[0]
 
 
-def _cache_line_aligned(a: np.ndarray) -> np.ndarray:
-    """A copy of `a` whose data starts on a 64-byte boundary, wherever malloc would have put it.
+def _cache_line_aligned(a: np.ndarray, dtype) -> np.ndarray:
+    """A copy of `a` in dtype whose data starts on a 64-byte boundary, wherever malloc would have put it.
 
     At n=512 a j_day starting mid cache line made x @ j_day 30-50% slower (OpenBLAS, one thread).
+    The cast is written straight into the aligned buffer, with no full-size temporary.
     """
-    buf = np.empty(a.nbytes + 64, dtype=np.uint8)
+    nbytes = a.size * np.dtype(dtype).itemsize
+    buf = np.empty(nbytes + 64, dtype=np.uint8)
     start = -buf.ctypes.data % 64
-    out = buf[start : start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out = buf[start : start + nbytes].view(dtype).reshape(a.shape)
     out[...] = a
     return out
 
@@ -264,74 +274,95 @@ def _tick_terms(p: SplitProblem) -> tuple[np.ndarray, np.ndarray]:
     return -(p.c3 / 2.0) * p.sgn_dp, compute_h_tick(p)
 
 
+def _in_dtype(dtype, *values) -> list[np.ndarray]:
+    """values as arrays of dtype, scalars as 0-d arrays, for the kernel's operands.
+
+    A float64 operand would make a ufunc on a float32 state compute in float64,
+    and a Python float costs a conversion on every call. Callers silence the
+    overflow warning: a value beyond float32 range casts to inf.
+    """
+    return [np.asarray(v, dtype) for v in values]
+
+
 def _scratch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Work buffers for _force/_advance on states shaped like x: dy, tmp, the per-row sgn.x, the wall mask."""
-    return np.empty_like(x), np.empty_like(x), np.empty(x.shape[:-1]), np.empty(x.shape, dtype=bool)
+    return np.empty_like(x), np.empty_like(x), np.empty(x.shape[:-1], x.dtype), np.empty(x.shape, dtype=bool)
 
 
-def _force(x, p: SplitProblem, tick_coef, h_tick, dy, tmp, dot) -> None:
+def _force(x, j, h, sgn, tick_coef, h_tick, dy, tmp, dot) -> None:
     """Write J x - h into dy, for x of shape (n,) or (R, n); the tick part is O(n) via the shared sum.
 
-    _force and _advance write into the buffers of _scratch (each ufunc's third
-    argument is its output) and do the operations of `reference_run_batch` in
-    tests/helpers.py in its order, so their results are bit-identical to it.
-    Prescaling by c0*dt or folding h or the tick coupling into the product
-    would change the rounding and the step at which a row overflows.
+    _force and _advance take every operand in the state's dtype (float32 in
+    run_batch, float64 in step), write into the buffers of _scratch (each
+    ufunc's third argument is its output) and do the operations of
+    `reference_run_batch` in tests/helpers.py in its order, so their results
+    are bit-identical to it in either dtype. Prescaling by c0*dt or folding h
+    or the tick coupling into the product would change the rounding and the
+    step at which a row overflows.
     """
-    np.matmul(x, p.j_day, dy)  # j_day is symmetric: each row of x @ J is J x
-    dy -= p.h_day
-    np.matmul(x, p.sgn_dp, dot)
+    np.matmul(x, j, dy)  # j is symmetric: each row of x @ J is J x
+    dy -= h
+    np.matmul(x, sgn, dot)
     # Momentum correction of the tick component, (J_tick x)_i - h_tick_i.
-    np.multiply(p.sgn_dp, x, tmp)
+    np.multiply(sgn, x, tmp)
     np.subtract(dot[..., None], tmp, tmp)
     tmp *= tick_coef
     tmp -= h_tick
     dy += tmp
 
 
-def _advance(x, y, dy, tmp, over, a_t: float, c0: float, params: SbParams) -> None:
+def _advance(x, y, dy, tmp, over, gap, c0, a0, dt, one, zero) -> None:
     """Integrate one step in place and apply the walls; dy is consumed.
 
-    The wall zeroes y and maps x to x/|x| wherever |x| > 1, by dividing x by
-    max(|x|, 1). That is exactly +-1 for a finite x and NaN for an inf, and a
-    NaN stays NaN, so a row that goes non-finite stays non-finite to the end.
-    A non-finite y makes x non-finite in the same step, so checking x covers
-    y. Callers silence the overflow and invalid warnings and check x.
+    gap is this step's -(a0 - a(k)); it and the other scalars are 0-d arrays
+    in the state's dtype. The wall zeroes y and maps x to x/|x| wherever
+    |x| > 1, by dividing x by max(|x|, 1). That is exactly +-1 for a finite x
+    and NaN for an inf, and a NaN stays NaN, so a row that goes non-finite
+    stays non-finite to the end. A non-finite y makes x non-finite in the same
+    step, so checking x covers y. Callers silence the overflow and invalid
+    warnings and check x.
     """
-    np.multiply(x, -(params.a0 - a_t), tmp)
+    np.multiply(x, gap, tmp)
     dy *= c0
     tmp += dy
-    tmp *= params.dt
+    tmp *= dt
     y += tmp
-    np.multiply(y, params.a0, tmp)
-    tmp *= params.dt
+    np.multiply(y, a0, tmp)
+    tmp *= dt
     x += tmp
     np.abs(x, tmp)
-    np.greater(tmp, 1.0, over)
-    np.maximum(tmp, 1.0, out=tmp)
+    np.greater(tmp, one, over)
+    np.maximum(tmp, one, out=tmp)
     x /= tmp
-    np.putmask(y, over, 0.0)
+    np.putmask(y, over, zero)
+
+
+def _scalars(params: SbParams, c0: float, dtype, steps) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """-(a0 - a(k)) for each k in steps, and c0, a0, dt, 1 and 0: _advance's 0-d operands in dtype."""
+    gaps = _in_dtype(dtype, *(-(params.a0 - params.pump(k)) for k in steps))
+    return gaps, _in_dtype(dtype, c0, params.a0, params.dt, 1.0, 0.0)
 
 
 def _stepped(state: OscillatorState, params: SbParams, c0: float, force) -> OscillatorState:
-    """One step on copies of state.x and state.y; force(x, dy, tmp, dot) writes J x - h into dy."""
+    """One float64 step on copies of state.x and state.y; force(x, dy, tmp, dot) writes J x - h into dy."""
     if state.step >= params.n_step:
         raise ValueError(f"state.step={state.step} out of range for n_step={params.n_step}")
     x, y = np.array(state.x, dtype=np.float64), np.array(state.y, dtype=np.float64)
     dy, tmp, dot, over = _scratch(x)
+    (gap,), scalars = _scalars(params, c0, np.float64, [state.step])
     with np.errstate(over="ignore", invalid="ignore"):
         force(x, dy, tmp, dot)
-        _advance(x, y, dy, tmp, over, params.pump(state.step), c0, params)
+        _advance(x, y, dy, tmp, over, gap, *scalars)
     if not np.isfinite(x).all():
         raise DivergenceError(f"state diverged at step {state.step}; lower c0 or dt")
     return OscillatorState(x=x, y=y, step=state.step + 1)
 
 
 def step(state: OscillatorState, p: SplitProblem, params: SbParams) -> OscillatorState:
-    """One ballistic-SB update of an (n,) or (R, n) state, by the kernel run_batch iterates."""
+    """One ballistic-SB update of an (n,) or (R, n) state, by the kernel run_batch iterates, in float64."""
     c0 = _c0(p, params)
-    tick_coef, h_tick = _tick_terms(p)
-    return _stepped(state, params, c0, lambda x, *buffers: _force(x, p, tick_coef, h_tick, *buffers))
+    operands = (p.j_day, p.h_day, p.sgn_dp, *_tick_terms(p))
+    return _stepped(state, params, c0, lambda x, *buffers: _force(x, *operands, *buffers))
 
 
 def step_dense(state: OscillatorState, dense: IsingProblem, params: SbParams, c0: float) -> OscillatorState:
@@ -353,23 +384,28 @@ def _energies(p: SplitProblem, spins: np.ndarray, h_tick: np.ndarray) -> np.ndar
 def run_batch(
     p: SplitProblem, params: SbParams, rngs: list[np.random.Generator], start: int = 0
 ) -> list[SbSolution | None]:
-    """Runs start, start + 1, ... as one (R, n) batch; row r starts from rngs[r].
+    """Runs start, start + 1, ... as one (R, n) float32 batch; row r starts from rngs[r].
 
-    c0, the tick terms and the work buffers are set up once per batch, and the
-    steps run in place. No step checks for divergence: the wall turns an inf
-    into NaN, which every later step carries, so one check of x after the loop
-    finds each row that went non-finite; such a row comes back as None.
+    The state, the work buffers and every operand of the step kernel are
+    float32: j_day32 from the split, the O(n) biases and tick terms and the
+    0-d scalars cast once per batch, and the steps run in place. A c0 or an
+    initial momentum beyond float32 range casts to inf, so its row diverges.
+    No step checks for divergence: the wall turns an inf into NaN, which every
+    later step carries, so one check of x after the loop finds each row that
+    went non-finite; such a row comes back as None. Energies are read out in
+    float64 from the spins.
     """
     t0 = time.perf_counter()
-    c0 = _c0(p, params)
     tick_coef, h_tick = _tick_terms(p)
-    x = np.zeros((len(rngs), p.n))
-    y = np.array([initial_state(p, rng).y for rng in rngs])
-    dy, tmp, dot, over = _scratch(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(params.n_step):
-            _force(x, p, tick_coef, h_tick, dy, tmp, dot)
-            _advance(x, y, dy, tmp, over, params.pump(k), c0, params)
+        gaps, scalars = _scalars(params, _c0(p, params), np.float32, range(params.n_step))
+        operands = (p.j_day32, *_in_dtype(np.float32, p.h_day, p.sgn_dp, tick_coef, h_tick))
+        x = np.zeros((len(rngs), p.n), np.float32)
+        y = np.array([initial_state(p, rng).y for rng in rngs], np.float32)
+        dy, tmp, dot, over = _scratch(x)
+        for gap in gaps:
+            _force(x, *operands, dy, tmp, dot)
+            _advance(x, y, dy, tmp, over, gap, *scalars)
     finite = np.isfinite(x).all(axis=1)
     spins = np.where(x >= 0.0, 1.0, -1.0)
     energies = _energies(p, spins, h_tick)

@@ -170,21 +170,23 @@ def reference_replay(path):
             yield e
 
 
-def _reference_force(x, p, tick_coef, h_tick):
-    dy_day = x @ p.j_day - p.h_day
-    dy_sum = (x @ p.sgn_dp)[..., None]
-    dy_tick = tick_coef * (dy_sum - p.sgn_dp * x) - h_tick
+def _reference_force(x, j, h, sgn, tick_coef, h_tick):
+    dy_day = x @ j - h
+    dy_sum = (x @ sgn)[..., None]
+    dy_tick = tick_coef * (dy_sum - sgn * x) - h_tick
     return dy_day + dy_tick
 
 
-def _reference_advance(x, y, dy, a_t, c0, params):
-    y = y + (-(params.a0 - a_t) * x + c0 * dy) * params.dt
-    x = x + params.a0 * y * params.dt
+def _reference_advance(x, y, dy, a_t, c0, params, dtype=np.float64):
+    # every scalar in the state's dtype, so a float32 state is stepped in float32
+    gap, c0, a0, dt = (dtype(v) for v in (-(params.a0 - a_t), c0, params.a0, params.dt))
+    y = y + (gap * x + c0 * dy) * dt
+    x = x + a0 * y * dt
     finite = np.isfinite(x).all(axis=-1)
     over = np.abs(x) > 1.0
     if over.any():
-        x = np.clip(x, -1.0, 1.0)
-        y = np.where(over, 0.0, y)
+        x = np.clip(x, dtype(-1.0), dtype(1.0))
+        y = np.where(over, dtype(0.0), y)
     return x, y, finite
 
 
@@ -194,30 +196,33 @@ def reference_step(state, p, params):
         raise ValueError(f"state.step={state.step} out of range for n_step={params.n_step}")
     c0 = params.c0 if params.c0 is not None else default_c0(p, params.a0)
     with np.errstate(over="ignore", invalid="ignore"):
-        dy = _reference_force(state.x, p, *_tick_terms(p))
+        dy = _reference_force(state.x, p.j_day, p.h_day, p.sgn_dp, *_tick_terms(p))
         x, y, finite = _reference_advance(state.x, state.y, dy, params.pump(state.step), c0, params)
     if not np.all(finite):
         raise DivergenceError(f"state diverged at step {state.step}; lower c0 or dt")
     return OscillatorState(x=x, y=y, step=state.step + 1)
 
 
-def reference_run_batch(p, params, rngs, start=0):
+def reference_run_batch(p, params, rngs, start=0, dtype=np.float64):
     """The allocating `sb.run_batch` that the in-place kernel replaced, kept as its oracle.
 
-    It checks every row for non-finite state at every step, before the wall
+    It steps in `dtype`: `run_batch` runs in float32, so float32 is its
+    bit-for-bit oracle and float64 the precision it is compared against. It
+    checks every row for non-finite state at every step, before the wall
     clamps an inf back to +-1, and keeps the flags sticky. The energy readout
     `sb._energies` is shared with `run_batch`, not copied: only the step
     kernel was replaced.
     """
     c0 = params.c0 if params.c0 is not None else default_c0(p, params.a0)
     tick_coef, h_tick = _tick_terms(p)
-    x = np.zeros((len(rngs), p.n))
-    y = np.array([initial_state(p, rng).y for rng in rngs])
     finite = np.ones(len(rngs), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
+        j, h, sgn, coef, h_t = (a.astype(dtype) for a in (p.j_day, p.h_day, p.sgn_dp, tick_coef, h_tick))
+        x = np.zeros((len(rngs), p.n), dtype)
+        y = np.array([initial_state(p, rng).y for rng in rngs], dtype)
         for k in range(params.n_step):
-            dy = _reference_force(x, p, tick_coef, h_tick)
-            x, y, ok = _reference_advance(x, y, dy, params.pump(k), c0, params)
+            dy = _reference_force(x, j, h, sgn, coef, h_t)
+            x, y, ok = _reference_advance(x, y, dy, params.pump(k), c0, params, dtype)
             finite &= ok
     spins = np.where(x >= 0.0, 1.0, -1.0)
     energies = _energies(p, spins, h_tick)

@@ -233,6 +233,18 @@ class TestGenFeedAndCorr:
         assert code == 1 and err.startswith(f"error: {key} must be") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["vol=1e306", "tick=1e-320"])
+    def test_overflowing_spec_exit_1_names_stock(self, tmp_path, capsys, line):
+        files = helpers.write_convergence_fixture(tmp_path)
+        spec = tmp_path / "synth.cfg"
+        spec.write_text(f"duration_s=5\n{line}\n")
+        out = tmp_path / "f.csv"
+        code, _, err = run_cli(
+            capsys, "gen-feed", "--universe", str(files["universe"]), "--spec", str(spec), "--out", str(out)
+        )
+        assert code == 1 and err.startswith("error: stock 1001:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_corr_writes_manifest_matrix(self, tmp_path, capsys):
         files = helpers.write_convergence_fixture(tmp_path)
         spec = tmp_path / "synth.cfg"

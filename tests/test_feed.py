@@ -354,6 +354,13 @@ class TestSynth:
                 config_from_kv(SynthSpec, {key: value})
 
 
+    @pytest.mark.parametrize("spec", [SynthSpec(duration_s=5.0, vol=1e306), SynthSpec(duration_s=5.0, tick=1e-320)])
+    def test_extreme_finite_spec_raises_value_error_naming_stock(self, tmp_path, spec):
+        # the mid, or the mid in ticks, overflows to inf: round() used to raise OverflowError
+        with pytest.raises(ValueError, match="stock 9001: .* overflows"):
+            synth_generate(uni(1), spec, 0, tmp_path / "f.csv")
+
+
 class TestMarketSession:
     def test_buffer_reflects_last_quote(self, tmp_path):
         u = uni(2)

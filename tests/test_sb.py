@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from sbtrader import sb
 from sbtrader.ising import IsingProblem, QuboProblem, ising_energy
 from sbtrader.sb import (
     DivergenceError,
@@ -26,6 +27,7 @@ from sbtrader.sb import (
     substream,
     update_tick,
 )
+from sbtrader.strategy import build_split
 
 
 def random_split(n, rng, c1=1.0, c3=2.0):
@@ -296,9 +298,11 @@ class TestRunSolve:
 class TestSplitProblem:
     @pytest.mark.parametrize("n", [6, 100, 512])
     def test_day_matrix_starts_on_a_cache_line(self, n):
-        # every SB step multiplies by j_day; at n=512 that ran 30-50% slower from a mid-line start
+        # every SB step multiplies by the day matrix; at n=512 that ran 30-50% slower from a mid-line start
         p = random_split(n, np.random.default_rng(n))
-        assert p.j_day.ctypes.data % 64 == 0 and p.j_day.flags.c_contiguous
+        for j in (p.j_day, p.j_day32):
+            assert j.ctypes.data % 64 == 0 and j.flags.c_contiguous
+        assert p.j_day32.dtype == np.float32 and np.array_equal(p.j_day32, p.j_day.astype(np.float32))
 
 
 class TestUpdateTick:
@@ -313,7 +317,10 @@ class TestUpdateTick:
         p = random_split(6, np.random.default_rng(12))
         q = update_tick(p, np.zeros(6), np.zeros(6))
         assert q.j_day is p.j_day
+        assert q.j_day32 is p.j_day32
         assert q.h_day is p.h_day
+        run_batch(q, SbParams(), [substream(0, 0)])
+        assert vars(q).keys() == vars(p).keys()  # no per-batch buffer cached on the split
 
     def test_masking_a_stock_zeroes_its_h_tick(self):
         p = random_split(5, np.random.default_rng(13))
@@ -539,7 +546,8 @@ class TestReferenceKernel:
                         return rows
 
                     got = run_batch(p, params, rngs(), start=seed)
-                    assert_same_batches(got, helpers.reference_run_batch(p, params, rngs(), start=seed))
+                    want = helpers.reference_run_batch(p, params, rngs(), start=seed, dtype=np.float32)
+                    assert_same_batches(got, want)
                     if c0 is None and not (restarts >= 3 and seed == 1):
                         assert all(sol is not None for sol in got)
 
@@ -598,6 +606,55 @@ class TestReferenceKernel:
         assert not np.array_equal(new.x, x0)  # the step did move it, on its own copy
         walled = np.abs(new.x) == 1.0
         assert np.any(walled) and np.all(new.y[walled] == 0.0)
+
+
+class TestFloat32:
+    """run_batch steps in float32; the float64 reference kernel is the precision it is held to."""
+
+    def test_tight_instances_same_spins_as_float64(self):
+        for k in range(30):
+            split = build_split(*helpers.tight_instance(16, 4, k))
+            params = SbParams(restarts=10, seed=k)
+            got = run_batch(split, params, [substream(k, i) for i in range(10)])
+            want = helpers.reference_run_batch(split, params, [substream(k, i) for i in range(10)])
+            assert all(np.array_equal(g.spins, w.spins) for g, w in zip(got, want)), f"instance {k}"
+
+    def test_random_splits_lose_no_quality(self):
+        differ = rows = 0
+        for n in (16, 64, 128, 256):
+            for k in range(10):
+                p = random_split(n, np.random.default_rng([51, n, k]))
+                got = run_batch(p, SbParams(), [substream(k, i) for i in range(10)])
+                want = helpers.reference_run_batch(p, SbParams(), [substream(k, i) for i in range(10)])
+                differ += sum(not np.array_equal(g.spins, w.spins) for g, w in zip(got, want))
+                rows += len(want)
+                best32, best64 = pick_best(got).energy, pick_best(want).energy
+                assert best32 <= best64 + 1e-3 * abs(best64), f"n={n} split {k}: {best32} vs {best64}"
+        print(f"float32 rows whose spins differ from float64: {differ} of {rows}")
+
+    def test_c0_beyond_float32_range_diverges(self):
+        p = random_split(1, np.random.default_rng(52))
+        params = SbParams(c0=1e308)
+        assert all(sol is not None for sol in helpers.reference_run_batch(p, params, [substream(0, 0)]))
+        assert run_batch(p, params, [substream(0, 0)]) == [None]
+
+    def test_every_kernel_operand_is_float32(self, monkeypatch):
+        # a float64 operand, 0-d included, would silently make its ufunc compute in float64
+        calls = []
+        for name in ("_force", "_advance"):
+            kernel = getattr(sb, name)
+
+            def recorded(*args, kernel=kernel, name=name):
+                calls.append((name, args))
+                kernel(*args)
+
+            monkeypatch.setattr(sb, name, recorded)
+        run_batch(random_split(16, np.random.default_rng(53)), SbParams(n_step=4), [substream(0, i) for i in range(3)])
+        assert [name for name, _ in calls] == ["_force", "_advance"] * 4
+        for name, args in calls:
+            assert all(isinstance(a, np.ndarray) for a in args)
+            other = [a.dtype for a in args if a.dtype != np.float32]
+            assert other == ([np.dtype(bool)] if name == "_advance" else [])  # _advance's wall mask
 
 
 class TestTieBreak:
