@@ -71,8 +71,8 @@ class SbParams:
     rescales time, so a0 sets the effective anneal length at fixed n_step*dt;
     the default pairing (a0=10 with c0 = 1.5 a0 / (sqrt(n) * rms of nonzero
     day couplings)) was calibrated against the brute-force oracle on
-    selection instances. `run_batch` steps in float32, so a c0 beyond float32
-    range (about 3.4e38) makes every row diverge.
+    selection instances. `run_batch` steps in float32, so a c0 beyond float32 range
+    (about 3.4e38) makes every row diverge; SplitProblem rejects such couplings.
     """
 
     n_step: int = 300
@@ -122,8 +122,8 @@ class SplitProblem:
     QUBO exactly. day_rms, derived here once per day split, is the rms of the
     nonzero day couplings (0.0 when there are none); default_c0 reads it.
     j_day32, derived next to it, is the float32 copy of j_day that run_batch
-    steps with (a coupling beyond float32 range is inf there, so every row
-    diverges). update_tick's shallow copy shares both by identity.
+    steps with; a j_day or h_day entry beyond float32 range, which would diverge
+    every row there, is rejected. update_tick's shallow copy shares both by identity.
     """
 
     j_day: np.ndarray
@@ -143,9 +143,12 @@ class SplitProblem:
         _check_vector("h_day", self.h_day, n)
         if np.any(self.j_day != self.j_day.T) or np.any(np.diag(self.j_day) != 0.0):
             raise ValueError("j_day must be symmetric with zero diagonal")
+        with np.errstate(over="ignore"):  # an entry beyond float32 range casts to inf
+            self.j_day32 = _cache_line_aligned(self.j_day, np.float32)
+            if not (np.isfinite(self.j_day32).all() and np.isfinite(self.h_day.astype(np.float32)).all()):
+                raise ValueError("j_day and h_day must be finite within float32 range (about 3.4e38)")
         nonzero = self.j_day[self.j_day != 0.0]  # the diagonal is zero: off-diagonal, row-major
         self.day_rms = float(np.sqrt(np.mean(nonzero**2))) if nonzero.size else 0.0
-        self.j_day32 = _cache_line_aligned(self.j_day, np.float32)
         self.sgn_dp, self.abs_dp = _checked_tick(n, self.sgn_dp, self.abs_dp)
         if self.c1 < 0.0 or self.c3 < 0.0:
             raise ValueError("c1 and c3 must be >= 0")

@@ -54,6 +54,13 @@ class TestSolve:
         assert code == 1
         assert "diverged" in err and "spins=" not in out
 
+    def test_entry_beyond_float32_range_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "q.txt"
+        save_matrix(path, np.array([[1e39, 0.0], [0.0, -1.0]]))
+        code, out, err = run_cli(capsys, "solve", "--qubo", str(path))
+        assert code == 1
+        assert "float32 range" in err and "spins=" not in out
+
     def test_malformed_matrix_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("2\n1.0 x\n0 0\n")
@@ -332,6 +339,24 @@ class TestBackcast:
             "--out", str(tmp_path / "o"),
         )
         assert code == 1 and "a_trans" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_coupling_beyond_float32_range_exits_before_replay(self, tmp_path, capsys, monkeypatch):
+        # c2=1e39 puts day couplings beyond float32 range, where every SB row would diverge
+        files = helpers.write_convergence_fixture(tmp_path)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(files["config"].read_text().replace("c2=30", "c2=1e39"))
+        monkeypatch.setattr(bc, "replay", lambda path: pytest.fail("a feed was replayed"))
+        code, _, err = run_cli(
+            capsys,
+            "backcast",
+            "--feed-dir", str(files["feed_dir"]),
+            "--universe", str(files["universe"]),
+            "--config", str(bad),
+            "--corr", str(files["corr"]),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1 and "float32 range" in err
         assert not (tmp_path / "o").exists()
 
     def test_golden_reports(self, tmp_path, capsys):

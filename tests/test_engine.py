@@ -56,6 +56,13 @@ def prime_quotes(engine, quotes=None):
         engine.process(TickEvent(ts + i, c, "quote", a, b))
 
 
+def signal_quotes(codes, ticks=20):
+    """(ask, bid) quotes `ticks` away from VWAP: codes[0:2] below it (long), codes[2:4] above it (short)."""
+    b = helpers.BASE
+    return {codes[0]: (b - ticks, b - ticks - 2), codes[1]: (b - ticks + 1, b - ticks - 1),
+            codes[2]: (b + ticks + 2, b + ticks), codes[3]: (b + ticks + 1, b + ticks - 1)}
+
+
 def make_dev(engine):
     return engine._deviation()
 
@@ -80,17 +87,25 @@ class TestJudgeOpen:
         assert by_code[engine.universe.codes[2]].intended_price == helpers.BASE - 1
         assert all(o.lots == helpers.LOTS for o in orders)
 
-    def test_p_max_rejects_whole_group(self):
-        engine = make_engine()
-        prime_quotes(engine)
-        dev = DeviationVector(
-            dp=np.array([-0.004, -0.004, 0.004, 0.004, -0.004, 0.004]),
-            mask=np.zeros(6, dtype=bool),
-        )
-        assert engine.judge_open(np.array([0, 1, 2, 3]), dev, ts=300_000)
-        # second group would exceed p_max=4
-        assert engine.judge_open(np.array([4, 5]), dev, ts=300_001) == []
-        assert len(engine.open_codes) == 4
+
+class TestRoomGate:
+    def test_full_room_runs_no_batch_and_issues_nothing(self, monkeypatch):
+        batches = count_calls(monkeypatch, "sb_run")
+        engine = make_engine()  # n_s = p_max = 4
+        codes = engine.universe.codes
+        prime_quotes(engine, quotes=signal_quotes(codes))  # the solver opens the scenario's group
+        assert engine.open_codes == set(codes[:4])
+        opened = len(engine.fills)
+        batches.clear()
+        # stocks 4 and 5 deviate on both sides of VWAP, unmasked, but the open list is full
+        engine.process(TickEvent(1_000_000, codes[4], "quote", helpers.BASE + 22, helpers.BASE + 20))
+        engine.process(TickEvent(1_000_001, codes[5], "quote", helpers.BASE - 20, helpers.BASE - 22))
+        dev = engine._deviation()
+        assert not dev.mask[4:].any() and dev.dp[4] > 0 > dev.dp[5]
+        assert engine.on_quote_change(1_000_002) == []
+        assert batches == []
+        assert len(engine.fills) == opened
+        assert len(engine.open_codes) <= engine.config.strategy.p_max
 
 
 class TestFills:
@@ -191,13 +206,7 @@ class TestClosePolicy:
         # deviations persist on the entry side, so only the forced window closes
         engine = make_engine()
         codes = engine.universe.codes
-        signal = {
-            codes[0]: (helpers.BASE - 20, helpers.BASE - 22),
-            codes[1]: (helpers.BASE - 19, helpers.BASE - 21),
-            codes[2]: (helpers.BASE + 22, helpers.BASE + 20),
-            codes[3]: (helpers.BASE + 21, helpers.BASE + 19),
-        }
-        prime_quotes(engine, quotes=signal)
+        prime_quotes(engine, quotes=signal_quotes(codes))
         assert len(engine.positions) == 4  # group opened during priming
         close_us = engine.config.session_close_us
         t_force = engine.config.t_force_us
@@ -277,6 +286,18 @@ class SequentialEngine(TradingEngine):
         return issued
 
 
+class RoomCheckedSequentialEngine(SequentialEngine):
+    """The reference with the room rule in judgment: every decision solves, and a group without room is rejected."""
+
+    room_rejections = 0
+
+    def judge_open(self, selected, dev, ts):
+        if len(self.open_codes) + len(selected) > self.config.strategy.p_max:
+            self.room_rejections += 1
+            return []
+        return super().judge_open(selected, dev, ts)
+
+
 def count_calls(monkeypatch, name):
     """Wrap engine.<name>; returns the list of (args, kwargs) of every call."""
     calls = []
@@ -295,17 +316,22 @@ def order_log(engine):
 
 
 class TestBatchedDecisions:
-    def matches_sequential_reference(self, monkeypatch, config):
-        """Runs the scenario batched and one run at a time; returns the order log and the batches' starts."""
+    def matches_sequential_reference(self, monkeypatch, config, reference=SequentialEngine, n=6, extra=()):
+        """Runs the scenario, plus `extra` events, batched and through `reference`.
+
+        Returns the order log, the batches' starts and the reference engine.
+        """
         ticks = count_calls(monkeypatch, "update_tick")
         batches = count_calls(monkeypatch, "sb_run")
         logs, tick_counts = [], []
-        for cls in (TradingEngine, SequentialEngine):
+        for cls in (TradingEngine, reference):
             ticks.clear()
-            engine = cls(helpers.make_universe(), helpers.convergence_corr(), config, seed=7,
+            engine = cls(helpers.make_universe(n), helpers.convergence_corr(n), config, seed=7,
                          fill_handler=FillModel().fill)
-            for e in helpers.convergence_events(engine.universe.codes):
+            events = helpers.convergence_events(engine.universe.codes) + list(extra)
+            for e in sorted(events, key=lambda e: (e.ts, e.code, e.kind)):
                 engine.process(e)
+                assert len(engine.open_codes) <= config.strategy.p_max
             engine.finalize(110_000_000)
             logs.append(order_log(engine))
             tick_counts.append(len(ticks))
@@ -313,12 +339,12 @@ class TestBatchedDecisions:
         assert tick_counts[0] == tick_counts[1]
         # no batch runs once every stock is masked, that is once every deviation is 0
         assert batches and all(np.any(args[0].sgn_dp != 0) for args, _ in batches)
-        return logs[0], [kwargs["start"] for _, kwargs in batches]
+        return logs[0], [kwargs["start"] for _, kwargs in batches], engine
 
     @pytest.mark.parametrize("restarts", [3, 10])
     def test_batched_matches_sequential_reference(self, monkeypatch, restarts):
         config = helpers.convergence_params(restarts=restarts)
-        log, starts = self.matches_sequential_reference(monkeypatch, config)
+        log, starts, _ = self.matches_sequential_reference(monkeypatch, config)
         assert len(log) == 8  # four opens, four closes
         # the opened group and the two flat stocks (dp == 0) mask every stock, so nothing is re-batched
         assert not any(start > 0 for start in starts)
@@ -327,20 +353,32 @@ class TestBatchedDecisions:
     def test_rebatch_matches_sequential_reference(self, monkeypatch, restarts):
         config = helpers.convergence_params(restarts=restarts)
         config.strategy = replace(config.strategy, n_s=2)  # two pairs fit in p_max=4
-        log, starts = self.matches_sequential_reference(monkeypatch, config)
+        log, starts, _ = self.matches_sequential_reference(monkeypatch, config)
         assert len(log) >= 4  # a pair opened and closed
         # the opening decision re-batched the runs after the issuing one
         assert any(start > 0 for start in starts)
 
+    def test_room_gate_matches_sequential_reference(self, monkeypatch):
+        # a second group deviates while the first is open, so the room is full with unmasked stocks left
+        codes = helpers.make_universe(8).codes
+        second = [TickEvent(3_000_000 + k, c, "quote", a, b)
+                  for k, (c, (a, b)) in enumerate(signal_quotes(codes[4:], 40).items())]
+        config = helpers.convergence_params(restarts=10)
+        log, _, reference = self.matches_sequential_reference(
+            monkeypatch, config, reference=RoomCheckedSequentialEngine, n=8, extra=second)
+        opens = [code for _, code, _, action, _, _ in log if action == "open"]
+        assert opens[:4] == sorted(codes[:4]) and sorted(opens[4:]) == sorted(codes[4:])
+        # the second group opens once the first has closed; before that the reference accepted it with the room full
+        assert reference.room_rejections > 0
+
     def test_divergence_skips_events_and_still_closes(self, monkeypatch):
         batches = count_calls(monkeypatch, "sb_run")
         config = replace(helpers.convergence_params(), c0=1e308)
+        config.strategy = replace(config.strategy, p_max=8)  # room for a second group: the solver is reached
         engine = TradingEngine(helpers.make_universe(), helpers.convergence_corr(), config, seed=7,
                                fill_handler=FillModel().fill)
         codes = engine.universe.codes
-        signal = {codes[0]: (helpers.BASE - 20, helpers.BASE - 22), codes[1]: (helpers.BASE - 19, helpers.BASE - 21),
-                  codes[2]: (helpers.BASE + 22, helpers.BASE + 20), codes[3]: (helpers.BASE + 21, helpers.BASE + 19)}
-        prime_quotes(engine, quotes=signal)  # the signal would open a group, but every solve diverges
+        prime_quotes(engine, quotes=signal_quotes(codes))  # the signal would open a group, but every solve diverges
         assert not engine.positions
         engine.judge_open(np.array([0, 1, 2, 3]), engine._deviation(), ts=300_000)
         opened = len(engine.fills)
@@ -382,9 +420,7 @@ class TestOpenStockMasked:
         monkeypatch.setattr(eng, "evaluate_candidate", judged)
         engine = make_engine(p_max=8)
         codes = engine.universe.codes
-        signal = {codes[0]: (helpers.BASE - 20, helpers.BASE - 22), codes[1]: (helpers.BASE - 19, helpers.BASE - 21),
-                  codes[2]: (helpers.BASE + 22, helpers.BASE + 20), codes[3]: (helpers.BASE + 21, helpers.BASE + 19)}
-        prime_quotes(engine, quotes=signal)
+        prime_quotes(engine, quotes=signal_quotes(codes))
         engine.judge_open(np.array([0, 1, 2, 3]), engine._deviation(), ts=300_000)
         opened = len(engine.fills)
         verdicts.clear()

@@ -1,5 +1,7 @@
 """Tests for the ballistic-SB solver and the day/tick split machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -637,6 +639,19 @@ class TestFloat32:
         params = SbParams(c0=1e308)
         assert all(sol is not None for sol in helpers.reference_run_batch(p, params, [substream(0, 0)]))
         assert run_batch(p, params, [substream(0, 0)]) == [None]
+
+    @pytest.mark.parametrize("scaled", [("j_day", "h_day"), ("j_day",), ("h_day",)], ids="+".join)
+    def test_day_side_beyond_float32_range_rejected(self, scaled):
+        # run_batch would cast such an entry to inf and diverge every row; the split rejects it, without a warning
+        p = random_split(8, np.random.default_rng(0))
+        fields = dict(j_day=p.j_day, h_day=p.h_day, sgn_dp=p.sgn_dp, abs_dp=p.abs_dp, c1=p.c1, c3=p.c3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float32 range"):
+                SplitProblem(**{**fields, **{name: fields[name] * 1e39 for name in scaled}})
+            bound = float(np.finfo(np.float32).max) / max(np.abs(p.j_day).max(), np.abs(p.h_day).max())
+            in_range = SplitProblem(**{**fields, **{name: fields[name] * bound for name in scaled}})
+        assert np.isfinite(in_range.j_day32).all()
 
     def test_every_kernel_operand_is_float32(self, monkeypatch):
         # a float64 operand, 0-d included, would silently make its ufunc compute in float64
