@@ -2,11 +2,11 @@
 
 The engine owns one day's market state. On each quote change it rebuilds the
 deviation vector, whose mask is the one gate on which stocks may join a group,
-and refreshes the O(N) tick side of the split problem. Unless every stock is
-masked or the open list lacks room for a group (the room rule's one check), it
-solves one batch of restarts with fresh random initial states and opens the
-first accepted group. Closing is driven by the deviation sign crossing zero
-(taking the convergence profit) and by a forced unwind window before close.
+refreshes the O(N) tick side of the split problem, and, unless every stock is
+masked, solves one batch of restarts with fresh random initial states; an
+accepted group opens if the open list has room for it. Closing is driven by the
+deviation sign crossing zero (taking the convergence profit) and by a forced
+unwind window before session close.
 """
 
 from __future__ import annotations
@@ -190,12 +190,12 @@ class TradingEngine:
         Runs 0..restarts-1 are solved speculatively as one batch on the current
         split, then judged in index order. Opening masks the opened stocks, so
         after the first run that issues orders the preprocessing (deviation plus
-        tick update) is redone and only the later runs are re-batched. After each
-        preprocessing, no batch runs if every stock is masked or the open list has
-        no room for n_s more. Each run draws from its own (seed, day, event, run)
-        stream, so the decisions are those of solving and judging the runs one at
-        a time. A diverged row skips the rest of the event once the rows before it
-        are judged. `skipped_events` counts such events; a gated decision adds none.
+        tick update) is redone and only the later runs are re-batched. No batch
+        runs while every stock is masked. Each run draws from its own (seed,
+        day, event, run) stream, so the decisions are those of solving and
+        judging the runs one at a time. A diverged run skips the rest of the
+        event once the runs before it have been judged; `skipped_events` counts
+        it.
         """
         if ts >= self.config.session_close_us - self.config.t_force_us:
             return []  # inside the forced-unwind window; judgment would reject
@@ -204,7 +204,7 @@ class TradingEngine:
         while start < self.config.restarts:
             dev = self._deviation()
             self.split = update_tick(self.split, dev.sgn(), np.abs(dev.dp))
-            if dev.mask.all() or len(self.open_codes) + self.config.strategy.n_s > self.config.strategy.p_max:
+            if dev.mask.all():
                 break
             rngs = [
                 substream(self.seed, self.day_key, self.event_index, run_index)
@@ -220,17 +220,21 @@ class TradingEngine:
                 if not verdict.accepted:
                     continue
                 # check_constraints has rejected any run selecting a masked stock
-                issued.extend(self.judge_open(np.flatnonzero(np.asarray(sol.spins) > 0), dev, ts))
-                start = sol.run_index + 1  # re-batch the later runs under the new mask
-                break
+                orders = self.judge_open(np.flatnonzero(np.asarray(sol.spins) > 0), dev, ts)
+                if orders:
+                    issued.extend(orders)
+                    start = sol.run_index + 1  # re-batch the later runs under the new mask
+                    break
         return issued
 
     def judge_open(self, selected: np.ndarray, dev: DeviationVector, ts: int) -> list[Order]:
-        """Open the whole group (the caller has checked the room); register before issuing orders.
+        """Open the whole group if the open list has room for it; register before issuing orders.
 
         The group passed `check_constraints`, so no stock in it is masked: none is
         open or priced out, and each dp is nonzero, its sign giving the side.
         """
+        if len(self.open_codes) + len(selected) > self.config.strategy.p_max:
+            return []
         orders = []
         for i in selected:
             stock = self.universe.stocks[int(i)]

@@ -87,23 +87,30 @@ class TestJudgeOpen:
         assert by_code[engine.universe.codes[2]].intended_price == helpers.BASE - 1
         assert all(o.lots == helpers.LOTS for o in orders)
 
+    def test_p_max_rejects_whole_group(self):
+        engine = make_engine()
+        prime_quotes(engine)
+        dev = DeviationVector(
+            dp=np.array([-0.004, -0.004, 0.004, 0.004, -0.004, 0.004]),
+            mask=np.zeros(6, dtype=bool),
+        )
+        assert engine.judge_open(np.array([0, 1, 2, 3]), dev, ts=300_000)
+        # second group would exceed p_max=4
+        assert engine.judge_open(np.array([4, 5]), dev, ts=300_001) == []
+        assert len(engine.open_codes) == 4
 
-class TestRoomGate:
-    def test_full_room_runs_no_batch_and_issues_nothing(self, monkeypatch):
-        batches = count_calls(monkeypatch, "sb_run")
+    def test_full_room_issues_nothing(self):
         engine = make_engine()  # n_s = p_max = 4
         codes = engine.universe.codes
         prime_quotes(engine, quotes=signal_quotes(codes))  # the solver opens the scenario's group
         assert engine.open_codes == set(codes[:4])
         opened = len(engine.fills)
-        batches.clear()
         # stocks 4 and 5 deviate on both sides of VWAP, unmasked, but the open list is full
         engine.process(TickEvent(1_000_000, codes[4], "quote", helpers.BASE + 22, helpers.BASE + 20))
         engine.process(TickEvent(1_000_001, codes[5], "quote", helpers.BASE - 20, helpers.BASE - 22))
         dev = engine._deviation()
         assert not dev.mask[4:].any() and dev.dp[4] > 0 > dev.dp[5]
         assert engine.on_quote_change(1_000_002) == []
-        assert batches == []
         assert len(engine.fills) == opened
         assert len(engine.open_codes) <= engine.config.strategy.p_max
 
@@ -286,16 +293,15 @@ class SequentialEngine(TradingEngine):
         return issued
 
 
-class RoomCheckedSequentialEngine(SequentialEngine):
-    """The reference with the room rule in judgment: every decision solves, and a group without room is rejected."""
+class RoomCountingSequentialEngine(SequentialEngine):
+    """The reference, counting the accepted groups that judgment rejected for want of room."""
 
     room_rejections = 0
 
     def judge_open(self, selected, dev, ts):
-        if len(self.open_codes) + len(selected) > self.config.strategy.p_max:
-            self.room_rejections += 1
-            return []
-        return super().judge_open(selected, dev, ts)
+        orders = super().judge_open(selected, dev, ts)
+        self.room_rejections += not orders  # an accepted group is rejected only when the room is full
+        return orders
 
 
 def count_calls(monkeypatch, name):
@@ -358,23 +364,22 @@ class TestBatchedDecisions:
         # the opening decision re-batched the runs after the issuing one
         assert any(start > 0 for start in starts)
 
-    def test_room_gate_matches_sequential_reference(self, monkeypatch):
+    def test_full_room_matches_sequential_reference(self, monkeypatch):
         # a second group deviates while the first is open, so the room is full with unmasked stocks left
         codes = helpers.make_universe(8).codes
         second = [TickEvent(3_000_000 + k, c, "quote", a, b)
                   for k, (c, (a, b)) in enumerate(signal_quotes(codes[4:], 40).items())]
         config = helpers.convergence_params(restarts=10)
         log, _, reference = self.matches_sequential_reference(
-            monkeypatch, config, reference=RoomCheckedSequentialEngine, n=8, extra=second)
+            monkeypatch, config, reference=RoomCountingSequentialEngine, n=8, extra=second)
         opens = [code for _, code, _, action, _, _ in log if action == "open"]
         assert opens[:4] == sorted(codes[:4]) and sorted(opens[4:]) == sorted(codes[4:])
-        # the second group opens once the first has closed; before that the reference accepted it with the room full
+        # the second group opens once the first has closed; before that judgment rejected it with the room full
         assert reference.room_rejections > 0
 
     def test_divergence_skips_events_and_still_closes(self, monkeypatch):
         batches = count_calls(monkeypatch, "sb_run")
         config = replace(helpers.convergence_params(), c0=1e308)
-        config.strategy = replace(config.strategy, p_max=8)  # room for a second group: the solver is reached
         engine = TradingEngine(helpers.make_universe(), helpers.convergence_corr(), config, seed=7,
                                fill_handler=FillModel().fill)
         codes = engine.universe.codes
