@@ -3,13 +3,14 @@
 Orders fill at their intended prices (so the ask-bid spread cost is realized)
 and per-day transactions, P&L, and Sharpe-ratio inputs are reported. The
 correlation matrix for each day is the normalized average of up to the last
-five days' correlation factors built from that run's own one-second samples.
+`corr_window` days' correlation factors from that run's own one-second samples.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -182,36 +183,32 @@ def run_backcast(
 
     Without `corr_override`, the first `warmup_days` days only accumulate
     correlation history and never trade; afterwards each day trades against
-    the average of the preceding days' correlation factors. With an override
-    every day trades against the supplied matrix.
+    the average of the last `corr_window` days' factors, the only ones kept.
+    With an override every day trades against it and no day matrix is built.
     """
     report = BackcastReport(capital=config.strategy.a_trans * config.strategy.p_max)
-    history: list[np.ndarray] = []
+    history: deque[np.ndarray] = deque(maxlen=config.corr_window)
     fill_model = FillModel()
     for day_index, (date, path) in enumerate(day_feeds):
-        if corr_override is not None:
-            corr = corr_override
-        elif len(history) >= config.warmup_days:
-            corr = correlation_matrix(history, window=config.corr_window)
-        else:
-            corr = None
-        if corr is None:
+        if corr_override is None and day_index < config.warmup_days:
             history.append(replay_day_sigma(universe, path))
             report.days.append(DayRow(date=date, transactions=0.0, pnl=0.0, n_trades=0))
-        else:
-            engine = TradingEngine(
-                universe, corr, config, seed=seed, day_key=day_index, fill_handler=fill_model.fill
-            )
-            last_ts = 0
-            for e in replay(path):
-                engine.process(e)
-                last_ts = e.ts
-            engine.finalize(last_ts)
-            _log_day(path, engine.session, engine.skipped_events)
+            continue
+        corr = corr_override
+        if corr is None:
+            corr = correlation_matrix(list(history), window=config.corr_window)
+        engine = TradingEngine(universe, corr, config, seed=seed, day_key=day_index, fill_handler=fill_model.fill)
+        last_ts = 0
+        for e in replay(path):
+            engine.process(e)
+            last_ts = e.ts
+        engine.finalize(last_ts)
+        _log_day(path, engine.session, engine.skipped_events)
+        if corr_override is None:
             history.append(day_sigma_matrix(engine.session.samples.matrix()))
-            transactions, pnl, n_trades = _account_day(engine, universe, config.commission_rate)
-            report.days.append(DayRow(date=date, transactions=transactions, pnl=pnl, n_trades=n_trades))
-            for order, fill in engine.fills:
-                report.order_rows.append((fill.ts, order.code, order.side, order.lots, fill.price, order.action))
+        transactions, pnl, n_trades = _account_day(engine, universe, config.commission_rate)
+        report.days.append(DayRow(date=date, transactions=transactions, pnl=pnl, n_trades=n_trades))
+        for order, fill in engine.fills:
+            report.order_rows.append((fill.ts, order.code, order.side, order.lots, fill.price, order.action))
     report.finalize_stats()
     return report

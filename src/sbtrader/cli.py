@@ -113,11 +113,13 @@ def cmd_gen_feed(args) -> int:
 
 
 def cmd_corr(args) -> int:
+    if args.window < 1:
+        raise ValueError(f"--window must be >= 1, got {args.window}")
     universe = st.load_universe(args.universe)
-    daily = [bc.replay_day_sigma(universe, path) for path in args.feeds]
-    days = [Path(path).stem for path in args.feeds]
-    corr = st.correlation_matrix(daily, window=args.window)
-    st.save_correlation(args.out, corr, days)
+    feeds = args.feeds[-args.window :]
+    daily = [bc.replay_day_sigma(universe, path) for path in feeds]
+    days = [Path(path).stem for path in feeds]
+    st.save_correlation(args.out, st.correlation_matrix(daily, window=args.window), days)
     print(f"days={','.join(days)}")
     print(f"out={args.out}")
     return 0
@@ -174,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corr", help="build a correlation matrix from day feeds")
     p.add_argument("feeds", nargs="+", help="feed CSVs, one per day, oldest first")
     p.add_argument("--universe", required=True)
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--window", type=int, default=5, metavar="W", help="average the last W feeds; only those are read")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_corr)
 

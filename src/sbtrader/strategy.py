@@ -105,12 +105,13 @@ class StrategyParams:
             raise ValueError("n_s must be even and >= 2 (delta-neutral groups pair long/short)")
         if self.p_max < self.n_s:
             raise ValueError("p_max must be >= n_s (a smaller cap leaves no room for a group)")
+        f32_max = float(np.finfo(np.float32).max)  # the SB batch steps the c1, c2 and c3 terms in float32
         # chained comparisons are False for NaN
         for ok, message in (
             (0 < self.a_trans < math.inf, "a_trans must be positive and finite"),
-            (0 < self.c1 < math.inf, "c1 must be positive and finite"),
-            (0 <= self.c2 < math.inf, "c2 must be >= 0 and finite"),
-            (0 <= self.c3 < math.inf, "c3 must be >= 0 and finite"),
+            (0 < self.c1 < f32_max, "c1 must be positive and within float32 range (< 3.4e38)"),
+            (0 <= self.c2 < f32_max, "c2 must be >= 0 and within float32 range (< 3.4e38)"),
+            (0 <= self.c3 < f32_max, "c3 must be >= 0 and within float32 range (< 3.4e38)"),
         ):
             if not ok:
                 raise ValueError(message)

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import helpers
+from sbtrader import backcast as bc
 from sbtrader.backcast import BackcastReport, FillModel, run_backcast, sharpe, transaction_amount
 from sbtrader.engine import EngineConfig
 from sbtrader.feed import MarketSession, SynthSpec, TickEvent, replay, synth_generate, write_feed
-from sbtrader.strategy import StrategyParams
+from sbtrader.strategy import StrategyParams, correlation_matrix
 
 
 class TestSharpe:
@@ -178,6 +179,43 @@ class TestRunBackcast:
         config.warmup_days = 1
         report = run_backcast(feeds, uni, config, seed=3)  # no override: day 0 is warm-up
         assert report.days[0].n_trades == 0
+
+    def test_correlation_history_keeps_only_the_window(self, tmp_path, monkeypatch):
+        # six days, one warm-up day, window 3: the average never sees more than the last 3 days
+        uni = helpers.make_universe(4)
+        spec = SynthSpec(duration_s=20.0, quote_rate=0.5, trade_rate=0.3, vol=0.003)
+        feeds = []
+        for day in range(6):
+            path = tmp_path / f"d{day}.csv"
+            synth_generate(uni, spec, day, path)
+            feeds.append((f"d{day}", str(path)))
+        config = EngineConfig(
+            strategy=StrategyParams(n_s=4, p_max=4, c1=500.0, c2=50.0, c3=50.0, accept_threshold=float("inf")),
+            restarts=1,
+            n_step=20,
+            session_close_us=20_000_000,
+            t_force_us=5_000_000,
+            corr_window=3,
+            warmup_days=1,
+        )
+        received = []
+
+        def spy(daily, window):
+            received.append(len(daily))
+            return correlation_matrix(daily, window)
+
+        monkeypatch.setattr(bc, "correlation_matrix", spy)
+        report = run_backcast(feeds, uni, config, seed=1)
+        assert received == [1, 2, 3, 3, 3]
+        assert len(report.days) == 6 and report.days[0].n_trades == 0
+
+    def test_override_builds_no_day_matrix(self, tmp_path, monkeypatch):
+        uni, feeds = scenario_feeds(tmp_path)
+        monkeypatch.setattr(bc, "day_sigma_matrix", lambda samples: pytest.fail("a day matrix was built"))
+        config = helpers.convergence_params()
+        report = run_backcast(feeds * 2, uni, config, seed=3, corr_override=helpers.convergence_corr())
+        assert [d.n_trades for d in report.days] == [report.days[0].n_trades] * 2
+        assert report.days[0].n_trades > 0
 
     def test_accounting_identity_against_order_log(self, tmp_path):
         uni, feeds = scenario_feeds(tmp_path)

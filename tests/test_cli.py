@@ -68,6 +68,17 @@ class TestSolve:
         assert code == 1
         assert ":2" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("2\nnan 0\n0 -1\n", "non-finite"), ("0\n", ":1: matrix size must be >= 1")],
+        ids=["nan-entry", "size-0"],
+    )
+    def test_bad_qubo_file_exit_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "q.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "solve", "--qubo", str(path))
+        assert code == 1 and message in err and "spins=" not in out
+
     def test_strategy_instance_accepted(self, tmp_path, capsys):
         files = helpers.write_convergence_fixture(tmp_path)
         dev = tmp_path / "dev.txt"
@@ -135,6 +146,23 @@ class TestSolve:
             "--config", str(files["config"]),
         )
         assert code == 1 and f"{dev}:3:" in err and "finite" in err
+
+    @pytest.mark.parametrize(
+        "line, message", [("-0.004,0,1", "expected `dp` or `dp,mask`"), ("abc", "cannot parse deviation entry")]
+    )
+    def test_malformed_deviation_line_exit_1(self, tmp_path, capsys, line, message):
+        files = helpers.write_convergence_fixture(tmp_path)
+        dev = tmp_path / "dev.txt"
+        dev.write_text(f"-0.0042\n{line}\n0.0042\n0.004\n0\n0\n")
+        code, out, err = run_cli(
+            capsys,
+            "solve",
+            "--universe", str(files["universe"]),
+            "--deviations", str(dev),
+            "--corr", str(files["corr"]),
+            "--config", str(files["config"]),
+        )
+        assert code == 1 and f"{dev}:2: {message}" in err and out == ""
 
     @pytest.mark.parametrize("value, lineno", [("7", 1), ("-1", 3), ("2", 6)])
     def test_mask_other_than_0_or_1_exit_1(self, tmp_path, capsys, value, lineno):
@@ -272,6 +300,40 @@ class TestGenFeedAndCorr:
         assert np.all(corr.sigma >= 0) and np.all(corr.sigma <= 1)
 
 
+    def test_corr_reads_only_the_last_window_feeds(self, tmp_path, capsys):
+        files = helpers.write_convergence_fixture(tmp_path)
+        spec = tmp_path / "synth.cfg"
+        spec.write_text("duration_s=30\nquote_rate=1.0\ntrade_rate=1.0\n")
+        feeds = []
+        for day in range(3):
+            feed = tmp_path / f"day{day}.csv"
+            run_cli(capsys, "gen-feed", "--universe", str(files["universe"]),
+                    "--spec", str(spec), "--seed", str(day), "--out", str(feed))
+            feeds.append(str(feed))
+        Path(feeds[0]).write_text("not,a,feed\n")  # replaying it would exit 1
+        out, alone = tmp_path / "sigma.txt", tmp_path / "alone.txt"
+        code, stdout, _ = run_cli(
+            capsys, "corr", *feeds, "--universe", str(files["universe"]), "--window", "2", "--out", str(out)
+        )
+        assert code == 0
+        assert "days=day1,day2" in stdout.splitlines()
+        assert out.read_text().splitlines()[0] == "# days: day1,day2"
+        code, _, _ = run_cli(capsys, "corr", *feeds[1:], "--universe", str(files["universe"]), "--out", str(alone))
+        assert code == 0 and out.read_bytes() == alone.read_bytes()
+
+    @pytest.mark.parametrize("window", ["0", "-1"])
+    def test_corr_window_below_one_exits_before_replay(self, tmp_path, capsys, monkeypatch, window):
+        files = helpers.write_convergence_fixture(tmp_path)
+        feeds = [str(p) for p in files["feed_dir"].glob("*.csv")]
+        monkeypatch.setattr(bc, "replay", lambda path: pytest.fail("a feed was replayed"))
+        out = tmp_path / "sigma.txt"
+        code, stdout, err = run_cli(
+            capsys, "corr", *feeds, "--universe", str(files["universe"]), "--window", window, "--out", str(out)
+        )
+        assert code == 1 and "--window must be >= 1" in err and stdout == ""
+        assert not out.exists()
+
+
 class TestBackcast:
     def test_fixture_run_and_reports(self, tmp_path, capsys):
         files = helpers.write_convergence_fixture(tmp_path, commission_rate=0.0005)
@@ -341,11 +403,13 @@ class TestBackcast:
         assert code == 1 and "a_trans" in err
         assert not (tmp_path / "o").exists()
 
-    def test_coupling_beyond_float32_range_exits_before_replay(self, tmp_path, capsys, monkeypatch):
-        # c2=1e39 puts day couplings beyond float32 range, where every SB row would diverge
+    @pytest.mark.parametrize("old, new", [("c1=1000", "c1=1e42"), ("c2=30", "c2=1e39"), ("c3=30", "c3=1e39")],
+                             ids=["c1=1e42", "c2=1e39", "c3=1e39"])
+    def test_coupling_beyond_float32_range_exits_before_replay(self, tmp_path, capsys, monkeypatch, old, new):
+        # the SB batch steps in float32; a coefficient beyond its range would diverge every row
         files = helpers.write_convergence_fixture(tmp_path)
         bad = tmp_path / "bad.cfg"
-        bad.write_text(files["config"].read_text().replace("c2=30", "c2=1e39"))
+        bad.write_text(files["config"].read_text().replace(old, new))
         monkeypatch.setattr(bc, "replay", lambda path: pytest.fail("a feed was replayed"))
         code, _, err = run_cli(
             capsys,
@@ -356,7 +420,36 @@ class TestBackcast:
             "--corr", str(files["corr"]),
             "--out", str(tmp_path / "o"),
         )
-        assert code == 1 and "float32 range" in err
+        assert code == 1 and f"{new[:2]} " in err and "float32 range" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\nnan 0.5\n0.5 0\n", "sigma contains non-finite entries"),
+            ("2\n0 0.5\n0.4 0\n", "sigma must be symmetric"),
+            ("2\n0 1.5\n1.5 0\n", "sigma entries must lie in [0, 1]"),
+            ("2\n0 0.5\n0.5 0\n", "correlation matrix size must match the universe"),
+            ("2.5\n0 0.5\n0.5 0\n", ":1: expected matrix size, got '2.5'"),
+            ("0\n", ":1: matrix size must be >= 1"),
+            ("2\n0 0.5\n", ": expected 2 rows, got 1"),
+        ],
+        ids=["non-finite", "asymmetric", "outside-0-1", "size-mismatch", "size-not-int", "size-0", "too-few-rows"],
+    )
+    def test_bad_correlation_file_exits_before_replay(self, tmp_path, capsys, monkeypatch, text, message):
+        files = helpers.write_convergence_fixture(tmp_path)
+        files["corr"].write_text(text)
+        monkeypatch.setattr(bc, "replay", lambda path: pytest.fail("a feed was replayed"))
+        code, out, err = run_cli(
+            capsys,
+            "backcast",
+            "--feed-dir", str(files["feed_dir"]),
+            "--universe", str(files["universe"]),
+            "--config", str(files["config"]),
+            "--corr", str(files["corr"]),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1 and message in err and out == ""
         assert not (tmp_path / "o").exists()
 
     def test_golden_reports(self, tmp_path, capsys):
@@ -394,6 +487,27 @@ class TestBackcast:
             "--out", str(tmp_path / "o"),
         )
         assert code == 1 and f"{files['universe']}:3:" in err and "base_price" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "row, message", [("1002,5000.0,0", "min_lot must be >= 1"), ("1002,5000.0,100,x", "expected 3 fields")]
+    )
+    def test_bad_universe_row_exits_before_replay(self, tmp_path, capsys, monkeypatch, row, message):
+        files = helpers.write_convergence_fixture(tmp_path)
+        lines = files["universe"].read_text().splitlines()
+        lines[2] = row
+        files["universe"].write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(bc, "replay", lambda path: pytest.fail("a feed was replayed"))
+        code, out, err = run_cli(
+            capsys,
+            "backcast",
+            "--feed-dir", str(files["feed_dir"]),
+            "--universe", str(files["universe"]),
+            "--config", str(files["config"]),
+            "--corr", str(files["corr"]),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1 and f"{files['universe']}:3:" in err and message in err and out == ""
         assert not (tmp_path / "o").exists()
 
     def test_overflowing_lot_count_exits_before_replay(self, tmp_path, capsys, monkeypatch):

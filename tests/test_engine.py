@@ -512,6 +512,11 @@ class TestEngineConfig:
             ("c2=nan", "c2"),
             ("c3=inf", "c3"),
             ("c3=nan", "c3"),
+            ("c1=1e42", "c1"),
+            ("c2=1e39", "c2"),
+            ("c3=1e39", "c3"),
+            ("session_close_s=0", "session_close_us"),
+            ("warmup_days=-1", "warmup_days"),
             ("n_s=abc", "n_s"),
             ("n_steps=100", "n_steps"),
         ],

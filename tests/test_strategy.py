@@ -510,6 +510,14 @@ class TestFilesAndConfig:
             config_from_kv(StrategyParams, {"p_max": "2"})
         assert StrategyParams(n_s=2, p_max=2).p_max == 2
 
+    @pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+    def test_coefficient_at_float32_max_rejected(self, name):
+        # the SB batch steps in float32, so a coefficient it cannot represent would diverge every row
+        top = float(np.finfo(np.float32).max)
+        assert getattr(StrategyParams(**{name: top * (1 - 1e-9)}), name) < top
+        with pytest.raises(ValueError, match=rf"^{name} .*float32 range"):
+            StrategyParams(**{name: top})
+
     def test_nan_accept_threshold_rejected_infinities_kept(self):
         with pytest.raises(ValueError, match="accept_threshold"):
             StrategyParams(accept_threshold=float("nan"))
