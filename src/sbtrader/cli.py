@@ -86,8 +86,12 @@ def cmd_solve(args) -> int:
     universe = st.load_universe(args.universe)
     corr = st.load_correlation(args.corr)
     dev = _load_deviations(args.deviations, universe.n)
-    split = st.build_split(dev, corr, config.strategy)
-    sol = sb.solve(split, params)
+    keep = np.flatnonzero(~dev.mask)  # the engine's selection path: solve the unmasked stocks alone
+    split = sb.restrict(st.build_split(dev, corr, config.strategy), keep)
+    if keep.size:
+        sol = sb.expand([sb.solve(split, params)], keep, universe.n)[0]
+    else:  # every stock is masked: the empty group is all that is left, and no batch runs
+        sol = sb.SbSolution(spins=-np.ones(universe.n), energy=split.offset_day, run_index=0, elapsed=0.0)
     verdict = st.evaluate_candidate(sol, dev, corr, config.strategy)
     selected = np.flatnonzero(np.asarray(sol.spins) > 0)
     sides = ["long" if dev.dp[i] < 0 else "short" for i in selected]

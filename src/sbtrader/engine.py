@@ -3,8 +3,9 @@
 The engine owns one day's market state. On each quote change it rebuilds the
 deviation vector, whose mask is the one gate on which stocks may join a group,
 refreshes the O(N) tick side of the split problem, and, unless every stock is
-masked, solves one batch of restarts with fresh random initial states; an
-accepted group opens if the open list has room for it. Closing is driven by the
+masked, solves one batch of restarts with fresh random initial states over the
+unmasked stocks alone (`sb.restrict`, O(N + k^2) for k unmasked); an accepted
+group opens if the open list has room for it. Closing is driven by the
 deviation sign crossing zero (taking the convergence profit) and by a forced
 unwind window before session close.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .feed import MarketSession, TickEvent
-from .sb import SbParams, run_batch as sb_run, substream, update_tick
+from .sb import SbParams, expand, restrict, run_batch as sb_run, substream, update_tick
 from .strategy import (
     CorrelationMatrix,
     DeviationVector,
@@ -187,39 +188,44 @@ class TradingEngine:
     def on_quote_change(self, ts: int, code: str | None = None) -> list[Order]:
         """Re-solve after a quote change; returns any orders issued.
 
-        Runs 0..restarts-1 are solved speculatively as one batch on the current
-        split, then judged in index order. Opening masks the opened stocks, so
-        after the first run that issues orders the preprocessing (deviation plus
-        tick update) is redone and only the later runs are re-batched. No batch
-        runs while every stock is masked. Each run draws from its own (seed,
-        day, event, run) stream, so the decisions are those of solving and
-        judging the runs one at a time. A diverged run skips the rest of the
-        event once the runs before it have been judged; `skipped_events` counts
-        it.
+        Runs 0..restarts-1 are solved speculatively as one batch, then judged in
+        index order. The batch solves only the unmasked stocks: `restrict` fixes
+        every masked spin at -1, which changes neither the groups that
+        `check_constraints` accepts nor their energies, and `expand` writes the
+        spins back to length N. Opening masks the opened stocks, so after the
+        first run that issues orders the preprocessing (deviation plus tick
+        update) is redone and only the later runs are re-batched, unless the
+        opening has left no room for another group. No batch runs while every
+        stock is masked. Each run draws from its own (seed, day, event, run)
+        stream, so the decisions are those of solving and judging the runs one
+        at a time. A diverged run skips the rest of the event once the runs
+        before it have been judged; `skipped_events` counts it.
         """
         if ts >= self.config.session_close_us - self.config.t_force_us:
             return []  # inside the forced-unwind window; judgment would reject
         issued: list[Order] = []
         start = 0
+        strategy = self.config.strategy
         while start < self.config.restarts:
             dev = self._deviation()
             self.split = update_tick(self.split, dev.sgn(), np.abs(dev.dp))
-            if dev.mask.all():
-                break
+            if dev.mask.all() or (start > 0 and len(self.open_codes) + strategy.n_s > strategy.p_max):
+                break  # nothing may join a group, or an opening has filled the room for the later runs
+            keep = np.flatnonzero(~dev.mask)
             rngs = [
                 substream(self.seed, self.day_key, self.event_index, run_index)
                 for run_index in range(start, self.config.restarts)
             ]
-            batch = sb_run(self.split, self._params, rngs, start=start)
+            batch = expand(sb_run(restrict(self.split, keep), self._params, rngs, start=start), keep, dev.n)
             start = self.config.restarts
             for sol in batch:
                 if sol is None:
                     self.skipped_events += 1
                     return issued
-                verdict = evaluate_candidate(sol, dev, self.corr, self.config.strategy)
+                verdict = evaluate_candidate(sol, dev, self.corr, strategy)
                 if not verdict.accepted:
                     continue
-                # check_constraints has rejected any run selecting a masked stock
+                # expand left every masked stock out of the group
                 orders = self.judge_open(np.flatnonzero(np.asarray(sol.spins) > 0), dev, ts)
                 if orders:
                     issued.extend(orders)

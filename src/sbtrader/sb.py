@@ -5,11 +5,19 @@ penalty) is applied through one matrix product per step; the tick component
 (price deviations and the long/short balance penalty) enters through O(N)
 intermediate values only, so a quote change never touches the dense storage.
 
+A decision solves only the stocks that may join a group. `restrict` fixes
+every other spin at -1, which moves its couplings into the kept biases and a
+constant into the offset, and gathers the kept blocks of the day matrices in
+O(n + k^2) for k kept stocks; `expand` writes the spins back to length n. The
+fixed stocks have no tick terms, so every assignment of the kept spins keeps
+its energy, and the batch searches 2^k states instead of 2^n.
+
 Restarts run as one batch (`run_batch`): positions and momenta are (R, N)
 float32 matrices, each step is a single `x @ j_day32` product (the day
-couplings are symmetric; the float32 copy is made once per day split), and
-row r draws its initial momenta from the RNG stream the caller passes for it,
-so a run keeps its key whichever batch it lands in. c0, the tick biases, the
+couplings are symmetric; the float32 copy is made once per day split, and
+`restrict` gathers its kept block), and row r draws its initial momenta from
+the RNG stream the caller passes for it, so a run keeps its key whichever
+batch it lands in. c0, the tick biases, the
 scalars and the work buffers are cast or set up once per batch, and every step
 runs in place. The wall maps x to x/|x| wherever |x| > 1: exactly +-1 for a
 finite x, NaN for an inf, and a NaN stays NaN. A row that goes non-finite
@@ -54,6 +62,8 @@ __all__ = [
     "pick_best",
     "solve",
     "update_tick",
+    "restrict",
+    "expand",
     "default_c0",
 ]
 
@@ -71,8 +81,10 @@ class SbParams:
     rescales time, so a0 sets the effective anneal length at fixed n_step*dt;
     the default pairing (a0=10 with c0 = 1.5 a0 / (sqrt(n) * rms of nonzero
     day couplings)) was calibrated against the brute-force oracle on
-    selection instances. `run_batch` steps in float32, so a c0 beyond float32 range
-    (about 3.4e38) makes every row diverge; SplitProblem rejects such couplings.
+    selection instances, where nothing is masked. On a restricted split
+    (`restrict`), n and the rms are those of the k kept stocks. `run_batch`
+    steps in float32, so a c0 beyond float32 range (about 3.4e38) makes every
+    row diverge; SplitProblem rejects such couplings.
     """
 
     n_step: int = 300
@@ -121,9 +133,11 @@ class SplitProblem:
     the day-side QUBO-to-Ising conversion so reconstructed energies match the
     QUBO exactly. day_rms, derived here once per day split, is the rms of the
     nonzero day couplings (0.0 when there are none); default_c0 reads it.
-    j_day32, derived next to it, is the float32 copy of j_day that run_batch
-    steps with; a j_day or h_day entry beyond float32 range, which would diverge
-    every row there, is rejected. update_tick's shallow copy shares both by identity.
+    day_row_sum, derived next to it, holds the row sums of j_day, from which
+    restrict reads the couplings to the fixed stocks. j_day32 is the float32
+    copy of j_day that run_batch steps with; a j_day or h_day entry beyond
+    float32 range, which would diverge every row there, is rejected.
+    update_tick's shallow copy shares all three by identity.
     """
 
     j_day: np.ndarray
@@ -147,8 +161,8 @@ class SplitProblem:
             self.j_day32 = _cache_line_aligned(self.j_day, np.float32)
             if not (np.isfinite(self.j_day32).all() and np.isfinite(self.h_day.astype(np.float32)).all()):
                 raise ValueError("j_day and h_day must be finite within float32 range (about 3.4e38)")
-        nonzero = self.j_day[self.j_day != 0.0]  # the diagonal is zero: off-diagonal, row-major
-        self.day_rms = float(np.sqrt(np.mean(nonzero**2))) if nonzero.size else 0.0
+        self.day_rms = _rms_nonzero(self.j_day)
+        self.day_row_sum = self.j_day.sum(axis=1)
         self.sgn_dp, self.abs_dp = _checked_tick(n, self.sgn_dp, self.abs_dp)
         if self.c1 < 0.0 or self.c3 < 0.0:
             raise ValueError("c1 and c3 must be >= 0")
@@ -170,6 +184,12 @@ def _cache_line_aligned(a: np.ndarray, dtype) -> np.ndarray:
     out = buf[start : start + nbytes].view(dtype).reshape(a.shape)
     out[...] = a
     return out
+
+
+def _rms_nonzero(j: np.ndarray) -> float:
+    """rms of the nonzero entries of j, taken row-major; 0.0 when there are none."""
+    nonzero = j[j != 0.0]
+    return float(np.sqrt(np.mean(nonzero**2))) if nonzero.size else 0.0
 
 
 def _check_vector(name: str, vec: np.ndarray, n: int) -> None:
@@ -464,7 +484,7 @@ def update_tick(
     """Replace the O(n) tick fields in O(n) time.
 
     Only the tick fields are checked; the day side, checked when p was built,
-    is shared by identity, and so is its derived day_rms.
+    is shared by identity, and so are its derived day_rms and day_row_sum.
     """
     sgn_dp, abs_dp = _checked_tick(p.n, sgn_dp, abs_dp)
     if counter is not None:
@@ -472,3 +492,47 @@ def update_tick(
     q = copy.copy(p)  # a shallow copy skips __post_init__ and its O(n^2) day checks
     q.sgn_dp, q.abs_dp = sgn_dp.copy(), abs_dp.copy()
     return q
+
+
+def restrict(p: SplitProblem, keep: np.ndarray) -> SplitProblem:
+    """The split over the stocks in keep, with every other spin fixed at -1; O(n + k^2) for k kept.
+
+    Fixing spin m at -1 adds sum_m J_am to the bias of each kept stock a, and
+    -1/2 sum_{m,m'} J_mm' - sum_m h_m to the offset. A fixed stock must have no
+    tick terms (sgn_dp = abs_dp = 0, as for a masked stock), so each assignment
+    of the kept spins keeps its energy. sum_m J_am is read from the day's
+    day_row_sum minus the kept block's row sums. The kept blocks are gathered
+    from j_day and j_day32, so nothing is cast or checked again; day_rms and
+    day_row_sum are those of the kept block, so default_c0 sees the kept size.
+    """
+    keep = np.asarray(keep, dtype=np.intp)
+    fixed = np.ones(p.n, dtype=bool)
+    fixed[keep] = False
+    if np.any(p.sgn_dp[fixed] != 0.0):  # abs_dp is 0 wherever sgn_dp is (_checked_tick)
+        raise ValueError("a fixed stock must have sgn_dp == 0")
+    block = np.ix_(keep, keep)
+    q = copy.copy(p)  # c1 and c3 carry over; every other field is replaced
+    q.j_day, q.j_day32 = p.j_day[block], p.j_day32[block]
+    q.day_rms = _rms_nonzero(q.j_day)
+    q.day_row_sum = q.j_day.sum(axis=1)
+    to_fixed = p.day_row_sum[keep] - q.day_row_sum
+    q.h_day = p.h_day[keep] + to_fixed
+    q.sgn_dp, q.abs_dp = p.sgn_dp[keep], p.abs_dp[keep]
+    fixed_pairs = float(p.day_row_sum[fixed].sum()) - float(to_fixed.sum())
+    q.offset_day = p.offset_day - 0.5 * fixed_pairs - float(p.h_day[fixed].sum())
+    return q
+
+
+def expand(sols: list[SbSolution | None], keep: np.ndarray, n: int) -> list[SbSolution | None]:
+    """Solutions of restrict(p, keep) as solutions of p: spins written back to length n, -1 outside keep.
+
+    The energy is unchanged, since restrict keeps each assignment's energy; a None row stays None.
+    """
+    expanded = []
+    for sol in sols:
+        if sol is not None:
+            spins = np.full(n, -1.0)
+            spins[keep] = sol.spins
+            sol = SbSolution(spins=spins, energy=sol.energy, run_index=sol.run_index, elapsed=sol.elapsed)
+        expanded.append(sol)
+    return expanded

@@ -7,9 +7,19 @@ import pytest
 
 import helpers
 from sbtrader import backcast as bc
+from sbtrader import sb
 from sbtrader.cli import _load_deviations, main
-from sbtrader.ising import save_matrix
-from sbtrader.strategy import CorrelationMatrix, load_correlation, save_correlation, save_universe
+from sbtrader.engine import EngineConfig
+from sbtrader.ising import ising_energy, save_matrix
+from sbtrader.strategy import (
+    CorrelationMatrix,
+    build_split,
+    config_from_kv,
+    load_correlation,
+    read_kv,
+    save_correlation,
+    save_universe,
+)
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -189,7 +199,7 @@ class TestSolve:
         assert loaded.dp.tolist() == [0.0, -0.004, 0.0042]
 
     def test_zero_deviation_masked_exit_2(self, tmp_path, capsys):
-        # dp == 0 gives C and D no side: the group A, B, C, D balances but holds masked stocks
+        # dp == 0 gives C and D no side, so only A and B are solved: two stocks cannot make a group of four
         save_universe(tmp_path / "u.csv", helpers.make_universe(4))
         sigma = np.full((4, 4), 0.1)
         np.fill_diagonal(sigma, 0.0)
@@ -205,8 +215,30 @@ class TestSolve:
             "--config", str(tmp_path / "s.cfg"),
         )
         assert code == 2
-        assert "spins=++++" in out and "reason=masked: selection includes a masked stock" in out
-        assert "accepted=False" in out
+        assert "spins=++--" in out and "reason=count: selected 2 != n_s 4" in out
+        assert "masked" not in out and "accepted=False" in out
+
+    def test_all_masked_runs_no_batch(self, tmp_path, capsys, monkeypatch):
+        files = helpers.write_convergence_fixture(tmp_path)
+        dev = tmp_path / "dev.txt"
+        dev.write_text("-0.0042,1\n0\n0.0042,1\n0\n0\n0\n")
+        monkeypatch.setattr(sb, "run_batch", lambda *args, **kwargs: pytest.fail("a batch ran with every stock masked"))
+        code, out, _ = run_cli(
+            capsys,
+            "solve",
+            "--universe", str(files["universe"]),
+            "--deviations", str(dev),
+            "--corr", str(files["corr"]),
+            "--config", str(files["config"]),
+        )
+        assert code == 2
+        assert "spins=------" in out and "selected=\n" in out
+        assert "reason=count: selected 0 != n_s 4" in out and "accepted=False" in out
+        # the printed energy is that of the empty group on the full problem
+        config = config_from_kv(EngineConfig, read_kv(files["config"]))
+        split = build_split(_load_deviations(dev, 6), load_correlation(files["corr"]), config.strategy)
+        energy = float(next(l for l in out.splitlines() if l.startswith("energy="))[len("energy="):])
+        assert energy == pytest.approx(ising_energy(sb.dense_reconstruct(split), -np.ones(6)), abs=1e-9)
 
     def test_misspelt_config_key_exit_1(self, tmp_path, capsys):
         files = helpers.write_convergence_fixture(tmp_path)

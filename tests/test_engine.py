@@ -16,7 +16,7 @@ from sbtrader.engine import (
     TradingEngine,
 )
 from sbtrader.feed import PriceBuffer, TickEvent
-from sbtrader.sb import DivergenceError, SbSolution, run, substream
+from sbtrader.sb import DivergenceError, SbSolution, expand, restrict, run, substream
 from sbtrader.strategy import (
     CorrelationMatrix,
     DeviationVector,
@@ -264,7 +264,10 @@ class TestQuoteChangeFlow:
 
 
 class SequentialEngine(TradingEngine):
-    """Reference decision loop: one solver run at a time, re-preprocessing after an issuing run."""
+    """Reference decision loop: one solver run at a time, re-preprocessing after an issuing run.
+
+    Each run solves the same restricted split as the batch, so the comparison tests batching alone.
+    """
 
     def on_quote_change(self, ts, code=None):
         if ts >= self.config.session_close_us - self.config.t_force_us:
@@ -278,9 +281,11 @@ class SequentialEngine(TradingEngine):
                 need_preprocess = False
                 if dev.mask.all():
                     break
+                keep = np.flatnonzero(~dev.mask)
+                restricted = restrict(self.split, keep)
             rng = substream(self.seed, self.day_key, self.event_index, run_index)
             try:
-                sol = run(self.split, self._params, rng, run_index=run_index)
+                sol = expand([run(restricted, self._params, rng, run_index=run_index)], keep, dev.n)[0]
             except DivergenceError:
                 self.skipped_events += 1
                 break
@@ -364,6 +369,40 @@ class TestBatchedDecisions:
         # the opening decision re-batched the runs after the issuing one
         assert any(start > 0 for start in starts)
 
+    def test_opening_that_fills_the_room_runs_one_batch(self, monkeypatch):
+        # n_s = p_max: once a group opens no later run can, so its decision re-batches nothing
+        batches = count_calls(monkeypatch, "sb_run")
+        engine = make_engine(restarts=10)
+        codes = engine.universe.codes
+        b = helpers.BASE
+        for i, c in enumerate(codes):
+            engine.process(TickEvent(i, c, "trade", b, 100))
+        # stocks 4 and 5 deviate first, so they are still unmasked when the group opens
+        quotes = {codes[4]: (b + 22, b + 20), codes[5]: (b - 20, b - 22), **signal_quotes(codes)}
+        opening = []
+        for k, (c, (ask, bid)) in enumerate(quotes.items()):
+            before = len(batches)
+            engine.process(TickEvent(200_000 + k, c, "quote", ask, bid))
+            if engine.open_codes:
+                opening.append(len(batches) - before)
+                break
+        assert opening == [1] and len(engine.open_codes) == engine.config.strategy.p_max
+        assert not engine._deviation().mask.all()  # unmasked stocks are left, yet no batch ran for them
+        assert all(kwargs["start"] == 0 for _, kwargs in batches)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pairs_scenario_opens_both_pairs(self, seed):
+        # with n_s=2 the scenario holds two balanced pairs, and p_max=4 has room for both
+        config = helpers.convergence_params()
+        config.strategy = replace(config.strategy, n_s=2)
+        engine = TradingEngine(helpers.make_universe(), helpers.convergence_corr(), config, seed=seed,
+                               fill_handler=FillModel().fill)
+        for e in helpers.convergence_events(engine.universe.codes):
+            engine.process(e)
+        engine.finalize(110_000_000)
+        assert sorted(p.code for p in engine.positions) == engine.universe.codes[:4]
+        assert all(p.state == CLOSED for p in engine.positions)
+
     def test_full_room_matches_sequential_reference(self, monkeypatch):
         # a second group deviates while the first is open, so the room is full with unmasked stocks left
         codes = helpers.make_universe(8).codes
@@ -407,36 +446,40 @@ class TestBatchedDecisions:
 
 
 class TestOpenStockMasked:
-    def test_row_selecting_an_open_stock_rejected_as_masked(self, monkeypatch):
-        # check_constraints, through the open-stock mask, is the one guard against re-opening a stock
-        spins = np.array([-1.0, -1.0, 1.0, 1.0, 1.0, 1.0])  # stocks 2 and 3 (opened below) plus 4 and 5
+    def test_open_stocks_left_out_of_the_solve(self, monkeypatch):
+        # the open-stock mask keeps a stock out of the split the solver sees, so no row can re-open it
+        solved, judged = [], []
 
-        def stub(p, params, rngs, start=0):
-            return [SbSolution(spins=spins.copy(), energy=0.0, run_index=start + r, elapsed=0.0)
+        def stub(p, params, rngs, start=0):  # every row selects every stock it is given
+            solved.append(p)
+            return [SbSolution(spins=np.ones(p.n), energy=0.0, run_index=start + r, elapsed=0.0)
                     for r in range(len(rngs))]
 
-        verdicts, evaluate = [], eng.evaluate_candidate
+        evaluate = eng.evaluate_candidate
 
-        def judged(*args):
-            verdicts.append(evaluate(*args))
-            return verdicts[-1]
+        def recorded(sol, *args):
+            judged.append(sol.spins)
+            return evaluate(sol, *args)
 
         monkeypatch.setattr(eng, "sb_run", stub)
-        monkeypatch.setattr(eng, "evaluate_candidate", judged)
+        monkeypatch.setattr(eng, "evaluate_candidate", recorded)
         engine = make_engine(p_max=8)
         codes = engine.universe.codes
         prime_quotes(engine, quotes=signal_quotes(codes))
-        engine.judge_open(np.array([0, 1, 2, 3]), engine._deviation(), ts=300_000)
+        assert engine.open_codes == set(codes[:4])  # the first row holding all four signal stocks opened them
         opened = len(engine.fills)
-        verdicts.clear()
+        solved.clear()
+        judged.clear()
         engine.process(TickEvent(1_000_000, codes[4], "quote", helpers.BASE + 22, helpers.BASE + 20))
         engine.process(TickEvent(1_000_001, codes[5], "quote", helpers.BASE - 20, helpers.BASE - 22))
+        # the two decisions solve stock 4 alone, then stocks 4 and 5: the unmasked stocks, nothing else
+        assert [p.n for p in solved] == [1, 2]
+        assert solved[0].sgn_dp.tolist() == [1.0] and solved[1].sgn_dp.tolist() == [1.0, -1.0]
         restarts = engine.config.restarts
-        assert len(verdicts) == 2 * restarts
-        assert not any(v.accepted for v in verdicts)
-        assert all(any(r.startswith("masked") for r in v.reasons) for v in verdicts)
-        # once stocks 4 and 5 balance each other, the mask is the only reason left
-        assert all(v.reasons == ("masked: selection includes a masked stock",) for v in verdicts[-restarts:])
+        assert len(judged) == 2 * restarts
+        # each expanded row has the open stocks' bits at 0 and selects only the unmasked ones
+        assert all(s.tolist() == [-1.0] * 4 + [1.0, -1.0] for s in judged[:restarts])
+        assert all(s.tolist() == [-1.0] * 4 + [1.0, 1.0] for s in judged[restarts:])
         assert len(engine.fills) == opened and engine.open_codes == set(codes[:4])
 
 

@@ -18,8 +18,10 @@ from sbtrader.sb import (
     compute_h_tick,
     default_c0,
     dense_reconstruct,
+    expand,
     initial_state,
     pick_best,
+    restrict,
     run,
     run_batch,
     solve,
@@ -427,6 +429,107 @@ class TestDefaultC0:
         c0 = default_c0(p, 10.0)
         p.j_day = np.full((8, 8), np.nan)
         assert default_c0(update_tick(p, p.sgn_dp, p.abs_dp), 10.0) == c0
+
+
+def masked_split(n, rng):
+    """A random split, its kept (unmasked) stocks and its masked ones; a masked stock has no tick terms."""
+    p = random_split(n, rng)
+    mask = rng.uniform(size=n) < 0.4
+    mask[rng.integers(n)] = False  # at least one stock kept
+    p = update_tick(p, np.where(mask, 0.0, p.sgn_dp), np.where(mask, 0.0, p.abs_dp))
+    return p, np.flatnonzero(~mask), np.flatnonzero(mask)
+
+
+def all_spins(n):
+    """Every spin vector of length n, one per row."""
+    keys = np.arange(1 << n)[:, None]
+    return np.where((keys >> np.arange(n)) & 1, 1.0, -1.0)
+
+
+class TestRestrict:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_constrained_minimum_is_the_restricted_minimum(self, seed):
+        rng = np.random.default_rng(seed)
+        p, keep, fixed = masked_split(int(rng.integers(2, 13)), rng)
+        r = restrict(p, keep)
+        dense, dense_r = dense_reconstruct(p), dense_reconstruct(r)
+        spins = all_spins(p.n)
+        allowed = spins[(spins[:, fixed] < 0).all(axis=1)]  # groups whose masked bits are 0
+        full_min = min(ising_energy(dense, s) for s in allowed)
+        # the fixed spins' constant, read densely: -1/2 sum of J over fixed pairs minus their h
+        constant = -0.5 * p.j_day[np.ix_(fixed, fixed)].sum() - p.h_day[fixed].sum()
+        shift = r.offset_day - p.offset_day  # restrict folds the constant into the offset
+        assert shift == pytest.approx(constant, abs=1e-9)
+        restricted_min = min(ising_energy(dense_r, s) for s in all_spins(len(keep))) - shift
+        assert full_min == pytest.approx(restricted_min + constant, abs=1e-9)
+        # and state by state: fixing the masked spins at -1 keeps each energy
+        for s in all_spins(len(keep)):
+            full = -np.ones(p.n)
+            full[keep] = s
+            assert ising_energy(dense_r, s) == pytest.approx(ising_energy(dense, full), abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_expanded_energy_is_the_full_energy(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        p, keep, fixed = masked_split(16, rng)
+        sols = expand(run_batch(restrict(p, keep), SbParams(), [substream(seed, i) for i in range(4)]), keep, p.n)
+        dense = dense_reconstruct(p)
+        for sol in sols:
+            assert sol.spins.shape == (p.n,) and (sol.spins[fixed] == -1.0).all()
+            assert sol.energy == pytest.approx(ising_energy(dense, sol.spins), rel=1e-12, abs=1e-9)
+
+    def test_blocks_gathered_from_the_day_split(self):
+        p, keep, _ = masked_split(12, np.random.default_rng(7))
+        r = restrict(p, keep)
+        block = np.ix_(keep, keep)
+        assert r.j_day32.dtype == np.float32 and np.array_equal(r.j_day32, p.j_day32[block])
+        assert np.array_equal(r.j_day, p.j_day[block])
+        assert np.array_equal(r.sgn_dp, p.sgn_dp[keep]) and np.array_equal(r.abs_dp, p.abs_dp[keep])
+        assert r.day_rms == SplitProblem(r.j_day, r.h_day, r.sgn_dp, r.abs_dp, r.c1, r.c3).day_rms
+        assert default_c0(r, 10.0) == reference_c0(r, 10.0)  # c0 is calibrated with sqrt(k)
+
+    def test_no_day_scan_per_call(self):
+        # the row sums are read, not recomputed: poisoned masked rows and columns after construction go unseen
+        p, keep, fixed = masked_split(12, np.random.default_rng(8))
+        assert update_tick(p, p.sgn_dp, p.abs_dp).day_row_sum is p.day_row_sum  # derived once per day split
+        want = restrict(p, keep)
+        for j in (p.j_day, p.j_day32):
+            j[fixed, :] = np.nan
+            j[:, fixed] = np.nan
+        got = restrict(p, keep)
+        for name in ("j_day", "j_day32", "h_day", "day_row_sum"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.offset_day == want.offset_day and got.day_rms == want.day_rms
+
+    def test_stock_with_tick_terms_cannot_be_fixed(self):
+        p = random_split(4, np.random.default_rng(9))
+        p = update_tick(p, np.array([1.0, -1.0, 1.0, 0.0]), np.array([0.1, 0.1, 0.1, 0.0]))
+        with pytest.raises(ValueError, match="sgn_dp == 0"):
+            restrict(p, [0, 1])
+        assert restrict(p, [0, 1, 2]).n == 3
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_tiny_restrictions_solve_with_a_float32_c0(self, k, coupled):
+        rng = np.random.default_rng(k)
+        p = random_split(6, rng)
+        if not coupled:  # no day coupling inside the kept block: default_c0 takes a fallback
+            j_day = p.j_day.copy()
+            j_day[:k, :k] = 0.0
+            p = SplitProblem(j_day, p.h_day, p.sgn_dp, p.abs_dp, p.c1, p.c3)
+        sgn = np.where(np.arange(6) < k, [1.0, -1.0, 1.0, 1.0, 1.0, 1.0], 0.0)
+        p = update_tick(p, sgn, np.abs(sgn) * 0.01)
+        r = restrict(p, np.arange(k))
+        assert r.n == k and np.isfinite(np.float32(default_c0(r, 10.0)))
+        sols = expand(run_batch(r, SbParams(), [substream(0, i) for i in range(3)]), np.arange(k), p.n)
+        assert all(sol is not None for sol in sols)
+        best = min(ising_energy(dense_reconstruct(r), s) for s in all_spins(k))
+        assert pick_best(sols).energy == pytest.approx(best, abs=1e-9)
+
+    def test_huge_c0_still_diverges(self):
+        p, keep, _ = masked_split(10, np.random.default_rng(11))
+        assert expand(run_batch(restrict(p, keep), SbParams(c0=1e308), [substream(0, i) for i in range(3)]),
+                      keep, p.n) == [None, None, None]
 
 
 class TestSplitProblemValidation:
