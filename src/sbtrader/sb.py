@@ -13,25 +13,23 @@ fixed stocks have no tick terms, so every assignment of the kept spins keeps
 its energy, and the batch searches 2^k states instead of 2^n.
 
 Restarts run as one batch (`run_batch`): positions and momenta are (R, N)
-float32 matrices, each step is a single `x @ j_day32` product (the day
-couplings are symmetric; the float32 copy is made once per day split, and
-`restrict` gathers its kept block), and row r draws its initial momenta from
-the RNG stream the caller passes for it, so a run keeps its key whichever
-batch it lands in. c0, the tick biases, the
-scalars and the work buffers are cast or set up once per batch, and every step
-runs in place. The wall maps x to x/|x| wherever |x| > 1: exactly +-1 for a
-finite x, NaN for an inf, and a NaN stays NaN. A row that goes non-finite
-therefore stays so, and one check after the loop finds it; a diverged row is
-reported as None while the other rows finish. A c0 or an initial momentum
-outside float32 range is inf from the start, so its row diverges. Each row's
-energy is read out in float64 from the split form, -1/2 s.J_day.s plus O(N)
-tick terms and the offsets, so the dense problem is never materialised on the
-solve path and equal spins give equal energies. `run` is the one-row batch
-and `solve` is one batch of `restarts` rows plus the best-of-R pick, whose
-tolerance absorbs the last-bit differences a batched product can give rows
-with equal spins. `step` applies the same kernel to a float64 copy of an (N,)
-or (R, N) state; `step_dense`, `dense_reconstruct` and
-`ising.brute_force_min` are oracles for the tests.
+float32 matrices, each step is a single `x @ J` product with a float32 cast of
+j_day (the day couplings are symmetric), and row r draws its initial momenta
+from the RNG stream the caller passes for it, so a run keeps its key whichever
+batch it lands in. The couplings, c0, the tick biases, the scalars and the work
+buffers are cast or set up once per batch, and every step runs in place. The
+wall maps x to x/|x| wherever |x| > 1: exactly +-1 for a finite x, NaN for an
+inf, and a NaN stays NaN. A row that goes non-finite therefore stays so, and
+one check after the loop finds it; a diverged row is reported as None while the
+other rows finish. A c0 or an initial momentum outside float32 range is inf
+from the start, so its row diverges. Each row's energy is read out in float64
+from the split form, -1/2 s.J_day.s plus O(N) tick terms and the offsets, so
+the dense problem is never materialised on the solve path and equal spins give
+equal energies. `run` is the one-row batch and `solve` is one batch of
+`restarts` rows plus the best-of-R pick, whose tolerance absorbs the last-bit
+differences a batched product can give rows with equal spins. `step` applies
+the same kernel to a float64 copy of an (N,) or (R, N) state; `step_dense`,
+`dense_reconstruct` and `ising.brute_force_min` are oracles for the tests.
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ class SbParams:
     selection instances, where nothing is masked. On a restricted split
     (`restrict`), n and the rms are those of the k kept stocks. `run_batch`
     steps in float32, so a c0 beyond float32 range (about 3.4e38) makes every
-    row diverge; SplitProblem rejects such couplings.
+    row diverge; SplitProblem rejects day couplings beyond that range.
     """
 
     n_step: int = 300
@@ -134,10 +132,10 @@ class SplitProblem:
     QUBO exactly. day_rms, derived here once per day split, is the rms of the
     nonzero day couplings (0.0 when there are none); default_c0 reads it.
     day_row_sum, derived next to it, holds the row sums of j_day, from which
-    restrict reads the couplings to the fixed stocks. j_day32 is the float32
-    copy of j_day that run_batch steps with; a j_day or h_day entry beyond
-    float32 range, which would diverge every row there, is rejected.
-    update_tick's shallow copy shares all three by identity.
+    restrict reads the couplings to the fixed stocks; update_tick's shallow
+    copy shares both by identity. run_batch steps with a float32 cast of j_day,
+    so a j_day or h_day entry not finite in float32, which would diverge every
+    row, is rejected; no cast is stored.
     """
 
     j_day: np.ndarray
@@ -149,18 +147,17 @@ class SplitProblem:
     offset_day: float = 0.0
 
     def __post_init__(self) -> None:
-        self.j_day = _cache_line_aligned(np.asarray(self.j_day, dtype=np.float64), np.float64)
+        self.j_day = np.array(self.j_day, dtype=np.float64)
         self.h_day = np.asarray(self.h_day, dtype=np.float64)
         n = self.j_day.shape[0]
         if self.j_day.shape != (n, n):
             raise ValueError("j_day must be square")
         _check_vector("h_day", self.h_day, n)
+        with np.errstate(over="ignore"):  # beyond float32 range casts to inf; before symmetry, as NaN != NaN
+            if not all(np.isfinite(a.astype(np.float32)).all() for a in (self.j_day, self.h_day)):
+                raise ValueError("j_day and h_day must be finite within float32 range (about 3.4e38)")
         if np.any(self.j_day != self.j_day.T) or np.any(np.diag(self.j_day) != 0.0):
             raise ValueError("j_day must be symmetric with zero diagonal")
-        with np.errstate(over="ignore"):  # an entry beyond float32 range casts to inf
-            self.j_day32 = _cache_line_aligned(self.j_day, np.float32)
-            if not (np.isfinite(self.j_day32).all() and np.isfinite(self.h_day.astype(np.float32)).all()):
-                raise ValueError("j_day and h_day must be finite within float32 range (about 3.4e38)")
         self.day_rms = _rms_nonzero(self.j_day)
         self.day_row_sum = self.j_day.sum(axis=1)
         self.sgn_dp, self.abs_dp = _checked_tick(n, self.sgn_dp, self.abs_dp)
@@ -175,8 +172,8 @@ class SplitProblem:
 def _cache_line_aligned(a: np.ndarray, dtype) -> np.ndarray:
     """A copy of `a` in dtype whose data starts on a 64-byte boundary, wherever malloc would have put it.
 
-    At n=512 a j_day starting mid cache line made x @ j_day 30-50% slower (OpenBLAS, one thread).
-    The cast is written straight into the aligned buffer, with no full-size temporary.
+    At n=512 a coupling matrix starting mid cache line made x @ J 30-50% slower (OpenBLAS, one
+    thread). The cast is written straight into the aligned buffer, with no full-size temporary.
     """
     nbytes = a.size * np.dtype(dtype).itemsize
     buf = np.empty(nbytes + 64, dtype=np.uint8)
@@ -410,19 +407,21 @@ def run_batch(
     """Runs start, start + 1, ... as one (R, n) float32 batch; row r starts from rngs[r].
 
     The state, the work buffers and every operand of the step kernel are
-    float32: j_day32 from the split, the O(n) biases and tick terms and the
-    0-d scalars cast once per batch, and the steps run in place. A c0 or an
-    initial momentum beyond float32 range casts to inf, so its row diverges.
-    No step checks for divergence: the wall turns an inf into NaN, which every
-    later step carries, so one check of x after the loop finds each row that
-    went non-finite; such a row comes back as None. Energies are read out in
-    float64 from the spins.
+    float32: the couplings, cast into a 64-byte-aligned buffer (O(k^2) on a
+    restricted split), the O(n) biases and tick terms and the 0-d scalars are
+    cast once per batch, and the steps run in place. A c0 or an initial
+    momentum beyond float32 range casts to inf, so its row diverges. No step
+    checks for divergence: the wall turns an inf into NaN, which every later
+    step carries, so one check of x after the loop finds each row that went
+    non-finite; such a row comes back as None. Energies are read out in float64
+    from the spins.
     """
     t0 = time.perf_counter()
     tick_coef, h_tick = _tick_terms(p)
     with np.errstate(over="ignore", invalid="ignore"):
         gaps, scalars = _scalars(params, _c0(p, params), np.float32, range(params.n_step))
-        operands = (p.j_day32, *_in_dtype(np.float32, p.h_day, p.sgn_dp, tick_coef, h_tick))
+        j = _cache_line_aligned(p.j_day, np.float32)
+        operands = (j, *_in_dtype(np.float32, p.h_day, p.sgn_dp, tick_coef, h_tick))
         x = np.zeros((len(rngs), p.n), np.float32)
         y = np.array([initial_state(p, rng).y for rng in rngs], np.float32)
         dy, tmp, dot, over = _scratch(x)
@@ -484,7 +483,8 @@ def update_tick(
     """Replace the O(n) tick fields in O(n) time.
 
     Only the tick fields are checked; the day side, checked when p was built,
-    is shared by identity, and so are its derived day_rms and day_row_sum.
+    is shared by identity with its derived day_rms and day_row_sum; the split
+    stores nothing that run_batch casts.
     """
     sgn_dp, abs_dp = _checked_tick(p.n, sgn_dp, abs_dp)
     if counter is not None:
@@ -500,10 +500,9 @@ def restrict(p: SplitProblem, keep: np.ndarray) -> SplitProblem:
     Fixing spin m at -1 adds sum_m J_am to the bias of each kept stock a, and
     -1/2 sum_{m,m'} J_mm' - sum_m h_m to the offset. A fixed stock must have no
     tick terms (sgn_dp = abs_dp = 0, as for a masked stock), so each assignment
-    of the kept spins keeps its energy. sum_m J_am is read from the day's
-    day_row_sum minus the kept block's row sums. The kept blocks are gathered
-    from j_day and j_day32, so nothing is cast or checked again; day_rms and
-    day_row_sum are those of the kept block, so default_c0 sees the kept size.
+    of the kept spins keeps its energy. sum_m J_am is day_row_sum minus the
+    kept block's row sums. The kept block of j_day is gathered unchecked, and
+    day_rms and day_row_sum are the block's, so default_c0 sees k.
     """
     keep = np.asarray(keep, dtype=np.intp)
     fixed = np.ones(p.n, dtype=bool)
@@ -512,7 +511,7 @@ def restrict(p: SplitProblem, keep: np.ndarray) -> SplitProblem:
         raise ValueError("a fixed stock must have sgn_dp == 0")
     block = np.ix_(keep, keep)
     q = copy.copy(p)  # c1 and c3 carry over; every other field is replaced
-    q.j_day, q.j_day32 = p.j_day[block], p.j_day32[block]
+    q.j_day = p.j_day[block]
     q.day_rms = _rms_nonzero(q.j_day)
     q.day_row_sum = q.j_day.sum(axis=1)
     to_fixed = p.day_row_sum[keep] - q.day_row_sum

@@ -444,6 +444,20 @@ class TestBatchedDecisions:
         assert batches and engine.skipped_events == len(batches)
         assert not engine.positions
 
+    @pytest.mark.parametrize("price, skipped", [(1e40, 1), (1e36, 0)])
+    def test_quote_beyond_float32_tick_range_skips_its_decision(self, monkeypatch, price, skipped):
+        # a finite quote of 1e40 on a base of 5,000 makes c1 |dp| / 2 about 1e39, beyond float32 range:
+        # the batch's tick biases cast to inf, every row diverges and the event is skipped without a warning
+        engine = make_engine()
+        codes = engine.universe.codes
+        prime_quotes(engine, quotes=signal_quotes(codes))
+        assert engine.open_codes == set(codes[:4]) and engine.skipped_events == 0
+        batches = count_calls(monkeypatch, "sb_run")
+        engine.process(TickEvent(1_000_000, codes[4], "quote", price, price))
+        assert len(batches) == 1 and engine.skipped_events == skipped
+        engine.finalize(2_000_000)
+        assert len(engine.positions) == 4 and all(p.state == CLOSED for p in engine.positions)
+
 
 class TestOpenStockMasked:
     def test_open_stocks_left_out_of_the_solve(self, monkeypatch):

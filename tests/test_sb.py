@@ -299,16 +299,6 @@ class TestRunSolve:
         assert hits >= 8
 
 
-class TestSplitProblem:
-    @pytest.mark.parametrize("n", [6, 100, 512])
-    def test_day_matrix_starts_on_a_cache_line(self, n):
-        # every SB step multiplies by the day matrix; at n=512 that ran 30-50% slower from a mid-line start
-        p = random_split(n, np.random.default_rng(n))
-        for j in (p.j_day, p.j_day32):
-            assert j.ctypes.data % 64 == 0 and j.flags.c_contiguous
-        assert p.j_day32.dtype == np.float32 and np.array_equal(p.j_day32, p.j_day.astype(np.float32))
-
-
 class TestUpdateTick:
     def test_identity_update(self):
         p = random_split(6, np.random.default_rng(10))
@@ -321,7 +311,6 @@ class TestUpdateTick:
         p = random_split(6, np.random.default_rng(12))
         q = update_tick(p, np.zeros(6), np.zeros(6))
         assert q.j_day is p.j_day
-        assert q.j_day32 is p.j_day32
         assert q.h_day is p.h_day
         run_batch(q, SbParams(), [substream(0, 0)])
         assert vars(q).keys() == vars(p).keys()  # no per-batch buffer cached on the split
@@ -482,7 +471,6 @@ class TestRestrict:
         p, keep, _ = masked_split(12, np.random.default_rng(7))
         r = restrict(p, keep)
         block = np.ix_(keep, keep)
-        assert r.j_day32.dtype == np.float32 and np.array_equal(r.j_day32, p.j_day32[block])
         assert np.array_equal(r.j_day, p.j_day[block])
         assert np.array_equal(r.sgn_dp, p.sgn_dp[keep]) and np.array_equal(r.abs_dp, p.abs_dp[keep])
         assert r.day_rms == SplitProblem(r.j_day, r.h_day, r.sgn_dp, r.abs_dp, r.c1, r.c3).day_rms
@@ -493,11 +481,10 @@ class TestRestrict:
         p, keep, fixed = masked_split(12, np.random.default_rng(8))
         assert update_tick(p, p.sgn_dp, p.abs_dp).day_row_sum is p.day_row_sum  # derived once per day split
         want = restrict(p, keep)
-        for j in (p.j_day, p.j_day32):
-            j[fixed, :] = np.nan
-            j[:, fixed] = np.nan
+        p.j_day[fixed, :] = np.nan
+        p.j_day[:, fixed] = np.nan
         got = restrict(p, keep)
-        for name in ("j_day", "j_day32", "h_day", "day_row_sum"):
+        for name in ("j_day", "h_day", "day_row_sum"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
         assert got.offset_day == want.offset_day and got.day_rms == want.day_rms
 
@@ -743,21 +730,31 @@ class TestFloat32:
         assert all(sol is not None for sol in helpers.reference_run_batch(p, params, [substream(0, 0)]))
         assert run_batch(p, params, [substream(0, 0)]) == [None]
 
-    @pytest.mark.parametrize("scaled", [("j_day", "h_day"), ("j_day",), ("h_day",)], ids="+".join)
-    def test_day_side_beyond_float32_range_rejected(self, scaled):
+    nan_pair = np.ones((8, 8))
+    nan_pair[0, 1] = nan_pair[1, 0] = np.nan  # symmetric but for NaN != NaN; the diagonal stays 0
+
+    @pytest.mark.parametrize(
+        "scaled, factor",
+        [(("j_day", "h_day"), 1e39), (("j_day",), 1e39), (("h_day",), 1e39), (("j_day",), nan_pair)],
+        ids=["j_day+h_day", "j_day", "h_day", "nan-j_day"],
+    )
+    def test_day_side_beyond_float32_range_rejected(self, scaled, factor):
         # run_batch would cast such an entry to inf and diverge every row; the split rejects it, without a warning
         p = random_split(8, np.random.default_rng(0))
         fields = dict(j_day=p.j_day, h_day=p.h_day, sgn_dp=p.sgn_dp, abs_dp=p.abs_dp, c1=p.c1, c3=p.c3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="float32 range"):
-                SplitProblem(**{**fields, **{name: fields[name] * 1e39 for name in scaled}})
+                SplitProblem(**{**fields, **{name: fields[name] * factor for name in scaled}})
             bound = float(np.finfo(np.float32).max) / max(np.abs(p.j_day).max(), np.abs(p.h_day).max())
-            in_range = SplitProblem(**{**fields, **{name: fields[name] * bound for name in scaled}})
-        assert np.isfinite(in_range.j_day32).all()
+            SplitProblem(**{**fields, **{name: fields[name] * bound for name in scaled}})
 
-    def test_every_kernel_operand_is_float32(self, monkeypatch):
+    @pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
+    def test_every_kernel_operand_is_float32(self, monkeypatch, restricted):
         # a float64 operand, 0-d included, would silently make its ufunc compute in float64
+        p, keep, _ = masked_split(16, np.random.default_rng(53))
+        if restricted:
+            p = restrict(p, keep)
         calls = []
         for name in ("_force", "_advance"):
             kernel = getattr(sb, name)
@@ -767,12 +764,18 @@ class TestFloat32:
                 kernel(*args)
 
             monkeypatch.setattr(sb, name, recorded)
-        run_batch(random_split(16, np.random.default_rng(53)), SbParams(n_step=4), [substream(0, i) for i in range(3)])
+        run_batch(p, SbParams(n_step=4), [substream(0, i) for i in range(3)])
         assert [name for name, _ in calls] == ["_force", "_advance"] * 4
         for name, args in calls:
             assert all(isinstance(a, np.ndarray) for a in args)
             other = [a.dtype for a in args if a.dtype != np.float32]
             assert other == ([np.dtype(bool)] if name == "_advance" else [])  # _advance's wall mask
+        # the coupling operand is cast per batch into a cache-line-aligned buffer: at n=512 a mid-line
+        # start made every step's x @ J 30-50% slower
+        j = calls[0][1][1]
+        assert all(args[1] is j for name, args in calls if name == "_force")
+        assert j.flags.c_contiguous and j.ctypes.data % 64 == 0
+        assert np.array_equal(j, p.j_day.astype(np.float32))
 
 
 class TestTieBreak:
