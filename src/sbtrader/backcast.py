@@ -54,8 +54,8 @@ class SharpeStats:
     ann_risk: float
 
 
-def sharpe(daily_returns: np.ndarray, periods_per_year: int = TRADING_DAYS_PER_YEAR) -> SharpeStats:
-    """Annualized mean/std ratio of daily returns (sample std, n-1).
+def sharpe(daily_returns: np.ndarray) -> SharpeStats:
+    """Mean/std ratio of daily returns (sample std, n-1), annualized over TRADING_DAYS_PER_YEAR.
 
     Zero standard deviation leaves the ratio undefined; it is reported as NaN
     rather than raised.
@@ -63,10 +63,10 @@ def sharpe(daily_returns: np.ndarray, periods_per_year: int = TRADING_DAYS_PER_Y
     r = np.asarray(daily_returns, dtype=np.float64)
     if r.ndim != 1 or r.size < 2:
         raise ValueError("need at least 2 daily returns")
-    ann_return = float(r.mean()) * periods_per_year
+    ann_return = float(r.mean()) * TRADING_DAYS_PER_YEAR
     if np.ptp(r) == 0.0:  # exactly constant; float std may still be ~1e-17
         return SharpeStats(sharpe=math.nan, ann_return=ann_return, ann_risk=0.0)
-    ann_risk = float(r.std(ddof=1)) * math.sqrt(periods_per_year)
+    ann_risk = float(r.std(ddof=1)) * math.sqrt(TRADING_DAYS_PER_YEAR)
     ratio = ann_return / ann_risk if ann_risk > 0 else math.nan
     return SharpeStats(sharpe=ratio, ann_return=ann_return, ann_risk=ann_risk)
 
@@ -196,7 +196,7 @@ def run_backcast(
             continue
         corr = corr_override
         if corr is None:
-            corr = correlation_matrix(list(history), window=config.corr_window)
+            corr = correlation_matrix(list(history))
         engine = TradingEngine(universe, corr, config, seed=seed, day_key=day_index, fill_handler=fill_model.fill)
         last_ts = 0
         for e in replay(path):

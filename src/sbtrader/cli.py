@@ -123,7 +123,7 @@ def cmd_corr(args) -> int:
     feeds = args.feeds[-args.window :]
     daily = [bc.replay_day_sigma(universe, path) for path in feeds]
     days = [Path(path).stem for path in feeds]
-    st.save_correlation(args.out, st.correlation_matrix(daily, window=args.window), days)
+    st.save_correlation(args.out, st.correlation_matrix(daily), days)
     print(f"days={','.join(days)}")
     print(f"out={args.out}")
     return 0

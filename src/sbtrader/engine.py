@@ -25,6 +25,7 @@ from .strategy import (
     Universe,
     build_split,
     compute_deviation,
+    deviation,
     evaluate_candidate,
     lot_size,
 )
@@ -89,16 +90,16 @@ class Position:
 
 @dataclass
 class EngineConfig:
-    """Strategy parameters plus session timing and solver settings."""
+    """Strategy parameters plus session timing and solver settings (defaults: `SbParams`)."""
 
     strategy: StrategyParams = field(default_factory=StrategyParams)
     session_close_us: int = field(default=9_000_000_000, metadata={"kv_seconds": "session_close_s"})
     t_force_us: int = field(default=60_000_000, metadata={"kv_seconds": "t_force_s"})
-    n_step: int = 300
-    dt: float = 0.02
-    restarts: int = 10
-    a0: float = 10.0
-    c0: float | None = None
+    n_step: int = SbParams.n_step
+    dt: float = SbParams.dt
+    restarts: int = SbParams.restarts
+    a0: float = SbParams.a0
+    c0: float | None = SbParams.c0
     commission_rate: float = 0.0
     corr_window: int = 5
     warmup_days: int = 5
@@ -261,15 +262,14 @@ class TradingEngine:
         the day and the published VWAP has a finite entry for it.
         """
         forced = now >= self.config.session_close_us - self.config.t_force_us
+        b = self.session.buffer
         vwap = self.session.vwap_pub
         orders = []
         for pos in self.positions:
             if pos.state != OPEN:
                 continue
             i = self.universe.index(pos.code)
-            # one element of buffer.mid(), in the same IEEE arithmetic
-            mid = (float(self.session.buffer.ask[i]) + float(self.session.buffer.bid[i])) / 2.0
-            dp = (mid - float(vwap[i])) / self.universe.base_prices()[i]
+            dp = deviation(b.ask[i], b.bid[i], vwap[i], self.universe.base_prices()[i])
             crossed = dp >= 0.0 if pos.side == LONG else dp <= 0.0
             if forced or crossed:
                 orders.append(self._issue_close(pos, now))

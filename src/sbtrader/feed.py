@@ -86,8 +86,9 @@ class PriceBuffer:
 
         A quote for no stock (idx None) or a crossed, nonpositive or non-finite
         one (NaN fails the chained comparison) is rejected: counted, not raised.
+        So is one whose mid would overflow (ask + bid is inf).
         """
-        if idx is None or not 0 < bid <= ask < np.inf:
+        if idx is None or not (0 < bid <= ask and ask + bid < np.inf):
             self.rejected += 1
             return False
         changed = not self.valid[idx] or self.ask[idx] != ask or self.bid[idx] != bid
@@ -150,8 +151,8 @@ class MarketSession:
     `advance(ts)` runs on the pre-event state. It takes one (mid - VWAP)
     sample per whole second up to ts, NaN for a stock without a valid quote
     or a VWAP, then publishes `vwap_pub` at the first event and at most once
-    per second after it. A stock that has not traded is published at its base
-    price, a placeholder, until it trades.
+    per second after it. Until a stock trades, from construction on, `vwap_pub`
+    holds its base price as a placeholder.
     """
 
     def __init__(self, universe: Universe) -> None:
@@ -159,7 +160,7 @@ class MarketSession:
         self.buffer = PriceBuffer(universe.n)
         self.accumulator = VwapAccumulator(universe.n)
         self.samples = SampledSeries(universe.n)
-        self.vwap_pub: np.ndarray | None = None
+        self.vwap_pub = universe.base_prices()
         self._last_publish_us: int | None = None
         self._next_sample_us = 0
 

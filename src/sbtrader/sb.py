@@ -72,17 +72,18 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class SbParams:
-    """Ballistic-SB parameters.
+    """Ballistic-SB parameters; the defaults are the one statement of the operating point.
 
-    n_step and dt default to the 300 / 0.02 operating point; a0 ramps the
-    pumping amplitude linearly from 0 over the run. Scaling a0 and c0 together only
-    rescales time, so a0 sets the effective anneal length at fixed n_step*dt;
-    the default pairing (a0=10 with c0 = 1.5 a0 / (sqrt(n) * rms of nonzero
-    day couplings)) was calibrated against the brute-force oracle on
-    selection instances, where nothing is masked. On a restricted split
-    (`restrict`), n and the rms are those of the k kept stocks. `run_batch`
-    steps in float32, so a c0 beyond float32 range (about 3.4e38) makes every
-    row diverge; SplitProblem rejects day couplings beyond that range.
+    `EngineConfig` takes its solver defaults from these fields. n_step and dt
+    default to 300 / 0.02; a0 ramps the pumping amplitude linearly from 0 over
+    the run. Scaling a0 and c0 together only rescales time, so a0 sets the
+    effective anneal length at fixed n_step*dt; the default pairing (a0=10
+    with c0 = 1.5 a0 / (sqrt(n) * rms of nonzero day couplings)) was
+    calibrated against the brute-force oracle on selection instances, where
+    nothing is masked. On a restricted split (`restrict`), n and the rms are
+    those of the k kept stocks. `run_batch` steps in float32, so a c0 beyond
+    float32 range (about 3.4e38) makes every row diverge; SplitProblem
+    rejects day couplings beyond that range.
     """
 
     n_step: int = 300

@@ -27,6 +27,7 @@ __all__ = [
     "ConstraintReport",
     "CandidateEvaluation",
     "lot_size",
+    "deviation",
     "compute_deviation",
     "daily_correlation",
     "day_sigma_matrix",
@@ -179,34 +180,36 @@ def lot_size(a_trans: float, s_min: float, p_b: float) -> int:
     return int(math.floor(lots))
 
 
+def deviation(ask, bid, vwap, base):
+    """(mid - VWAP) / base_price, the expected return of a stock; floats or arrays alike."""
+    return ((ask + bid) / 2.0 - vwap) / base
+
+
 def compute_deviation(
     universe: Universe,
     ask: np.ndarray,
     bid: np.ndarray,
     quote_valid: np.ndarray,
-    vwap: np.ndarray | None,
+    vwap: np.ndarray,
     excluded: np.ndarray,
 ) -> DeviationVector:
-    """Per-stock (mid - VWAP) / base_price, masked where a stock may not join a group.
+    """Per-stock `deviation`, masked where a stock may not join a group.
 
     Masked: the `excluded` stocks (the engine passes its open positions and
     the stocks priced out of the lot budget), stocks without a valid quote or
-    a published VWAP, and stocks whose mid equals the VWAP (dp == 0 has no
-    side). When no VWAP vector has been published yet, everything is masked.
+    a finite VWAP, and stocks whose mid equals the VWAP (dp == 0 has no side).
+    The session publishes a VWAP for every stock from its first event on,
+    with the base price as the placeholder for a stock that has not traded.
     """
-    n = universe.n
-    if vwap is None:
-        return DeviationVector(dp=np.zeros(n), mask=np.ones(n, dtype=bool))
     ask = np.asarray(ask, dtype=np.float64)
     bid = np.asarray(bid, dtype=np.float64)
-    base = universe.base_prices()
+    vwap = np.asarray(vwap, dtype=np.float64)
     mask = (
         ~np.asarray(quote_valid, dtype=bool)
-        | ~np.isfinite(np.asarray(vwap, dtype=np.float64))
+        | ~np.isfinite(vwap)
         | np.asarray(excluded, dtype=bool)
     )
-    mid = (ask + bid) / 2.0
-    dp = np.where(mask, 0.0, (mid - vwap) / base)
+    dp = np.where(mask, 0.0, deviation(ask, bid, vwap, universe.base_prices()))
     return DeviationVector(dp=dp, mask=mask)
 
 
@@ -246,13 +249,11 @@ def day_sigma_matrix(samples: np.ndarray) -> np.ndarray:
     return sigma_hat
 
 
-def correlation_matrix(daily: list[np.ndarray], window: int = 5) -> CorrelationMatrix:
-    """Average the last `window` one-day matrices and map [-1,1] -> [0,1]."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+def correlation_matrix(daily: list[np.ndarray]) -> CorrelationMatrix:
+    """Average every given one-day matrix (the caller owns the window) and map [-1,1] -> [0,1]."""
     if not daily:
         raise ValueError("no correlation history available")
-    stack = np.stack([np.asarray(m, dtype=np.float64) for m in daily[-window:]])
+    stack = np.stack([np.asarray(m, dtype=np.float64) for m in daily])
     mean = stack.mean(axis=0)
     sigma = np.clip((mean + 1.0) / 2.0, 0.0, 1.0)
     sigma = (sigma + sigma.T) / 2.0
@@ -280,12 +281,6 @@ def build_qubo(dev: DeviationVector, corr: CorrelationMatrix, params: StrategyPa
     return QuboProblem(q=q)
 
 
-def _day_qubo(corr: CorrelationMatrix, params: StrategyParams) -> np.ndarray:
-    q = corr.sigma + params.c2
-    np.fill_diagonal(q, params.c2 * (1.0 - 2.0 * params.n_s))
-    return q
-
-
 def build_split(
     dev: DeviationVector,
     corr: CorrelationMatrix,
@@ -294,12 +289,13 @@ def build_split(
 ) -> SplitProblem:
     """Split assembly: day side from sigma/c2 terms, tick side from dp/c1/c3.
 
+    The day side is `build_qubo` with every deviation at zero, so
     dense_reconstruct of the result equals qubo_to_ising(build_qubo(...)).
     The optional counter tallies day-side element writes (the O(n^2) rebuild
     cost that a tick update avoids).
     """
-    _check_dims(dev, corr)
-    day = qubo_to_ising(QuboProblem(_day_qubo(corr, params)))
+    flat = DeviationVector(dp=np.zeros(dev.n), mask=np.ones(dev.n, dtype=bool))
+    day = qubo_to_ising(build_qubo(flat, corr, params))
     if counter is not None:
         counter.add(day.j.size + day.h.size)
     return SplitProblem(

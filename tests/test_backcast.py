@@ -200,9 +200,9 @@ class TestRunBackcast:
         )
         received = []
 
-        def spy(daily, window):
+        def spy(daily):
             received.append(len(daily))
-            return correlation_matrix(daily, window)
+            return correlation_matrix(daily)
 
         monkeypatch.setattr(bc, "correlation_matrix", spy)
         report = run_backcast(feeds, uni, config, seed=1)

@@ -16,7 +16,7 @@ from sbtrader.engine import (
     TradingEngine,
 )
 from sbtrader.feed import PriceBuffer, TickEvent
-from sbtrader.sb import DivergenceError, SbSolution, expand, restrict, run, substream
+from sbtrader.sb import DivergenceError, SbParams, SbSolution, expand, restrict, run, substream
 from sbtrader.strategy import (
     CorrelationMatrix,
     DeviationVector,
@@ -458,6 +458,17 @@ class TestBatchedDecisions:
         engine.finalize(2_000_000)
         assert len(engine.positions) == 4 and all(p.state == CLOSED for p in engine.positions)
 
+    def test_quote_whose_mid_overflows_is_rejected(self):
+        # ask + bid of a 1e308 quote is inf: it is counted at the buffer, so no overflow reaches a mid
+        engine = make_engine()
+        codes = engine.universe.codes
+        events = helpers.convergence_events(codes) + [TickEvent(2_000_000, codes[4], "quote", 1e308, 1e308)]
+        for e in sorted(events, key=lambda e: (e.ts, e.code, e.kind)):
+            engine.process(e)
+        engine.finalize(110_000_000)
+        assert engine.session.buffer.rejected == 1
+        assert sorted(p.code for p in engine.positions) == codes[:4]
+
 
 class TestOpenStockMasked:
     def test_open_stocks_left_out_of_the_solve(self, monkeypatch):
@@ -588,7 +599,7 @@ class TestEngineConfig:
         cfg = EngineConfig()
         assert cfg.session_close_us == 9_000_000_000
         assert cfg.t_force_us == 60_000_000
-        assert cfg.sb_params().n_step == 300
+        assert cfg.sb_params() == SbParams()
 
 
 class TestPositionInvariants:

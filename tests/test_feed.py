@@ -110,8 +110,8 @@ class TestApplyEvent:
         changed = s.apply(TickEvent(0, "9001", "quote", 99, 101))
         assert not changed and s.buffer.rejected == 1 and not s.buffer.valid[0]
 
-    @pytest.mark.parametrize("ask, bid", [(np.nan, 99.0), (np.inf, 99.0), (101.0, np.nan)])
-    def test_non_finite_quote_rejected_with_count(self, ask, bid):
+    @pytest.mark.parametrize("ask, bid", [(np.nan, 99.0), (np.inf, 99.0), (101.0, np.nan), (1e308, 1e308)])
+    def test_non_finite_quote_rejected_with_count(self, ask, bid):  # 1e308: the mid would overflow
         s = MarketSession(uni())
         changed = s.apply(TickEvent(0, "9001", "quote", ask, bid))
         assert not changed and s.buffer.rejected == 1 and not s.buffer.valid[0]
@@ -150,11 +150,11 @@ class TestPublish:
     """`MarketSession.advance`: the publish cadence and the one-second samples."""
 
     def test_cadence(self):
-        s = MarketSession(uni())
-        assert s.vwap_pub is None
+        u = uni()
+        s = MarketSession(u)
+        assert np.array_equal(s.vwap_pub, u.base_prices())  # the placeholder until the first publish
         s.advance(0)
         first = s.vwap_pub
-        assert first is not None
         s.apply(TickEvent(0, "9001", "trade", 100, 10))
         s.advance(500_000)
         assert s.vwap_pub is first  # not due: the trade waits for the next publish

@@ -1,5 +1,6 @@
 """Tests for deviation/correlation pipelines and QUBO assembly."""
 
+import dataclasses
 import itertools
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from sbtrader.ising import ising_energy, qubo_energy, qubo_to_ising
+from sbtrader.ising import QuboProblem, ising_energy, qubo_energy, qubo_to_ising
 from sbtrader.sb import SbSolution, dense_reconstruct
 from sbtrader.strategy import (
     CorrelationMatrix,
@@ -24,6 +25,7 @@ from sbtrader.strategy import (
     cost_energy,
     daily_correlation,
     day_sigma_matrix,
+    deviation,
     evaluate_candidate,
     load_universe,
     lot_size,
@@ -133,18 +135,6 @@ class TestComputeDeviation:
         )
         assert dev.mask[0] and dev.dp[0] == 0.0
 
-    def test_no_vwap_masks_everything(self):
-        uni = toy_universe()
-        dev = compute_deviation(
-            uni,
-            ask=np.ones(3),
-            bid=np.ones(3),
-            quote_valid=np.ones(3, dtype=bool),
-            vwap=None,
-            excluded=np.zeros(3, dtype=bool),
-        )
-        assert dev.mask.all()
-
     def test_invalid_quote_masked(self):
         uni = toy_universe()
         dev = compute_deviation(
@@ -156,6 +146,17 @@ class TestComputeDeviation:
             excluded=np.zeros(3, dtype=bool),
         )
         assert dev.mask[0] and dev.dp[0] == 0.0
+
+    def test_scalar_deviation_equals_array_deviation(self):
+        # the engine's close policy takes one stock's deviation on floats, compute_deviation all of them on arrays
+        rng = np.random.default_rng(0)
+        base = 10.0 ** rng.uniform(-2, 6, 1000)
+        bid = base * rng.uniform(0.5, 1.5, 1000)
+        ask = bid + base * rng.uniform(0.0, 0.01, 1000)
+        vwap = base * rng.uniform(0.5, 1.5, 1000)
+        arrays = deviation(ask, bid, vwap, base)
+        floats = [deviation(float(a), float(b), float(v), float(p)) for a, b, v, p in zip(ask, bid, vwap, base)]
+        assert np.array_equal(np.array(floats), arrays)
 
 
 class TestDailyCorrelation:
@@ -214,25 +215,13 @@ class TestCorrelationMatrix:
         assert np.all(correlation_matrix([np.ones((2, 2))]).sigma == 1.0)
         assert np.all(correlation_matrix([-np.ones((2, 2))]).sigma == 0.0)
 
-    def test_window_takes_last_five(self):
-        days = [np.full((2, 2), v) for v in (-1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0)]
-        sigma = correlation_matrix(days, window=5)
-        assert np.all(sigma.sigma == 1.0)
-
-    def test_fewer_days_than_window(self):
-        sigma = correlation_matrix([np.zeros((2, 2)), np.ones((2, 2))], window=5)
+    def test_averages_every_given_day(self):
+        sigma = correlation_matrix([np.zeros((2, 2)), np.ones((2, 2))])
         assert np.all(sigma.sigma == pytest.approx(0.75))
 
     def test_empty_history(self):
         with pytest.raises(ValueError):
             correlation_matrix([])
-
-    @pytest.mark.parametrize("window", [0, -1])
-    def test_window_below_one_rejected(self, window):
-        # daily[-0:] is the whole history and daily[1:] drops only the oldest day
-        days = [np.full((2, 2), v) for v in (-1.0, 0.0, 0.0, 0.8)]
-        with pytest.raises(ValueError, match="window must be >= 1"):
-            correlation_matrix(days, window=window)
 
 
 class TestBuildQubo:
@@ -325,6 +314,23 @@ class TestBuildSplit:
             assert np.allclose(via_split.j, via_qubo.j, atol=1e-9)
             assert np.allclose(via_split.h, via_qubo.h, atol=1e-9)
             assert via_split.offset == pytest.approx(via_qubo.offset, abs=1e-9)
+
+    @pytest.mark.parametrize("zeroed", ["c2", "c3"])
+    @pytest.mark.parametrize("n_s", [2, 4, 6])
+    def test_day_side_equals_the_direct_day_qubo(self, n_s, zeroed):
+        # the day side taken from build_qubo at zero deviation, against the day QUBO written out directly
+        rng = np.random.default_rng(n_s)
+        for _ in range(5):
+            n = int(rng.integers(n_s, 60))
+            dev, corr, params = random_instance(n, n_s, rng)
+            params = dataclasses.replace(params, **{zeroed: 0.0})
+            q = corr.sigma + params.c2
+            np.fill_diagonal(q, params.c2 * (1.0 - 2.0 * params.n_s))
+            want = qubo_to_ising(QuboProblem(q))
+            split = build_split(dev, corr, params)
+            assert split.j_day.tobytes() == want.j.tobytes()
+            assert split.h_day.tobytes() == want.h.tobytes()
+            assert split.offset_day == want.offset
 
     def test_no_tick_side_when_deviations_zero(self):
         dev = DeviationVector(dp=np.zeros(5), mask=np.zeros(5, dtype=bool))
