@@ -1,9 +1,11 @@
 """Ballistic simulated-bifurcation solver over day/tick split problems.
 
 The day component (dense couplings from correlations and the group-size
-penalty) is applied through one matrix product per step; the tick component
-(price deviations and the long/short balance penalty) enters through O(N)
-intermediate values only, so a quote change never touches the dense storage.
+penalty) is built once per day; the tick component (price deviations and the
+long/short balance penalty) is O(N) data, so a quote change (`update_tick`)
+never touches the dense storage. A batch folds the two into one (J, h) per
+solve (`_folded`), O(k^2) for the k stocks it solves, and every step is one
+matrix product with that J.
 
 A decision solves only the stocks that may join a group. `restrict` fixes
 every other spin at -1, which moves its couplings into the kept biases and a
@@ -14,22 +16,21 @@ its energy, and the batch searches 2^k states instead of 2^n.
 
 Restarts run as one batch (`run_batch`): positions and momenta are (R, N)
 float32 matrices, each step is a single `x @ J` product with a float32 cast of
-j_day (the day couplings are symmetric), and row r draws its initial momenta
-from the RNG stream the caller passes for it, so a run keeps its key whichever
-batch it lands in. The couplings, c0, the tick biases, the scalars and the work
-buffers are cast or set up once per batch, and every step runs in place. The
-wall maps x to x/|x| wherever |x| > 1: exactly +-1 for a finite x, NaN for an
-inf, and a NaN stays NaN. A row that goes non-finite therefore stays so, and
-one check after the loop finds it; a diverged row is reported as None while the
-other rows finish. A c0 or an initial momentum outside float32 range is inf
-from the start, so its row diverges. Each row's energy is read out in float64
-from the split form, -1/2 s.J_day.s plus O(N) tick terms and the offsets, so
-the dense problem is never materialised on the solve path and equal spins give
-equal energies. `run` is the one-row batch and `solve` is one batch of
-`restarts` rows plus the best-of-R pick, whose tolerance absorbs the last-bit
-differences a batched product can give rows with equal spins. `step` applies
-the same kernel to a float64 copy of an (N,) or (R, N) state; `step_dense`,
-`dense_reconstruct` and `ising.brute_force_min` are oracles for the tests.
+the folded J (it is symmetric), and row r draws its initial momenta from the
+RNG stream the caller passes for it, so a run keeps its key whichever batch it
+lands in. J, h, c0, the scalars and the work buffers are cast or set up once
+per batch, and every step runs in place. The wall maps x to x/|x| wherever
+|x| > 1: exactly +-1 for a finite x, NaN for an inf, and a NaN stays NaN. A
+row that goes non-finite therefore stays so, and one check after the loop
+finds it; a diverged row is reported as None while the other rows finish. A
+c0 or an initial momentum outside float32 range is inf from the start, so its
+row diverges. Each row's energy is read out in float64 from the folded
+(J, h, offset), so equal spins give equal energies. `run` is the one-row batch
+and `solve` is one batch of `restarts` rows plus the best-of-R pick, whose
+tolerance absorbs the last-bit differences a batched product can give rows
+with equal spins. `step` applies the same kernel to a float64 copy of an (N,)
+or (R, N) state; `step_dense`, `dense_reconstruct` and
+`ising.brute_force_min` are oracles for the tests.
 """
 
 from __future__ import annotations
@@ -105,12 +106,6 @@ class SbParams:
             if not ok:
                 raise ValueError(message)
 
-    def pump(self, k: int) -> float:
-        """Pumping amplitude a(t) at step k."""
-        if self.n_step == 1:
-            return 0.0
-        return self.a0 * k / (self.n_step - 1)
-
 
 @dataclass
 class WriteCounter:
@@ -134,9 +129,10 @@ class SplitProblem:
     nonzero day couplings (0.0 when there are none); default_c0 reads it.
     day_row_sum, derived next to it, holds the row sums of j_day, from which
     restrict reads the couplings to the fixed stocks; update_tick's shallow
-    copy shares both by identity. run_batch steps with a float32 cast of j_day,
-    so a j_day or h_day entry not finite in float32, which would diverge every
-    row, is rejected; no cast is stored.
+    copy shares both by identity. run_batch steps with a float32 cast of j_day
+    plus the tick coupling, so a j_day or h_day entry not finite in float32,
+    which would diverge every row, is rejected; no folded or cast copy is
+    stored.
     """
 
     j_day: np.ndarray
@@ -269,6 +265,17 @@ def dense_reconstruct(p: SplitProblem) -> IsingProblem:
     )
 
 
+def _folded(p: SplitProblem) -> tuple[np.ndarray, np.ndarray, float]:
+    """The whole problem as float64 (J, h, offset): the tick coupling -(c3/2) sgn sgn^T folded into j_day.
+
+    O(n^2), so a batch builds it once over its k solved stocks. It equals
+    dense_reconstruct(p), which stays a separate construction as the tests' oracle.
+    """
+    j = p.j_day - (p.c3 / 2.0) * np.outer(p.sgn_dp, p.sgn_dp)
+    np.fill_diagonal(j, 0.0)
+    return j, p.h_day + compute_h_tick(p), p.offset_day + _tick_offset(p)
+
+
 def default_c0(p: SplitProblem, a0: float) -> float:
     """1.5 a0 / (sqrt(n) * p.day_rms), with tick/unit fallbacks; O(n), the day scan is in SplitProblem."""
     if p.day_rms > 0.0:
@@ -290,54 +297,31 @@ def initial_state(p: SplitProblem, rng: np.random.Generator) -> OscillatorState:
     return OscillatorState(x=np.zeros(p.n), y=rng.uniform(-0.1, 0.1, p.n), step=0)
 
 
-def _tick_terms(p: SplitProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Per-problem constants of the tick force: the coefficient -(c3/2) sgn(dp) and h_tick."""
-    return -(p.c3 / 2.0) * p.sgn_dp, compute_h_tick(p)
+def _scratch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work buffers for _force/_advance on states shaped like x: dy, tmp and the wall mask."""
+    return np.empty_like(x), np.empty_like(x), np.empty(x.shape, dtype=bool)
 
 
-def _in_dtype(dtype, *values) -> list[np.ndarray]:
-    """values as arrays of dtype, scalars as 0-d arrays, for the kernel's operands.
-
-    A float64 operand would make a ufunc on a float32 state compute in float64,
-    and a Python float costs a conversion on every call. Callers silence the
-    overflow warning: a value beyond float32 range casts to inf.
-    """
-    return [np.asarray(v, dtype) for v in values]
-
-
-def _scratch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Work buffers for _force/_advance on states shaped like x: dy, tmp, the per-row sgn.x, the wall mask."""
-    return np.empty_like(x), np.empty_like(x), np.empty(x.shape[:-1], x.dtype), np.empty(x.shape, dtype=bool)
-
-
-def _force(x, j, h, sgn, tick_coef, h_tick, dy, tmp, dot) -> None:
-    """Write J x - h into dy, for x of shape (n,) or (R, n); the tick part is O(n) via the shared sum.
+def _force(x, j, h, dy) -> None:
+    """Write J x - h into dy, for x of shape (n,) or (R, n), with the folded J and h of _folded.
 
     _force and _advance take every operand in the state's dtype (float32 in
-    run_batch, float64 in step), write into the buffers of _scratch (each
-    ufunc's third argument is its output) and do the operations of
+    run_batch, float64 in step), write into dy and the buffers of _scratch
+    (each ufunc's third argument is its output) and do the operations of
     `reference_run_batch` in tests/helpers.py in its order, so their results
-    are bit-identical to it in either dtype. Prescaling by c0*dt or folding h
-    or the tick coupling into the product would change the rounding and the
-    step at which a row overflows.
+    are bit-identical to it in either dtype. Prescaling by c0*dt would change
+    the rounding and the step at which a row overflows.
     """
     np.matmul(x, j, dy)  # j is symmetric: each row of x @ J is J x
     dy -= h
-    np.matmul(x, sgn, dot)
-    # Momentum correction of the tick component, (J_tick x)_i - h_tick_i.
-    np.multiply(sgn, x, tmp)
-    np.subtract(dot[..., None], tmp, tmp)
-    tmp *= tick_coef
-    tmp -= h_tick
-    dy += tmp
 
 
 def _advance(x, y, dy, tmp, over, gap, c0, a0, dt, one, zero) -> None:
     """Integrate one step in place and apply the walls; dy is consumed.
 
-    gap is this step's -(a0 - a(k)); it and the other scalars are 0-d arrays
-    in the state's dtype. The wall zeroes y and maps x to x/|x| wherever
-    |x| > 1, by dividing x by max(|x|, 1). That is exactly +-1 for a finite x
+    gap is this step's -(a0 - a(k)), a (1,) array, and the other scalars are
+    0-d arrays, all in the state's dtype (see _scalars). The wall zeroes y and
+    maps x to x/|x| wherever |x| > 1, by dividing x by max(|x|, 1). That is exactly +-1 for a finite x
     and NaN for an inf, and a NaN stays NaN, so a row that goes non-finite
     stays non-finite to the end. A non-finite y makes x non-finite in the same
     step, so checking x covers y. Callers silence the overflow and invalid
@@ -358,22 +342,30 @@ def _advance(x, y, dy, tmp, over, gap, c0, a0, dt, one, zero) -> None:
     np.putmask(y, over, zero)
 
 
-def _scalars(params: SbParams, c0: float, dtype, steps) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """-(a0 - a(k)) for each k in steps, and c0, a0, dt, 1 and 0: _advance's 0-d operands in dtype."""
-    gaps = _in_dtype(dtype, *(-(params.a0 - params.pump(k)) for k in steps))
-    return gaps, _in_dtype(dtype, c0, params.a0, params.dt, 1.0, 0.0)
+def _scalars(params: SbParams, c0: float, dtype) -> tuple[np.ndarray, list[np.ndarray]]:
+    """_advance's scalar operands in dtype: an (n_step, 1) array of gaps, and c0, a0, dt, 1 and 0 as 0-d arrays.
+
+    Row k is -(a0 - a(k)), where the pumping amplitude a(k) = a0 k / (n_step - 1)
+    ramps linearly from 0 (a one-step run stays at 0). A float64 operand would
+    make a ufunc on a float32 state compute in float64, and a Python float costs
+    a conversion on every call. Callers silence the overflow warning: a value
+    beyond float32 range casts to inf.
+    """
+    pump = params.a0 * np.arange(params.n_step) / max(params.n_step - 1, 1)
+    scalars = [np.asarray(v, dtype) for v in (c0, params.a0, params.dt, 1.0, 0.0)]
+    return (-(params.a0 - pump)).astype(dtype)[:, None], scalars
 
 
 def _stepped(state: OscillatorState, params: SbParams, c0: float, force) -> OscillatorState:
-    """One float64 step on copies of state.x and state.y; force(x, dy, tmp, dot) writes J x - h into dy."""
+    """One float64 step on copies of state.x and state.y; force(x, dy) writes J x - h into dy."""
     if state.step >= params.n_step:
         raise ValueError(f"state.step={state.step} out of range for n_step={params.n_step}")
     x, y = np.array(state.x, dtype=np.float64), np.array(state.y, dtype=np.float64)
-    dy, tmp, dot, over = _scratch(x)
-    (gap,), scalars = _scalars(params, c0, np.float64, [state.step])
+    dy, tmp, over = _scratch(x)
+    gaps, scalars = _scalars(params, c0, np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        force(x, dy, tmp, dot)
-        _advance(x, y, dy, tmp, over, gap, *scalars)
+        force(x, dy)
+        _advance(x, y, dy, tmp, over, gaps[state.step], *scalars)
     if not np.isfinite(x).all():
         raise DivergenceError(f"state diverged at step {state.step}; lower c0 or dt")
     return OscillatorState(x=x, y=y, step=state.step + 1)
@@ -382,8 +374,8 @@ def _stepped(state: OscillatorState, params: SbParams, c0: float, force) -> Osci
 def step(state: OscillatorState, p: SplitProblem, params: SbParams) -> OscillatorState:
     """One ballistic-SB update of an (n,) or (R, n) state, by the kernel run_batch iterates, in float64."""
     c0 = _c0(p, params)
-    operands = (p.j_day, p.h_day, p.sgn_dp, *_tick_terms(p))
-    return _stepped(state, params, c0, lambda x, *buffers: _force(x, *operands, *buffers))
+    j, h, _ = _folded(p)
+    return _stepped(state, params, c0, lambda x, dy: _force(x, j, h, dy))
 
 
 def step_dense(state: OscillatorState, dense: IsingProblem, params: SbParams, c0: float) -> OscillatorState:
@@ -391,15 +383,9 @@ def step_dense(state: OscillatorState, dense: IsingProblem, params: SbParams, c0
     return _stepped(state, params, c0, lambda x, dy, *_: np.subtract(dense.j @ x, dense.h, out=dy))
 
 
-def _energies(p: SplitProblem, spins: np.ndarray, h_tick: np.ndarray) -> np.ndarray:
-    """Ising energy of each row of spins, read from the split form without materialising J.
-
-    -1/2 s.J_day.s, plus the tick couplings (c3/4)((sgn.s)^2 - sgn.sgn), the
-    biases h_day + h_tick and both offsets; equals ising_energy(dense_reconstruct(p), s).
-    """
-    quad = np.einsum("ri,ri->r", spins @ p.j_day, spins)
-    tick_pair = (p.c3 / 4.0) * ((spins @ p.sgn_dp) ** 2 - float(p.sgn_dp @ p.sgn_dp))
-    return -0.5 * quad + tick_pair + spins @ (p.h_day + h_tick) + (p.offset_day + _tick_offset(p))
+def _energies(spins: np.ndarray, j: np.ndarray, h: np.ndarray, offset: float) -> np.ndarray:
+    """-1/2 s.J.s + h.s + offset for each row s of spins; over _folded(p) it is ising_energy of dense_reconstruct(p)."""
+    return -0.5 * np.einsum("ri,ri->r", spins @ j, spins) + spins @ h + offset
 
 
 def run_batch(
@@ -408,30 +394,29 @@ def run_batch(
     """Runs start, start + 1, ... as one (R, n) float32 batch; row r starts from rngs[r].
 
     The state, the work buffers and every operand of the step kernel are
-    float32: the couplings, cast into a 64-byte-aligned buffer (O(k^2) on a
-    restricted split), the O(n) biases and tick terms and the 0-d scalars are
-    cast once per batch, and the steps run in place. A c0 or an initial
+    float32: the folded couplings of _folded, cast into a 64-byte-aligned
+    buffer (O(k^2) on a restricted split), the folded biases and the scalars
+    are cast once per batch, and the steps run in place. A c0 or an initial
     momentum beyond float32 range casts to inf, so its row diverges. No step
     checks for divergence: the wall turns an inf into NaN, which every later
     step carries, so one check of x after the loop finds each row that went
     non-finite; such a row comes back as None. Energies are read out in float64
-    from the spins.
+    from the spins and the float64 (J, h, offset).
     """
     t0 = time.perf_counter()
-    tick_coef, h_tick = _tick_terms(p)
+    j, h, offset = _folded(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps, scalars = _scalars(params, _c0(p, params), np.float32, range(params.n_step))
-        j = _cache_line_aligned(p.j_day, np.float32)
-        operands = (j, *_in_dtype(np.float32, p.h_day, p.sgn_dp, tick_coef, h_tick))
+        gaps, scalars = _scalars(params, _c0(p, params), np.float32)
+        j32, h32 = _cache_line_aligned(j, np.float32), h.astype(np.float32)
         x = np.zeros((len(rngs), p.n), np.float32)
         y = np.array([initial_state(p, rng).y for rng in rngs], np.float32)
-        dy, tmp, dot, over = _scratch(x)
+        dy, tmp, over = _scratch(x)
         for gap in gaps:
-            _force(x, *operands, dy, tmp, dot)
+            _force(x, j32, h32, dy)
             _advance(x, y, dy, tmp, over, gap, *scalars)
     finite = np.isfinite(x).all(axis=1)
     spins = np.where(x >= 0.0, 1.0, -1.0)
-    energies = _energies(p, spins, h_tick)
+    energies = _energies(spins, j, h, offset)
     elapsed = time.perf_counter() - t0
     return [
         SbSolution(spins=spins[r], energy=float(energies[r]), run_index=start + r, elapsed=elapsed)

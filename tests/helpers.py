@@ -5,9 +5,9 @@ import itertools
 import numpy as np
 
 from sbtrader.engine import EngineConfig
-from sbtrader.feed import FEED_HEADER, TickEvent, write_feed
+from sbtrader.feed import FEED_HEADER, SynthSpec, TickEvent, synth_generate, write_feed
 from sbtrader.ising import qubo_energy
-from sbtrader.sb import DivergenceError, OscillatorState, SbSolution, _energies, _tick_terms, default_c0, initial_state
+from sbtrader.sb import DivergenceError, OscillatorState, SbSolution, _energies, default_c0, dense_reconstruct, initial_state
 from sbtrader.strategy import (
     CorrelationMatrix,
     Stock,
@@ -105,6 +105,29 @@ def write_convergence_fixture(dirpath, commission_rate=0.0, restarts=3):
     }
 
 
+def write_synthetic_fixture(dirpath, n=16, days=2, seed=0):
+    """Universe, correlation, config and `days` synthetic feeds (`synth_generate`) for a seeded n-stock backcast.
+
+    Unlike the convergence scenario, whose margins are wide, its decisions are
+    close calls, so a change to the solver's decisions changes its reports.
+    """
+    rng = np.random.default_rng([seed, n])
+    prices = rng.integers(10, 80, n) * 100.0
+    uni = Universe([Stock(code=f"S{i:04d}", base_price=float(p), min_lot=MIN_LOT) for i, p in enumerate(prices)])
+    raw = rng.uniform(-1.0, 1.0, (n, n))
+    corr = CorrelationMatrix(np.clip(((raw + raw.T) / 2.0 + 1.0) / 2.0, 0.0, 1.0))
+    feed_dir = dirpath / "days"
+    feed_dir.mkdir(parents=True, exist_ok=True)
+    spec = SynthSpec(duration_s=600.0, quote_rate=0.01, trade_rate=0.5, vol=0.002)
+    for d in range(days):
+        synth_generate(uni, spec, seed * 1000 + d, feed_dir / f"2023-03-{d + 1:02d}.csv")
+    save_universe(dirpath / "universe.csv", uni)
+    save_correlation(dirpath / "corr.txt", corr, ["synthetic"])
+    config = dirpath / "engine.cfg"
+    config.write_text("n_s=4\np_max=4\nc1=300\nc2=3\nc3=3\nrestarts=10\n")
+    return {"universe": dirpath / "universe.csv", "feed_dir": feed_dir, "corr": dirpath / "corr.txt", "config": config}
+
+
 def tight_instance(n, n_s, seed, c1=300.0, dp_scale=0.0075, margin=0.5):
     """Random instance with the smallest penalties that still make every
     constraint violation cost more than the best feasible group (checked by
@@ -170,11 +193,14 @@ def reference_replay(path):
             yield e
 
 
-def _reference_force(x, j, h, sgn, tick_coef, h_tick):
-    dy_day = x @ j - h
-    dy_sum = (x @ sgn)[..., None]
-    dy_tick = tick_coef * (dy_sum - sgn * x) - h_tick
-    return dy_day + dy_tick
+def _reference_force(x, j, h):
+    # j and h come from dense_reconstruct, not from the kernel's own fold
+    return x @ j - h
+
+
+def _reference_pump(params, k):
+    """Pumping amplitude a(k) = a0 k / (n_step - 1) at step k; 0 for a one-step run."""
+    return 0.0 if params.n_step == 1 else params.a0 * k / (params.n_step - 1)
 
 
 def _reference_advance(x, y, dy, a_t, c0, params, dtype=np.float64):
@@ -191,13 +217,14 @@ def _reference_advance(x, y, dy, a_t, c0, params, dtype=np.float64):
 
 
 def reference_step(state, p, params):
-    """The allocating `sb.step` that the in-place kernel replaced, kept as its oracle."""
+    """The allocating `sb.step` that the in-place kernel replaced, kept as its oracle; it steps dense_reconstruct(p)."""
     if state.step >= params.n_step:
         raise ValueError(f"state.step={state.step} out of range for n_step={params.n_step}")
     c0 = params.c0 if params.c0 is not None else default_c0(p, params.a0)
+    dense = dense_reconstruct(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        dy = _reference_force(state.x, p.j_day, p.h_day, p.sgn_dp, *_tick_terms(p))
-        x, y, finite = _reference_advance(state.x, state.y, dy, params.pump(state.step), c0, params)
+        dy = _reference_force(state.x, dense.j, dense.h)
+        x, y, finite = _reference_advance(state.x, state.y, dy, _reference_pump(params, state.step), c0, params)
     if not np.all(finite):
         raise DivergenceError(f"state diverged at step {state.step}; lower c0 or dt")
     return OscillatorState(x=x, y=y, step=state.step + 1)
@@ -209,23 +236,25 @@ def reference_run_batch(p, params, rngs, start=0, dtype=np.float64):
     It steps in `dtype`: `run_batch` runs in float32, so float32 is its
     bit-for-bit oracle and float64 the precision it is compared against. It
     checks every row for non-finite state at every step, before the wall
-    clamps an inf back to +-1, and keeps the flags sticky. The energy readout
+    clamps an inf back to +-1, and keeps the flags sticky. It steps and reads
+    out the problem that `dense_reconstruct` materialises, so the kernel's own
+    fold (`sb._folded`) is checked against it. The energy readout
     `sb._energies` is shared with `run_batch`, not copied: only the step
     kernel was replaced.
     """
     c0 = params.c0 if params.c0 is not None else default_c0(p, params.a0)
-    tick_coef, h_tick = _tick_terms(p)
+    dense = dense_reconstruct(p)
     finite = np.ones(len(rngs), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        j, h, sgn, coef, h_t = (a.astype(dtype) for a in (p.j_day, p.h_day, p.sgn_dp, tick_coef, h_tick))
+        j, h = (a.astype(dtype) for a in (dense.j, dense.h))
         x = np.zeros((len(rngs), p.n), dtype)
         y = np.array([initial_state(p, rng).y for rng in rngs], dtype)
         for k in range(params.n_step):
-            dy = _reference_force(x, j, h, sgn, coef, h_t)
-            x, y, ok = _reference_advance(x, y, dy, params.pump(k), c0, params, dtype)
+            dy = _reference_force(x, j, h)
+            x, y, ok = _reference_advance(x, y, dy, _reference_pump(params, k), c0, params, dtype)
             finite &= ok
     spins = np.where(x >= 0.0, 1.0, -1.0)
-    energies = _energies(p, spins, h_tick)
+    energies = _energies(spins, dense.j, dense.h, dense.offset)
     return [
         SbSolution(spins=spins[r], energy=float(energies[r]), run_index=start + r, elapsed=0.0)
         if finite[r]

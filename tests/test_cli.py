@@ -23,6 +23,7 @@ from sbtrader.strategy import (
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+GOLDEN_SYNTH16 = Path(__file__).parent / "data" / "golden_synth16"
 
 
 def run_cli(capsys, *argv):
@@ -500,6 +501,24 @@ class TestBackcast:
         assert code == 0
         for name in ("report.csv", "cumulative.csv", "orders.csv", "summary.txt"):
             assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_golden_synthetic_reports(self, tmp_path, capsys):
+        # 16 stocks, two synthetic days, 10 restarts: close decisions, so a solver change that moves
+        # any of them changes these files
+        files = helpers.write_synthetic_fixture(tmp_path)
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys,
+            "backcast",
+            "--feed-dir", str(files["feed_dir"]),
+            "--universe", str(files["universe"]),
+            "--config", str(files["config"]),
+            "--corr", str(files["corr"]),
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        for name in ("report.csv", "cumulative.csv", "orders.csv", "summary.txt"):
+            assert (out_dir / name).read_bytes() == (GOLDEN_SYNTH16 / name).read_bytes(), name
 
     @pytest.mark.parametrize("price", ["nan", "inf"])
     def test_non_finite_base_price_exits_before_replay(self, tmp_path, capsys, monkeypatch, price):

@@ -770,12 +770,15 @@ class TestFloat32:
             assert all(isinstance(a, np.ndarray) for a in args)
             other = [a.dtype for a in args if a.dtype != np.float32]
             assert other == ([np.dtype(bool)] if name == "_advance" else [])  # _advance's wall mask
-        # the coupling operand is cast per batch into a cache-line-aligned buffer: at n=512 a mid-line
-        # start made every step's x @ J 30-50% slower
+        # _force takes (x, j, h, dy), with the tick coupling folded into j; the coupling operand is cast per
+        # batch into a cache-line-aligned buffer: at n=512 a mid-line start made every step's x @ J 30-50% slower
+        assert all(len(args) == 4 for name, args in calls if name == "_force")
         j = calls[0][1][1]
         assert all(args[1] is j for name, args in calls if name == "_force")
         assert j.flags.c_contiguous and j.ctypes.data % 64 == 0
-        assert np.array_equal(j, p.j_day.astype(np.float32))
+        dense = dense_reconstruct(p)
+        assert np.array_equal(j, dense.j.astype(np.float32))
+        assert np.array_equal(calls[0][1][2], dense.h.astype(np.float32))
 
 
 class TestTieBreak:
