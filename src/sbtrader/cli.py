@@ -89,9 +89,12 @@ def cmd_solve(args) -> int:
     keep = np.flatnonzero(~dev.mask)  # the engine's selection path: solve the unmasked stocks alone
     split = sb.restrict(st.build_split(dev, corr, config.strategy), keep)
     if keep.size:
-        sol = sb.expand([sb.solve(split, params)], keep, universe.n)[0]
+        rows = sb.expand(sb.solve_rows(split, params), keep, universe.n)
     else:  # every stock is masked: the empty group is all that is left, and no batch runs
-        sol = sb.SbSolution(spins=-np.ones(universe.n), energy=split.offset_day, run_index=0, elapsed=0.0)
+        rows = [sb.SbSolution(spins=-np.ones(universe.n), energy=split.offset_day, run_index=0, elapsed=0.0)]
+    # the engine's rule: the lowest-energy accepted row; with none accepted, the lowest-energy row and its reasons
+    accepted = [sol for sol in rows if st.evaluate_candidate(sol, dev, corr, config.strategy).accepted]
+    sol = sb.pick_best(accepted or rows)
     verdict = st.evaluate_candidate(sol, dev, corr, config.strategy)
     selected = np.flatnonzero(np.asarray(sol.spins) > 0)
     sides = ["long" if dev.dp[i] < 0 else "short" for i in selected]

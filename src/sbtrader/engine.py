@@ -4,10 +4,13 @@ The engine owns one day's market state. On each quote change it rebuilds the
 deviation vector, whose mask is the one gate on which stocks may join a group,
 refreshes the O(N) tick side of the split problem, and, unless every stock is
 masked, solves one batch of restarts with fresh random initial states over the
-unmasked stocks alone (`sb.restrict`, O(N + k^2) for k unmasked); an accepted
-group opens if the open list has room for it. Closing is driven by the
-deviation sign crossing zero (taking the convergence profit) and by a forced
-unwind window before session close.
+unmasked stocks alone (`sb.restrict`, O(N + k^2) for k unmasked). One batch
+makes one decision: a diverged row skips it, and otherwise the cheapest
+accepted group (`sb.pick_best` over the accepted rows, the rule `sb.solve`
+uses) opens if the open list has room for it. So at most one group opens per
+quote change; with p_max >= 2 n_s a second group waits for the next one.
+Closing is driven by the deviation sign crossing zero (taking the convergence
+profit) and by a forced unwind window before session close.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .feed import MarketSession, TickEvent
-from .sb import SbParams, expand, restrict, run_batch as sb_run, substream, update_tick
+from .sb import SbParams, expand, pick_best, restrict, run_batch as sb_run, substream, update_tick
 from .strategy import (
     CorrelationMatrix,
     DeviationVector,
@@ -189,50 +192,32 @@ class TradingEngine:
     def on_quote_change(self, ts: int, code: str | None = None) -> list[Order]:
         """Re-solve after a quote change; returns any orders issued.
 
-        Runs 0..restarts-1 are solved speculatively as one batch, then judged in
-        index order. The batch solves only the unmasked stocks: `restrict` fixes
-        every masked spin at -1, which changes neither the groups that
-        `check_constraints` accepts nor their energies, and `expand` writes the
-        spins back to length N. Opening masks the opened stocks, so after the
-        first run that issues orders the preprocessing (deviation plus tick
-        update) is redone and only the later runs are re-batched, unless the
-        opening has left no room for another group. No batch runs while every
-        stock is masked. Each run draws from its own (seed, day, event, run)
-        stream, so the decisions are those of solving and judging the runs one
-        at a time. A diverged run skips the rest of the event once the runs
-        before it have been judged; `skipped_events` counts it.
+        One decision is one batch of runs 0..restarts-1 over the unmasked stocks
+        (`restrict` fixes every masked spin at -1, which changes neither the
+        groups that `check_constraints` accepts nor their energies; `expand`
+        writes the spins back to length N). A diverged row skips the decision,
+        counted in `skipped_events`. Otherwise the lowest-energy accepted row,
+        the cheapest accepted group, goes to `judge_open`; with p_max >= 2 n_s a
+        second group waits for the next quote change. Each run draws from its own
+        (seed, day, event, run) stream, as if the runs were solved one at a time.
         """
         if ts >= self.config.session_close_us - self.config.t_force_us:
             return []  # inside the forced-unwind window; judgment would reject
-        issued: list[Order] = []
-        start = 0
-        strategy = self.config.strategy
-        while start < self.config.restarts:
-            dev = self._deviation()
-            self.split = update_tick(self.split, dev.sgn(), np.abs(dev.dp))
-            if dev.mask.all() or (start > 0 and len(self.open_codes) + strategy.n_s > strategy.p_max):
-                break  # nothing may join a group, or an opening has filled the room for the later runs
-            keep = np.flatnonzero(~dev.mask)
-            rngs = [
-                substream(self.seed, self.day_key, self.event_index, run_index)
-                for run_index in range(start, self.config.restarts)
-            ]
-            batch = expand(sb_run(restrict(self.split, keep), self._params, rngs, start=start), keep, dev.n)
-            start = self.config.restarts
-            for sol in batch:
-                if sol is None:
-                    self.skipped_events += 1
-                    return issued
-                verdict = evaluate_candidate(sol, dev, self.corr, strategy)
-                if not verdict.accepted:
-                    continue
-                # expand left every masked stock out of the group
-                orders = self.judge_open(np.flatnonzero(np.asarray(sol.spins) > 0), dev, ts)
-                if orders:
-                    issued.extend(orders)
-                    start = sol.run_index + 1  # re-batch the later runs under the new mask
-                    break
-        return issued
+        dev = self._deviation()
+        self.split = update_tick(self.split, dev.sgn(), np.abs(dev.dp))
+        if dev.mask.all():
+            return []  # nothing may join a group
+        keep = np.flatnonzero(~dev.mask)
+        rngs = [substream(self.seed, self.day_key, self.event_index, r) for r in range(self.config.restarts)]
+        rows = expand(sb_run(restrict(self.split, keep), self._params, rngs), keep, dev.n)
+        if None in rows:
+            self.skipped_events += 1
+            return []
+        accepted = [sol for sol in rows if evaluate_candidate(sol, dev, self.corr, self.config.strategy).accepted]
+        if not accepted:
+            return []
+        # expand left every masked stock out of the group
+        return self.judge_open(np.flatnonzero(pick_best(accepted).spins > 0), dev, ts)
 
     def judge_open(self, selected: np.ndarray, dev: DeviationVector, ts: int) -> list[Order]:
         """Open the whole group if the open list has room for it; register before issuing orders.

@@ -26,10 +26,11 @@ finds it; a diverged row is reported as None while the other rows finish. A
 c0 or an initial momentum outside float32 range is inf from the start, so its
 row diverges. Each row's energy is read out in float64 from the folded
 (J, h, offset), so equal spins give equal energies. `run` is the one-row batch
-and `solve` is one batch of `restarts` rows plus the best-of-R pick, whose
-tolerance absorbs the last-bit differences a batched product can give rows
-with equal spins. `step` applies the same kernel to a float64 copy of an (N,)
-or (R, N) state; `step_dense`, `dense_reconstruct` and
+and `solve` is `pick_best` over the `restarts` rows of `solve_rows`. `pick_best`
+is the one row rule, which the engine applies to its accepted rows: the lowest
+energy, within a tolerance that absorbs the last-bit differences a batched
+product can give rows with equal spins. `step` applies the same kernel to a
+float64 copy of an (N,) or (R, N) state; `step_dense`, `dense_reconstruct` and
 `ising.brute_force_min` are oracles for the tests.
 """
 
@@ -59,6 +60,7 @@ __all__ = [
     "run",
     "run_batch",
     "pick_best",
+    "solve_rows",
     "solve",
     "update_tick",
     "restrict",
@@ -454,10 +456,15 @@ def pick_best(sols: list[SbSolution]) -> SbSolution:
     return min((sol for sol in sols if sol.energy <= e_min + tol), key=lambda sol: sol.run_index)
 
 
-def solve(p: SplitProblem, params: SbParams) -> SbSolution:
-    """Best of `restarts` rows of one batch on independent substreams (see pick_best)."""
+def solve_rows(p: SplitProblem, params: SbParams) -> list[SbSolution]:
+    """The `restarts` rows of one batch on independent substreams; DivergenceError if a row diverged."""
     rngs = [substream(params.seed, i) for i in range(params.restarts)]
-    return pick_best(_solved(run_batch(p, params, rngs), 0))
+    return _solved(run_batch(p, params, rngs), 0)
+
+
+def solve(p: SplitProblem, params: SbParams) -> SbSolution:
+    """Best of the rows of solve_rows (see pick_best)."""
+    return pick_best(solve_rows(p, params))
 
 
 def update_tick(

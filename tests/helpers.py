@@ -164,6 +164,35 @@ def feasible_qubo_energies(dev, corr, params, qubo):
     return np.array(energies)
 
 
+def best_group(dev, corr, params):
+    """The exact cheapest feasible group of n_s = 4 over the unmasked stocks: (cost, indices), or (inf, None).
+
+    A feasible group is one long pair and one short pair, so one (|long pairs|, |short pairs|) table holds
+    every group's `cost_energy`: A[lp] + B[sp] + 2 (P[lp, s1] + P[lp, s2]), where A and B are the pairs' own
+    costs, C = sigma[L, S] and P = C[l1] + C[l2] over the long pairs.
+    """
+    if params.n_s != 4:
+        raise ValueError("best_group covers n_s = 4 only")
+    kept = np.flatnonzero(~dev.mask)
+    sgn = dev.sgn()[kept]
+    longs, shorts = kept[sgn < 0], kept[sgn > 0]
+    lp = np.array(list(itertools.combinations(range(len(longs)), 2)), dtype=np.intp).reshape(-1, 2)
+    sp = np.array(list(itertools.combinations(range(len(shorts)), 2)), dtype=np.intp).reshape(-1, 2)
+    if not (len(lp) and len(sp)):
+        return float("inf"), None
+    gain, sigma = params.c1 * np.abs(dev.dp), corr.sigma
+
+    def pair_cost(stocks, pairs):
+        i, j = stocks[pairs[:, 0]], stocks[pairs[:, 1]]
+        return -(gain[i] + gain[j]) + 2.0 * sigma[i, j]
+
+    c = sigma[np.ix_(longs, shorts)]
+    p = c[lp[:, 0]] + c[lp[:, 1]]
+    table = pair_cost(longs, lp)[:, None] + pair_cost(shorts, sp)[None, :] + 2.0 * (p[:, sp[:, 0]] + p[:, sp[:, 1]])
+    a, b = np.unravel_index(np.argmin(table), table.shape)
+    return float(table[a, b]), np.sort(np.concatenate([longs[lp[a]], shorts[sp[b]]]))
+
+
 def reference_replay(path):
     """The line-by-line feed parser that `feed.replay` replaced, kept as its oracle.
 

@@ -123,6 +123,27 @@ class TestSolve:
         assert code == 2
         assert "accepted=False" in out
 
+    def test_prints_the_lowest_energy_accepted_row(self, tmp_path, capsys, monkeypatch):
+        # the lowest-energy row selects three stocks; the engine's rule passes it over for the accepted row
+        def stub(p, params, rngs, start=0):
+            rows = [([1.0, 1.0, 1.0, -1.0], -2.0), ([1.0, 1.0, 1.0, 1.0], -1.0), ([-1.0] * 4, -0.5)]
+            return [sb.SbSolution(spins=np.array(s), energy=e, run_index=r, elapsed=0.0) for r, (s, e) in enumerate(rows)]
+
+        monkeypatch.setattr(sb, "run_batch", stub)
+        files = helpers.write_convergence_fixture(tmp_path)
+        dev = tmp_path / "dev.txt"
+        dev.write_text("-0.0042\n-0.004\n0.0042\n0.004\n0\n0\n")
+        code, out, _ = run_cli(
+            capsys,
+            "solve",
+            "--universe", str(files["universe"]),
+            "--deviations", str(dev),
+            "--corr", str(files["corr"]),
+            "--config", str(files["config"]),
+        )
+        assert code == 0
+        assert "spins=++++--" in out and "energy=-1.0" in out and "accepted=True" in out
+
     def test_feasible_above_threshold_gives_its_reason(self, tmp_path, capsys):
         files = helpers.write_convergence_fixture(tmp_path)
         dev = tmp_path / "dev.txt"
@@ -486,6 +507,14 @@ class TestBackcast:
         assert not (tmp_path / "o").exists()
 
     def test_golden_reports(self, tmp_path, capsys):
+        r"""The convergence day's reports. Its files are written, from the root of a checkout, by::
+
+            d=$(mktemp -d)
+            PYTHONPATH=src:tests python -c "import helpers, pathlib, sys; \
+                helpers.write_convergence_fixture(pathlib.Path(sys.argv[1]), commission_rate=0.0005)" $d
+            PYTHONPATH=src python -m sbtrader.cli backcast --feed-dir $d/days --universe $d/universe.csv \
+                --config $d/engine.cfg --corr $d/corr.txt --seed 3 --out tests/data/golden
+        """
         files = helpers.write_convergence_fixture(tmp_path, commission_rate=0.0005)
         out_dir = tmp_path / "out"
         code, _, _ = run_cli(
@@ -503,8 +532,15 @@ class TestBackcast:
             assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
     def test_golden_synthetic_reports(self, tmp_path, capsys):
-        # 16 stocks, two synthetic days, 10 restarts: close decisions, so a solver change that moves
-        # any of them changes these files
+        r"""16 stocks, two synthetic days, 10 restarts: close decisions, so a change that moves any of them
+        changes these files. They are written, from the root of a checkout, by::
+
+            d=$(mktemp -d)
+            PYTHONPATH=src:tests python -c "import helpers, pathlib, sys; \
+                helpers.write_synthetic_fixture(pathlib.Path(sys.argv[1]))" $d
+            PYTHONPATH=src python -m sbtrader.cli backcast --feed-dir $d/days --universe $d/universe.csv \
+                --config $d/engine.cfg --corr $d/corr.txt --out tests/data/golden_synth16
+        """
         files = helpers.write_synthetic_fixture(tmp_path)
         out_dir = tmp_path / "out"
         code, _, _ = run_cli(

@@ -1,5 +1,6 @@
 """Tests for the event-driven engine: judgment, fills, closing, invariants."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,18 @@ from sbtrader.engine import (
     TradingEngine,
 )
 from sbtrader.feed import PriceBuffer, TickEvent
-from sbtrader.sb import DivergenceError, SbParams, SbSolution, expand, restrict, run, substream
+from sbtrader.ising import ising_energy
+from sbtrader.sb import (
+    DivergenceError,
+    SbParams,
+    SbSolution,
+    dense_reconstruct,
+    expand,
+    pick_best,
+    restrict,
+    run,
+    substream,
+)
 from sbtrader.strategy import (
     CorrelationMatrix,
     DeviationVector,
@@ -264,38 +276,32 @@ class TestQuoteChangeFlow:
 
 
 class SequentialEngine(TradingEngine):
-    """Reference decision loop: one solver run at a time, re-preprocessing after an issuing run.
+    """Reference decision loop: the runs solved one at a time with `sb.run`, then the engine's row rule.
 
-    Each run solves the same restricted split as the batch, so the comparison tests batching alone.
+    A diverged run skips the decision; otherwise the lowest-energy accepted row (`pick_best`) goes to
+    judgment. Each run solves the same restricted split as the batch, so the comparison tests batching alone.
     """
 
     def on_quote_change(self, ts, code=None):
         if ts >= self.config.session_close_us - self.config.t_force_us:
             return []
-        issued = []
-        need_preprocess = True
+        dev = self._deviation()
+        self.split = eng.update_tick(self.split, dev.sgn(), np.abs(dev.dp))
+        if dev.mask.all():
+            return []
+        keep = np.flatnonzero(~dev.mask)
+        restricted = restrict(self.split, keep)
+        rows = []
         for run_index in range(self.config.restarts):
-            if need_preprocess:
-                dev = self._deviation()
-                self.split = eng.update_tick(self.split, dev.sgn(), np.abs(dev.dp))
-                need_preprocess = False
-                if dev.mask.all():
-                    break
-                keep = np.flatnonzero(~dev.mask)
-                restricted = restrict(self.split, keep)
             rng = substream(self.seed, self.day_key, self.event_index, run_index)
             try:
-                sol = expand([run(restricted, self._params, rng, run_index=run_index)], keep, dev.n)[0]
+                rows.append(run(restricted, self._params, rng, run_index=run_index))
             except DivergenceError:
                 self.skipped_events += 1
-                break
-            if not evaluate_candidate(sol, dev, self.corr, self.config.strategy).accepted:
-                continue
-            orders = self.judge_open(np.flatnonzero(sol.spins > 0), dev, ts)
-            if orders:
-                issued.extend(orders)
-                need_preprocess = True
-        return issued
+                return []
+        strategy = self.config.strategy
+        accepted = [sol for sol in expand(rows, keep, dev.n) if evaluate_candidate(sol, dev, self.corr, strategy).accepted]
+        return self.judge_open(np.flatnonzero(pick_best(accepted).spins > 0), dev, ts) if accepted else []
 
 
 class RoomCountingSequentialEngine(SequentialEngine):
@@ -330,7 +336,8 @@ class TestBatchedDecisions:
     def matches_sequential_reference(self, monkeypatch, config, reference=SequentialEngine, n=6, extra=()):
         """Runs the scenario, plus `extra` events, batched and through `reference`.
 
-        Returns the order log, the batches' starts and the reference engine.
+        Checks that the batched engine makes at most one tick update and one batch per event, that is
+        per decision. Returns the order log and the reference engine.
         """
         ticks = count_calls(monkeypatch, "update_tick")
         batches = count_calls(monkeypatch, "sb_run")
@@ -341,7 +348,9 @@ class TestBatchedDecisions:
                          fill_handler=FillModel().fill)
             events = helpers.convergence_events(engine.universe.codes) + list(extra)
             for e in sorted(events, key=lambda e: (e.ts, e.code, e.kind)):
+                before = len(ticks), len(batches)
                 engine.process(e)
+                assert len(ticks) - before[0] <= 1 and len(batches) - before[1] <= 1
                 assert len(engine.open_codes) <= config.strategy.p_max
             engine.finalize(110_000_000)
             logs.append(order_log(engine))
@@ -350,58 +359,49 @@ class TestBatchedDecisions:
         assert tick_counts[0] == tick_counts[1]
         # no batch runs once every stock is masked, that is once every deviation is 0
         assert batches and all(np.any(args[0].sgn_dp != 0) for args, _ in batches)
-        return logs[0], [kwargs["start"] for _, kwargs in batches], engine
+        return logs[0], engine
 
     @pytest.mark.parametrize("restarts", [3, 10])
     def test_batched_matches_sequential_reference(self, monkeypatch, restarts):
         config = helpers.convergence_params(restarts=restarts)
-        log, starts, _ = self.matches_sequential_reference(monkeypatch, config)
+        log, _ = self.matches_sequential_reference(monkeypatch, config)
         assert len(log) == 8  # four opens, four closes
-        # the opened group and the two flat stocks (dp == 0) mask every stock, so nothing is re-batched
-        assert not any(start > 0 for start in starts)
 
     @pytest.mark.parametrize("restarts", [3, 10])
-    def test_rebatch_matches_sequential_reference(self, monkeypatch, restarts):
+    def test_pairs_match_sequential_reference(self, monkeypatch, restarts):
         config = helpers.convergence_params(restarts=restarts)
         config.strategy = replace(config.strategy, n_s=2)  # two pairs fit in p_max=4
-        log, starts, _ = self.matches_sequential_reference(monkeypatch, config)
-        assert len(log) >= 4  # a pair opened and closed
-        # the opening decision re-batched the runs after the issuing one
-        assert any(start > 0 for start in starts)
-
-    def test_opening_that_fills_the_room_runs_one_batch(self, monkeypatch):
-        # n_s = p_max: once a group opens no later run can, so its decision re-batches nothing
-        batches = count_calls(monkeypatch, "sb_run")
-        engine = make_engine(restarts=10)
-        codes = engine.universe.codes
-        b = helpers.BASE
-        for i, c in enumerate(codes):
-            engine.process(TickEvent(i, c, "trade", b, 100))
-        # stocks 4 and 5 deviate first, so they are still unmasked when the group opens
-        quotes = {codes[4]: (b + 22, b + 20), codes[5]: (b - 20, b - 22), **signal_quotes(codes)}
-        opening = []
-        for k, (c, (ask, bid)) in enumerate(quotes.items()):
-            before = len(batches)
-            engine.process(TickEvent(200_000 + k, c, "quote", ask, bid))
-            if engine.open_codes:
-                opening.append(len(batches) - before)
-                break
-        assert opening == [1] and len(engine.open_codes) == engine.config.strategy.p_max
-        assert not engine._deviation().mask.all()  # unmasked stocks are left, yet no batch ran for them
-        assert all(kwargs["start"] == 0 for _, kwargs in batches)
+        log, _ = self.matches_sequential_reference(monkeypatch, config)
+        assert len(log) == 8  # both pairs opened and closed
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pairs_scenario_opens_both_pairs(self, seed):
         # with n_s=2 the scenario holds two balanced pairs, and p_max=4 has room for both
         config = helpers.convergence_params()
         config.strategy = replace(config.strategy, n_s=2)
-        engine = TradingEngine(helpers.make_universe(), helpers.convergence_corr(), config, seed=seed,
-                               fill_handler=FillModel().fill)
-        for e in helpers.convergence_events(engine.universe.codes):
+
+        def make():
+            return TradingEngine(helpers.make_universe(), helpers.convergence_corr(), config, seed=seed,
+                                 fill_handler=FillModel().fill)
+
+        engine = make()
+        codes = engine.universe.codes
+        for e in helpers.convergence_events(codes):
             engine.process(e)
         engine.finalize(110_000_000)
-        assert sorted(p.code for p in engine.positions) == engine.universe.codes[:4]
+        assert sorted(p.code for p in engine.positions) == codes[:4]
         assert all(p.state == CLOSED for p in engine.positions)
+        opens_per_decision = Counter(o.ts for o, _ in engine.fills if o.action == "open")
+        assert sorted(opens_per_decision.values()) == [2, 2]
+        # both pairs quoted before one decision: it opens one pair, and the next decision opens the other
+        engine = make()
+        prime_quotes(engine)
+        for k, (c, (a, b)) in enumerate(signal_quotes(codes).items()):
+            assert engine.session.apply(TickEvent(1_000_000 + k, c, "quote", a, b))
+        first = engine.on_quote_change(1_000_010)
+        second = engine.on_quote_change(1_000_011)
+        assert len(first) == len(second) == 2
+        assert sorted(o.code for o in first + second) == codes[:4]
 
     def test_full_room_matches_sequential_reference(self, monkeypatch):
         # a second group deviates while the first is open, so the room is full with unmasked stocks left
@@ -409,7 +409,7 @@ class TestBatchedDecisions:
         second = [TickEvent(3_000_000 + k, c, "quote", a, b)
                   for k, (c, (a, b)) in enumerate(signal_quotes(codes[4:], 40).items())]
         config = helpers.convergence_params(restarts=10)
-        log, _, reference = self.matches_sequential_reference(
+        log, reference = self.matches_sequential_reference(
             monkeypatch, config, reference=RoomCountingSequentialEngine, n=8, extra=second)
         opens = [code for _, code, _, action, _, _ in log if action == "open"]
         assert opens[:4] == sorted(codes[:4]) and sorted(opens[4:]) == sorted(codes[4:])
@@ -470,6 +470,75 @@ class TestBatchedDecisions:
         assert sorted(p.code for p in engine.positions) == codes[:4]
 
 
+class TestRowRule:
+    """A decision's batch opens its cheapest accepted group, or nothing if a row diverged."""
+
+    @staticmethod
+    def decide(monkeypatch, groups):
+        """Quotes all six stocks; the last quote's batch is stubbed so that row r selects groups[r] (None diverges).
+
+        Stocks 4 (short) and 5 (long) deviate twice as far as the scenario's four. Every earlier batch selects
+        nothing. Returns the engine, the (row, verdict) pairs that the last decision judged and the size of
+        every batch.
+        """
+        sizes = []
+
+        def stub(p, params, rngs, start=0):
+            sizes.append(p.n)
+            if p.n < 6:
+                return [SbSolution(spins=-np.ones(p.n), energy=0.0, run_index=r, elapsed=0.0) for r in range(len(rngs))]
+            rows = []
+            for r, group in enumerate(groups):
+                spins = -np.ones(p.n)
+                if group is not None:
+                    spins[list(group)] = 1.0
+                    energy = ising_energy(dense_reconstruct(p), spins)  # every stock is kept, so keep == arange(6)
+                    rows.append(SbSolution(spins=spins, energy=energy, run_index=r, elapsed=0.0))
+                else:
+                    rows.append(None)
+            return rows
+
+        judged = []
+        evaluate = eng.evaluate_candidate
+
+        def recorded(sol, *args):
+            verdict = evaluate(sol, *args)
+            judged.append((sol, verdict))
+            return verdict
+
+        monkeypatch.setattr(eng, "sb_run", stub)
+        engine = make_engine(restarts=len(groups))
+        codes = engine.universe.codes
+        b = helpers.BASE
+        for i, c in enumerate(codes):
+            engine.process(TickEvent(i, c, "trade", b, 100))
+        quotes = {codes[4]: (b + 42, b + 40), codes[5]: (b - 40, b - 42), **signal_quotes(codes)}
+        for k, (c, (ask, bid)) in enumerate(quotes.items()):
+            if k == len(quotes) - 1:
+                monkeypatch.setattr(eng, "evaluate_candidate", recorded)
+            engine.process(TickEvent(200_000 + k, c, "quote", ask, bid))
+        return engine, judged, sizes
+
+    def test_cheapest_accepted_group_opens(self, monkeypatch):
+        # row 0 is infeasible, row 1 is the first accepted row and row 2 the cheapest accepted one
+        groups = [(0, 1), (0, 1, 2, 3), (0, 2, 4, 5)]
+        engine, judged, sizes = self.decide(monkeypatch, groups)
+        verdicts = [verdict for _, verdict in judged]
+        assert [v.accepted for v in verdicts] == [False, True, True]
+        assert verdicts[2].h_cost < verdicts[1].h_cost and judged[2][0].energy < judged[1][0].energy
+        codes = engine.universe.codes
+        assert engine.open_codes == {codes[i] for i in groups[2]}
+        assert engine.skipped_events == 0
+        # one batch per quote; the opening leaves stocks 1 and 3 unmasked, and no second batch runs for them
+        assert sizes == [1, 2, 3, 4, 5, 6] and not engine._deviation().mask.all()
+
+    def test_diverged_row_skips_the_decision(self, monkeypatch):
+        # row 0 would be accepted, but row 1 diverged: the decision opens nothing and counts one skip
+        engine, judged, _ = self.decide(monkeypatch, [(0, 1, 2, 3), None])
+        assert judged == [] and not engine.positions and not engine.open_codes
+        assert engine.skipped_events == 1
+
+
 class TestOpenStockMasked:
     def test_open_stocks_left_out_of_the_solve(self, monkeypatch):
         # the open-stock mask keeps a stock out of the split the solver sees, so no row can re-open it
@@ -491,7 +560,7 @@ class TestOpenStockMasked:
         engine = make_engine(p_max=8)
         codes = engine.universe.codes
         prime_quotes(engine, quotes=signal_quotes(codes))
-        assert engine.open_codes == set(codes[:4])  # the first row holding all four signal stocks opened them
+        assert engine.open_codes == set(codes[:4])  # every row ties, so pick_best opened run 0's group
         opened = len(engine.fills)
         solved.clear()
         judged.clear()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
 
+import helpers
 from sbtrader.ising import QuboProblem, ising_energy, qubo_energy, qubo_to_ising
 from sbtrader.sb import SbSolution, dense_reconstruct
 from sbtrader.strategy import (
@@ -538,3 +539,31 @@ class TestRandomInstance:
             sgn = np.sign(dev.dp)
             assert (sgn < 0).sum() >= 2 and (sgn > 0).sum() >= 2
             assert np.all(corr.sigma >= 0) and np.all(corr.sigma <= 1)
+
+
+class TestBestGroupOracle:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_minimum_is_the_feasible_qubo_minimum_on_tight_instances(self, seed):
+        # a feasible group's QUBO energy is its cost minus the dropped constant c2 n_s^2
+        dev, corr, params = helpers.tight_instance(16, 4, seed)
+        cost, group = helpers.best_group(dev, corr, params)
+        feasible = helpers.feasible_qubo_energies(dev, corr, params, build_qubo(dev, corr, params))
+        assert cost - params.c2 * params.n_s**2 == pytest.approx(feasible.min(), rel=1e-12, abs=1e-9)
+        bits = np.zeros(dev.n)
+        bits[group] = 1.0
+        assert check_constraints(bits, dev, params.n_s) and cost == pytest.approx(cost_energy(bits, dev, corr, params))
+
+    def test_masked_stocks_never_join(self):
+        dev, corr, params = small_instance(12, 3)
+        masked = np.arange(12) % 3 == 0
+        dev = DeviationVector(dp=np.where(masked, 0.0, dev.dp), mask=masked)
+        best = math.inf
+        for combo in itertools.combinations(range(12), 4):
+            bits = np.zeros(12)
+            bits[list(combo)] = 1.0
+            if check_constraints(bits, dev, 4):
+                best = min(best, cost_energy(bits, dev, corr, params))
+        cost, group = helpers.best_group(dev, corr, params)
+        assert math.isfinite(best) and cost == pytest.approx(best) and not masked[group].any()
+        one_short = DeviationVector(dp=np.array([-0.01, -0.02, 0.01, 0.0]), mask=np.array([False, False, False, True]))
+        assert helpers.best_group(one_short, CorrelationMatrix(np.full((4, 4), 0.5)), params) == (math.inf, None)
