@@ -10,7 +10,12 @@ accepted group (`sb.pick_best` over the accepted rows, the rule `sb.solve`
 uses) opens if the open list has room for it. So at most one group opens per
 quote change; with p_max >= 2 n_s a second group waits for the next one.
 Closing is driven by the deviation sign crossing zero (taking the convergence
-profit) and by a forced unwind window before session close.
+profit) and by a forced unwind window before session close. A held stock's
+deviation depends only on its ask and bid, the published VWAP and whether the
+window is open, and a new position is not crossed at the inputs it opened on
+(entry and exit share `strategy.deviation`). So `process` runs `close_policy`
+only on an event after which one of those may differ from the last check; on
+any other event the check would issue nothing.
 """
 
 from __future__ import annotations
@@ -84,6 +89,7 @@ class Position:
     state: str = PENDING_OPEN
     open_price: float | None = None
     close_price: float | None = None
+    index: int | None = None  # the stock's universe index; the engine records it at opening
 
     def advance_state(self, new_state: str) -> None:
         if _NEXT_STATE.get(self.state) != new_state:
@@ -160,20 +166,38 @@ class TradingEngine:
         empty = DeviationVector(dp=np.zeros(universe.n), mask=np.zeros(universe.n, dtype=bool))
         self.split = build_split(empty, corr, config.strategy)
         self.positions: list[Position] = []
-        self.open_codes: set[str] = set()
+        self._open = np.zeros(universe.n, dtype=bool)  # a position not yet closed, by stock
         self.fills: list[tuple[Order, Fill]] = []
         self.event_index = 0
         self.skipped_events = 0
         self._outstanding: dict[int, tuple[Order, Position]] = {}
         self._next_order_id = 0
         self._params = config.sb_params()
+        self._force_us = config.session_close_us - config.t_force_us
+        self._checked_vwap: np.ndarray | None = None  # the vwap_pub that close_policy last read
+        self._opened = False  # an open fill arrived after the last close_policy
 
     # -- event flow ---------------------------------------------------------
 
     def process(self, e: TickEvent) -> None:
-        self.session.advance(e.ts)
-        changed = self.session.apply(e)
-        self.close_policy(e.ts)
+        """Advance the session, apply the event, check the open positions, then decide on a quote change.
+
+        `close_policy` runs only when its inputs may have changed since it last
+        ran: `vwap_pub` was republished (the session assigns a new array on each
+        publish), this event changed the quote of an open stock, a fill opened a
+        position (it may arrive between events when there is no fill handler),
+        or the event is inside the forced-unwind window.
+        """
+        session = self.session
+        session.advance(e.ts)
+        changed = session.apply(e)
+        if (
+            session.vwap_pub is not self._checked_vwap
+            or self._opened
+            or (changed and self._open[self.universe.index(e.code)])
+            or e.ts >= self._force_us
+        ):
+            self.close_policy(e.ts)
         if changed:
             self.on_quote_change(e.ts, e.code)
         self.event_index += 1
@@ -196,12 +220,14 @@ class TradingEngine:
         (`restrict` fixes every masked spin at -1, which changes neither the
         groups that `check_constraints` accepts nor their energies; `expand`
         writes the spins back to length N). A diverged row skips the decision,
-        counted in `skipped_events`. Otherwise the lowest-energy accepted row,
-        the cheapest accepted group, goes to `judge_open`; with p_max >= 2 n_s a
-        second group waits for the next quote change. Each run draws from its own
-        (seed, day, event, run) stream, as if the runs were solved one at a time.
+        counted in `skipped_events`. Otherwise each distinct spin vector is
+        evaluated once, every row of an accepted vector is kept in row order, and
+        the lowest-energy accepted row, the cheapest accepted group, goes to
+        `judge_open`; with p_max >= 2 n_s a second group waits for the next quote
+        change. Each run draws from its own (seed, day, event, run) stream, as if
+        the runs were solved one at a time.
         """
-        if ts >= self.config.session_close_us - self.config.t_force_us:
+        if ts >= self._force_us:
             return []  # inside the forced-unwind window; judgment would reject
         dev = self._deviation()
         self.split = update_tick(self.split, dev.sgn(), np.abs(dev.dp))
@@ -213,7 +239,14 @@ class TradingEngine:
         if None in rows:
             self.skipped_events += 1
             return []
-        accepted = [sol for sol in rows if evaluate_candidate(sol, dev, self.corr, self.config.strategy).accepted]
+        verdicts: dict[bytes, bool] = {}  # a verdict depends on the spins alone
+        accepted = []
+        for sol in rows:
+            key = sol.spins.tobytes()
+            if key not in verdicts:
+                verdicts[key] = evaluate_candidate(sol, dev, self.corr, self.config.strategy).accepted
+            if verdicts[key]:
+                accepted.append(sol)
         if not accepted:
             return []
         # expand left every masked stock out of the group
@@ -225,16 +258,15 @@ class TradingEngine:
         The group passed `check_constraints`, so no stock in it is masked: none is
         open or priced out, and each dp is nonzero, its sign giving the side.
         """
-        if len(self.open_codes) + len(selected) > self.config.strategy.p_max:
+        if np.count_nonzero(self._open) + len(selected) > self.config.strategy.p_max:
             return []
         orders = []
-        for i in selected:
-            stock = self.universe.stocks[int(i)]
+        for i in map(int, selected):
             side = LONG if dev.dp[i] < 0 else SHORT
             price = float(self.session.buffer.ask[i] if side == LONG else self.session.buffer.bid[i])
-            pos = Position(code=stock.code, side=side, lots=self._lots[i])
+            pos = Position(code=self.universe.codes[i], side=side, lots=self._lots[i], index=i)
             self.positions.append(pos)
-            self.open_codes.add(stock.code)
+            self._open[i] = True
             orders.append(self._issue(pos, OPEN_ACTION, ts, price))
         return orders
 
@@ -244,24 +276,28 @@ class TradingEngine:
         """Close on deviation sign-cross (convergence take-profit) or forced unwind.
 
         A position opens only on an unmasked stock, so its quote stays valid for
-        the day and the published VWAP has a finite entry for it.
+        the day and the published VWAP has a finite entry for it. Each call
+        checks every open position and records the `vwap_pub` it read, which is
+        how `process` knows when the next call can be skipped.
         """
-        forced = now >= self.config.session_close_us - self.config.t_force_us
+        forced = now >= self._force_us
         b = self.session.buffer
-        vwap = self.session.vwap_pub
+        vwap = self._checked_vwap = self.session.vwap_pub
+        self._opened = False
+        base = self.universe.base_prices()
         orders = []
         for pos in self.positions:
             if pos.state != OPEN:
                 continue
-            i = self.universe.index(pos.code)
-            dp = deviation(b.ask[i], b.bid[i], vwap[i], self.universe.base_prices()[i])
+            i = pos.index
+            dp = deviation(b.ask[i], b.bid[i], vwap[i], base[i])
             crossed = dp >= 0.0 if pos.side == LONG else dp <= 0.0
             if forced or crossed:
                 orders.append(self._issue_close(pos, now))
         return orders
 
     def _issue_close(self, pos: Position, ts: int) -> Order:
-        i = self.universe.index(pos.code)
+        i = pos.index
         price = float(self.session.buffer.bid[i] if pos.side == LONG else self.session.buffer.ask[i])
         return self._issue(pos, CLOSE_ACTION, ts, price)
 
@@ -295,15 +331,21 @@ class TradingEngine:
         if order.action == OPEN_ACTION:
             pos.advance_state(OPEN)
             pos.open_price = fill.price
+            self._opened = True
         else:
             pos.advance_state(CLOSED)
             pos.close_price = fill.price
-            self.open_codes.discard(pos.code)
+            self._open[pos.index] = False
         self.fills.append((order, fill))
+
+    @property
+    def open_codes(self) -> frozenset[str]:
+        """Codes of the positions not yet closed, derived from the open mask."""
+        return frozenset(self.universe.codes[i] for i in np.flatnonzero(self._open).tolist())
 
     # -- helpers --------------------------------------------------------------
 
     def _deviation(self) -> DeviationVector:
-        excluded = self._priced_out | np.array([c in self.open_codes for c in self.universe.codes], dtype=bool)
+        excluded = self._priced_out | self._open
         b = self.session.buffer
         return compute_deviation(self.universe, b.ask, b.bid, b.valid, self.session.vwap_pub, excluded)

@@ -151,8 +151,11 @@ class MarketSession:
     `advance(ts)` runs on the pre-event state. It takes one (mid - VWAP)
     sample per whole second up to ts, NaN for a stock without a valid quote
     or a VWAP, then publishes `vwap_pub` at the first event and at most once
-    per second after it. Until a stock trades, from construction on, `vwap_pub`
-    holds its base price as a placeholder.
+    per second after it. Each publish assigns a new array, so a caller can tell
+    a republished VWAP by identity. Until a stock trades, from construction on,
+    `vwap_pub` holds its base price as a placeholder. The samples and the
+    publish of one call share one `accumulator.vwap()`, computed only when a
+    sample or a publish is due: `advance` changes no trade sums.
     """
 
     def __init__(self, universe: Universe) -> None:
@@ -165,13 +168,16 @@ class MarketSession:
         self._next_sample_us = 0
 
     def advance(self, ts: int) -> None:
+        vwap = None  # nothing here changes the accumulator, so its VWAP is read at most once
         while self._next_sample_us <= ts:
-            vwap = self.accumulator.vwap()
+            if vwap is None:
+                vwap = self.accumulator.vwap()
             ok = self.buffer.valid & np.isfinite(vwap)
             self.samples.append(np.where(ok, self.buffer.mid() - vwap, np.nan))
             self._next_sample_us += SAMPLE_INTERVAL_US
         if self._last_publish_us is None or ts - self._last_publish_us >= PUBLISH_INTERVAL_US:
-            vwap = self.accumulator.vwap()
+            if vwap is None:
+                vwap = self.accumulator.vwap()
             self.vwap_pub = np.where(np.isfinite(vwap), vwap, self.universe.base_prices())
             self._last_publish_us = ts
 

@@ -1,10 +1,11 @@
 """Shared fixtures: the engineered convergence scenario, oracle-calibrated instances and reference code."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
-from sbtrader.engine import EngineConfig
+from sbtrader.engine import EngineConfig, TradingEngine
 from sbtrader.feed import FEED_HEADER, SynthSpec, TickEvent, synth_generate, write_feed
 from sbtrader.ising import qubo_energy
 from sbtrader.sb import DivergenceError, OscillatorState, SbSolution, _energies, default_c0, dense_reconstruct, initial_state
@@ -82,6 +83,31 @@ def convergence_expected(commission_rate=0.0):
         pnl += (price - closes["short"]) * SHARES
         transactions += (price + closes["short"]) * SHARES
     return transactions, pnl - commission_rate * transactions
+
+
+class EveryEventCloseEngine(TradingEngine):
+    """Reference event loop: `close_policy` on every event, with no gate on its inputs."""
+
+    def process(self, e):
+        self.session.advance(e.ts)
+        changed = self.session.apply(e)
+        self.close_policy(e.ts)
+        if changed:
+            self.on_quote_change(e.ts, e.code)
+        self.event_index += 1
+
+
+def count_close_calls(monkeypatch):
+    """Count `close_policy` calls per engine class (the gated engine and the reference); returns the Counter."""
+    calls = Counter()
+    original = TradingEngine.close_policy
+
+    def counted(self, now):
+        calls[type(self)] += 1
+        return original(self, now)
+
+    monkeypatch.setattr(TradingEngine, "close_policy", counted)
+    return calls
 
 
 def write_convergence_fixture(dirpath, commission_rate=0.0, restarts=3):

@@ -14,9 +14,9 @@ from hypothesis import strategies as hs
 import helpers
 from sbtrader import backcast as bc
 from sbtrader.backcast import BackcastReport, FillModel, run_backcast, sharpe, transaction_amount
-from sbtrader.engine import EngineConfig
+from sbtrader.engine import EngineConfig, TradingEngine
 from sbtrader.feed import MarketSession, SynthSpec, TickEvent, replay, synth_generate, write_feed
-from sbtrader.strategy import StrategyParams, correlation_matrix
+from sbtrader.strategy import StrategyParams, config_from_kv, correlation_matrix, load_correlation, load_universe, read_kv
 
 
 class TestSharpe:
@@ -367,3 +367,40 @@ class TestMalformedFeedFuzz:
         assert opens == closes and day.n_trades == len(report.order_rows)
         assert session.buffer.rejected == bad_quotes
         assert session.accumulator.rejected == bad_trades
+
+
+def gated_and_reference_rows(monkeypatch, day_feeds, universe, config, corr):
+    """Order rows of `run_backcast` with the engine and with `helpers.EveryEventCloseEngine`, and their
+    close_policy call counts."""
+    calls = helpers.count_close_calls(monkeypatch)
+    rows = []
+    for cls in (TradingEngine, helpers.EveryEventCloseEngine):
+        monkeypatch.setattr(bc, "TradingEngine", cls)
+        rows.append(run_backcast(day_feeds, universe, config, corr_override=corr).order_rows)
+    return rows, calls[TradingEngine], calls[helpers.EveryEventCloseEngine]
+
+
+class TestCloseGateEquivalence:
+    """The engine checks its open positions only when their inputs may have changed, with the same orders
+    as a check on every event."""
+
+    def test_synthetic_golden_feeds(self, tmp_path, monkeypatch):
+        files = helpers.write_synthetic_fixture(tmp_path)
+        day_feeds = [(p.stem, str(p)) for p in sorted(files["feed_dir"].glob("*.csv"))]
+        config = config_from_kv(EngineConfig, read_kv(files["config"]))
+        (gated, reference), gated_calls, reference_calls = gated_and_reference_rows(
+            monkeypatch, day_feeds, load_universe(files["universe"]), config, load_correlation(files["corr"]))
+        assert gated == reference and len(gated) == 40
+        assert gated_calls < reference_calls / 2
+
+    @settings(max_examples=50, deadline=None)
+    @given(hs.lists(feed_line(), min_size=20, max_size=60))
+    def test_malformed_feeds(self, lines):
+        lines.sort(key=lambda line: line[0].ts)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
+            path = Path(tmp) / "day.csv"
+            write_feed(path, [e for e, _ in lines])
+            (gated, reference), gated_calls, reference_calls = gated_and_reference_rows(
+                m, [("d0", str(path))], FUZZ_UNIVERSE, helpers.convergence_params(), helpers.convergence_corr())
+        assert gated == reference
+        assert gated_calls <= reference_calls

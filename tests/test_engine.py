@@ -474,12 +474,12 @@ class TestRowRule:
     """A decision's batch opens its cheapest accepted group, or nothing if a row diverged."""
 
     @staticmethod
-    def decide(monkeypatch, groups):
+    def decide(monkeypatch, groups, energies=None):
         """Quotes all six stocks; the last quote's batch is stubbed so that row r selects groups[r] (None diverges).
 
-        Stocks 4 (short) and 5 (long) deviate twice as far as the scenario's four. Every earlier batch selects
-        nothing. Returns the engine, the (row, verdict) pairs that the last decision judged and the size of
-        every batch.
+        Row r's energy is energies[r], or the Ising energy of its spins. Stocks 4 (short) and 5 (long) deviate
+        twice as far as the scenario's four. Every earlier batch selects nothing. Returns the engine, the
+        (row, verdict) pairs that the last decision judged and the size of every batch.
         """
         sizes = []
 
@@ -493,6 +493,7 @@ class TestRowRule:
                 if group is not None:
                     spins[list(group)] = 1.0
                     energy = ising_energy(dense_reconstruct(p), spins)  # every stock is kept, so keep == arange(6)
+                    energy = energy if energies is None else energies[r]
                     rows.append(SbSolution(spins=spins, energy=energy, run_index=r, elapsed=0.0))
                 else:
                     rows.append(None)
@@ -539,6 +540,21 @@ class TestRowRule:
         assert engine.skipped_events == 1
 
 
+    def test_duplicate_rows_judged_once_and_lowest_tied_run_opens(self, monkeypatch):
+        # rows 1-4 are accepted and tie on energy, rows 3-5 repeat the spins of rows 1, 2 and 0
+        a, b = (0, 1, 2, 3), (0, 2, 4, 5)
+        picked = count_calls(monkeypatch, "pick_best")
+        engine, judged, _ = self.decide(monkeypatch, [(0, 1), b, a, b, a, (0, 1)], energies=[-9.0] + [-1.0] * 4 + [-9.0])
+        # one verdict per distinct spin vector, in the order the vectors first appear
+        assert [tuple(np.flatnonzero(sol.spins > 0)) for sol, _ in judged] == [(0, 1), b, a]
+        assert [v.accepted for _, v in judged] == [False, True, True]
+        # pick_best still sees every accepted row, in row order, and the lowest tied run index opens
+        ((rows,), _), = picked
+        assert [sol.run_index for sol in rows] == [1, 2, 3, 4]
+        codes = engine.universe.codes
+        assert engine.open_codes == {codes[i] for i in b}
+
+
 class TestOpenStockMasked:
     def test_open_stocks_left_out_of_the_solve(self, monkeypatch):
         # the open-stock mask keeps a stock out of the split the solver sees, so no row can re-open it
@@ -569,12 +585,71 @@ class TestOpenStockMasked:
         # the two decisions solve stock 4 alone, then stocks 4 and 5: the unmasked stocks, nothing else
         assert [p.n for p in solved] == [1, 2]
         assert solved[0].sgn_dp.tolist() == [1.0] and solved[1].sgn_dp.tolist() == [1.0, -1.0]
-        restarts = engine.config.restarts
-        assert len(judged) == 2 * restarts
+        # every row of a decision has the same spins, so each decision evaluates one spin vector
+        assert len(judged) == 2
         # each expanded row has the open stocks' bits at 0 and selects only the unmasked ones
-        assert all(s.tolist() == [-1.0] * 4 + [1.0, -1.0] for s in judged[:restarts])
-        assert all(s.tolist() == [-1.0] * 4 + [1.0, 1.0] for s in judged[restarts:])
+        assert all(s.tolist() == [-1.0] * 4 + [1.0, -1.0] for s in judged[:1])
+        assert all(s.tolist() == [-1.0] * 4 + [1.0, 1.0] for s in judged[1:])
         assert len(engine.fills) == opened and engine.open_codes == set(codes[:4])
+
+
+class TestCloseGate:
+    """`process` runs `close_policy` only when its inputs may have changed; the orders equal those of a check on
+    every event (`helpers.EveryEventCloseEngine`)."""
+
+    @staticmethod
+    def both_logs(monkeypatch, make, events):
+        """Order logs of the gated engine and the reference on `events`, and their close_policy call counts."""
+        calls = helpers.count_close_calls(monkeypatch)
+        logs = []
+        for cls in (TradingEngine, helpers.EveryEventCloseEngine):
+            engine = make(cls)
+            for e in events:
+                engine.process(e)
+            engine.finalize(110_000_000)
+            logs.append(order_log(engine))
+        return logs, calls[TradingEngine], calls[helpers.EveryEventCloseEngine]
+
+    @pytest.mark.parametrize("n_s", [4, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_every_event_reference_on_the_scenario(self, monkeypatch, n_s, seed):
+        config = helpers.convergence_params()
+        config.strategy = replace(config.strategy, n_s=n_s)  # n_s = 2 is the pairs scenario
+
+        def make(cls):
+            return cls(helpers.make_universe(), helpers.convergence_corr(), config, seed=seed,
+                       fill_handler=FillModel().fill)
+
+        events = helpers.convergence_events(helpers.make_universe().codes)
+        (gated, reference), gated_calls, reference_calls = self.both_logs(monkeypatch, make, events)
+        assert gated == reference and len(gated) == 8  # four opens, four closes
+        assert reference_calls == len(events) and gated_calls < reference_calls
+
+    def test_open_fill_between_events_checks_on_the_next_event(self):
+        # no fill handler: the open fills arrive after the quote that crosses the long leg's deviation
+        engine = make_engine(fill=False)
+        codes = engine.universe.codes
+        prime_quotes(engine, quotes=signal_quotes(codes))  # the group is pending, its orders unfilled
+        engine.process(TickEvent(300_000, codes[0], "quote", helpers.BASE + 2, helpers.BASE))  # mid above VWAP
+        for order, _ in list(engine._outstanding.values()):
+            engine.on_fill(Fill(order_id=order.order_id, ts=350_000, price=order.intended_price))
+        assert all(p.state == OPEN for p in engine.positions)
+        # a trade of another stock, with no publish due: only the open fill can change the verdict
+        engine.process(TickEvent(400_000, codes[5], "trade", helpers.BASE, 100))
+        states = {p.code: p.state for p in engine.positions}
+        assert states == {codes[0]: eng.PENDING_CLOSE, codes[1]: OPEN, codes[2]: OPEN, codes[3]: OPEN}
+
+    def test_open_fill_inside_the_unwind_window_closes_on_the_next_event(self):
+        engine = make_engine(fill=False)
+        codes = engine.universe.codes
+        prime_quotes(engine, quotes=signal_quotes(codes))
+        window = engine.config.session_close_us - engine.config.t_force_us
+        engine.process(TickEvent(window + 1, codes[4], "trade", helpers.BASE, 10))  # nothing is open yet
+        for order, _ in list(engine._outstanding.values()):
+            engine.on_fill(Fill(order_id=order.order_id, ts=window + 2, price=order.intended_price))
+        assert all(p.state == OPEN for p in engine.positions)
+        engine.process(TickEvent(window + 3, codes[4], "trade", helpers.BASE, 10))
+        assert len(engine.positions) == 4 and all(p.state == eng.PENDING_CLOSE for p in engine.positions)
 
 
 class TestLotCounts:

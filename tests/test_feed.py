@@ -10,6 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as hs
 
 from sbtrader.feed import (
+    PUBLISH_INTERVAL_US,
+    SAMPLE_INTERVAL_US,
     MarketSession,
     SynthSpec,
     TickEvent,
@@ -184,6 +186,65 @@ class TestPublish:
         (row,) = s.samples.rows
         assert row[0] == pytest.approx(1.0)  # mid 100 - vwap 99
         assert np.isnan(row[1]) and np.isnan(row[2])
+
+
+class TestSharedVwap:
+    """`advance` reads the accumulator's VWAP at most once, with the samples and publish of a read per use."""
+
+    class PerUseSession(MarketSession):
+        """The rule with one `accumulator.vwap()` per sample and per publish."""
+
+        def advance(self, ts):
+            while self._next_sample_us <= ts:
+                vwap = self.accumulator.vwap()
+                ok = self.buffer.valid & np.isfinite(vwap)
+                self.samples.append(np.where(ok, self.buffer.mid() - vwap, np.nan))
+                self._next_sample_us += SAMPLE_INTERVAL_US
+            if self._last_publish_us is None or ts - self._last_publish_us >= PUBLISH_INTERVAL_US:
+                vwap = self.accumulator.vwap()
+                self.vwap_pub = np.where(np.isfinite(vwap), vwap, self.universe.base_prices())
+                self._last_publish_us = ts
+
+    @staticmethod
+    def gap_feed():
+        """Quotes and trades on three stocks with a 4.5-second gap; stock 9003 never trades."""
+        return [
+            TickEvent(0, "9001", "quote", 101.0, 99.0),
+            TickEvent(10, "9001", "trade", 100.5, 30.0),
+            TickEvent(20, "9003", "quote", 52.0, 50.0),
+            TickEvent(600_000, "9002", "trade", 49.25, 7.0),
+            TickEvent(1_200_000, "9002", "quote", 50.5, 49.5),
+            TickEvent(1_300_000, "9001", "trade", 101.75, 11.0),
+            TickEvent(5_800_000, "9001", "quote", 103.0, 101.0),  # samples at 2-5 s and a publish in one call
+            TickEvent(5_900_000, "9002", "trade", 50.125, 3.0),
+            TickEvent(7_000_000, "9003", "quote", 53.0, 51.0),
+        ]
+
+    def test_samples_and_publish_equal_the_per_use_rule(self):
+        u = uni(3)
+        shared, per_use = MarketSession(u), self.PerUseSession(u)
+        for e in self.gap_feed():
+            for s in (shared, per_use):
+                s.advance(e.ts)
+                s.apply(e)
+            assert np.array_equal(shared.vwap_pub, per_use.vwap_pub)
+        rows = shared.samples.matrix()
+        assert rows.shape == (8, 3) and np.isfinite(rows).any()
+        assert np.array_equal(rows, per_use.samples.matrix(), equal_nan=True)
+
+    def test_vwap_read_at_most_once_per_advance(self, monkeypatch):
+        reads = []
+        vwap = VwapAccumulator.vwap
+        monkeypatch.setattr(VwapAccumulator, "vwap", lambda self: reads.append(1) or vwap(self))
+        s = MarketSession(uni(3))
+        per_call = []
+        for e in self.gap_feed():
+            reads.clear()
+            s.advance(e.ts)
+            per_call.append(len(reads))
+            s.apply(e)
+        # a read where a sample or a publish is due (0 s, 1.2 s, 5.8 s and 7 s), none elsewhere
+        assert per_call == [1, 0, 0, 0, 1, 0, 1, 0, 1]
 
 
 class TestReplay:
