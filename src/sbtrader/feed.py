@@ -155,7 +155,9 @@ class MarketSession:
     a republished VWAP by identity. Until a stock trades, from construction on,
     `vwap_pub` holds its base price as a placeholder. The samples and the
     publish of one call share one `accumulator.vwap()`, computed only when a
-    sample or a publish is due: `advance` changes no trade sums.
+    sample or a publish is due: `advance` changes no trade sums. Nor does it
+    change the buffer, so every second due in one call gets the same row,
+    built once; rows are never written after they are appended.
     """
 
     def __init__(self, universe: Universe) -> None:
@@ -169,12 +171,12 @@ class MarketSession:
 
     def advance(self, ts: int) -> None:
         vwap = None  # nothing here changes the accumulator, so its VWAP is read at most once
-        while self._next_sample_us <= ts:
-            if vwap is None:
-                vwap = self.accumulator.vwap()
-            ok = self.buffer.valid & np.isfinite(vwap)
-            self.samples.append(np.where(ok, self.buffer.mid() - vwap, np.nan))
-            self._next_sample_us += SAMPLE_INTERVAL_US
+        if self._next_sample_us <= ts:
+            vwap = self.accumulator.vwap()
+            row = np.where(self.buffer.valid & np.isfinite(vwap), self.buffer.mid() - vwap, np.nan)
+            while self._next_sample_us <= ts:
+                self.samples.append(row)
+                self._next_sample_us += SAMPLE_INTERVAL_US
         if self._last_publish_us is None or ts - self._last_publish_us >= PUBLISH_INTERVAL_US:
             if vwap is None:
                 vwap = self.accumulator.vwap()

@@ -15,22 +15,25 @@ fixed stocks have no tick terms, so every assignment of the kept spins keeps
 its energy, and the batch searches 2^k states instead of 2^n.
 
 Restarts run as one batch (`run_batch`): positions and momenta are (R, N)
-float32 matrices, each step is a single `x @ J` product with a float32 cast of
-the folded J (it is symmetric), and row r draws its initial momenta from the
-RNG stream the caller passes for it, so a run keeps its key whichever batch it
-lands in. J, h, c0, the scalars and the work buffers are cast or set up once
-per batch, and every step runs in place. The wall maps x to x/|x| wherever
-|x| > 1: exactly +-1 for a finite x, NaN for an inf, and a NaN stays NaN. A
-row that goes non-finite therefore stays so, and one check after the loop
-finds it; a diverged row is reported as None while the other rows finish. A
-c0 or an initial momentum outside float32 range is inf from the start, so its
-row diverges. Each row's energy is read out in float64 from the folded
+float32 matrices, and row r draws its initial momenta from the RNG stream the
+caller passes for it, so a run keeps its key whichever batch it lands in. The
+batch casts the folded J (it is symmetric) into a cache-line-aligned float32
+buffer, tiles the folded h into an (R, N) float32 copy and casts the gaps and
+scalars once; then one call of `_anneal` runs the whole loop in place, each
+step a single `x @ J` product and 14 ufunc calls on operands of the state's
+shape, with no array broadcast. The wall maps x to x/|x| wherever |x| > 1:
+exactly +-1 for a finite x, NaN for an inf, and a NaN stays NaN. A row that
+goes non-finite therefore stays so, and one check after the loop finds it; a
+diverged row is reported as None while the other rows finish. A c0 or an
+initial momentum outside float32 range is inf from the start, so its row
+diverges. Each row's energy is read out in float64 from the folded
 (J, h, offset), so equal spins give equal energies. `run` is the one-row batch
 and `solve` is `pick_best` over the `restarts` rows of `solve_rows`. `pick_best`
 is the one row rule, which the engine applies to its accepted rows: the lowest
 energy, within a tolerance that absorbs the last-bit differences a batched
-product can give rows with equal spins. `step` applies the same kernel to a
-float64 copy of an (N,) or (R, N) state; `step_dense`, `dense_reconstruct` and
+product can give rows with equal spins. `step` runs one step of the same
+kernel on a float64 copy of an (N,) or (R, N) state, and `step_dense` runs it
+over a materialized problem; they, `dense_reconstruct` and
 `ising.brute_force_min` are oracles for the tests.
 """
 
@@ -299,75 +302,65 @@ def initial_state(p: SplitProblem, rng: np.random.Generator) -> OscillatorState:
     return OscillatorState(x=np.zeros(p.n), y=rng.uniform(-0.1, 0.1, p.n), step=0)
 
 
-def _scratch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Work buffers for _force/_advance on states shaped like x: dy, tmp and the wall mask."""
-    return np.empty_like(x), np.empty_like(x), np.empty(x.shape, dtype=bool)
+def _anneal(x, y, j, h, gaps, c0, a0, dt) -> None:
+    """Run one ballistic-SB step of x and y in place for each gap in gaps, with the force J x - h.
 
-
-def _force(x, j, h, dy) -> None:
-    """Write J x - h into dy, for x of shape (n,) or (R, n), with the folded J and h of _folded.
-
-    _force and _advance take every operand in the state's dtype (float32 in
-    run_batch, float64 in step), write into dy and the buffers of _scratch
-    (each ufunc's third argument is its output) and do the operations of
-    `reference_run_batch` in tests/helpers.py in its order, so their results
-    are bit-identical to it in either dtype. Prescaling by c0*dt would change
-    the rounding and the step at which a row overflows.
+    j is a folded J (symmetric, so each row of x @ J is J x); gaps holds each
+    step's -(a0 - a(k)), and c0, a0 and dt are 0-d (see _scalars). Every
+    operand is in the state's dtype, since a float64 one would make a ufunc on
+    a float32 state compute in float64. run_batch passes an h of x's shape, as
+    are the work buffers, so no call pays 2-3x for broadcasting an array. The
+    15 calls a step do the operations of `reference_run_batch` in
+    tests/helpers.py in its order, so the result is bit-identical to it in
+    either dtype; prescaling by c0*dt would change the rounding and the step at
+    which a row overflows. The wall zeroes y and maps x to x/|x| wherever
+    |x| > 1, by dividing x by max(|x|, 1): exactly +-1 for a finite x, NaN for
+    an inf, and a NaN stays NaN, so a row that goes non-finite stays so to the
+    end, and since a non-finite y makes x non-finite in the same step, checking
+    x covers y. Callers silence the overflow and invalid warnings and check x.
     """
-    np.matmul(x, j, dy)  # j is symmetric: each row of x @ J is J x
-    dy -= h
-
-
-def _advance(x, y, dy, tmp, over, gap, c0, a0, dt, one, zero) -> None:
-    """Integrate one step in place and apply the walls; dy is consumed.
-
-    gap is this step's -(a0 - a(k)), a (1,) array, and the other scalars are
-    0-d arrays, all in the state's dtype (see _scalars). The wall zeroes y and
-    maps x to x/|x| wherever |x| > 1, by dividing x by max(|x|, 1). That is exactly +-1 for a finite x
-    and NaN for an inf, and a NaN stays NaN, so a row that goes non-finite
-    stays non-finite to the end. A non-finite y makes x non-finite in the same
-    step, so checking x covers y. Callers silence the overflow and invalid
-    warnings and check x.
-    """
-    np.multiply(x, gap, tmp)
-    dy *= c0
-    tmp += dy
-    tmp *= dt
-    y += tmp
-    np.multiply(y, a0, tmp)
-    tmp *= dt
-    x += tmp
-    np.abs(x, tmp)
-    np.greater(tmp, one, over)
-    np.maximum(tmp, one, out=tmp)
-    x /= tmp
-    np.putmask(y, over, zero)
+    dy, tmp, over = np.empty_like(x), np.empty_like(x), np.empty(x.shape, dtype=bool)
+    one, zero = np.ones((), x.dtype), np.zeros((), x.dtype)
+    matmul, subtract, multiply, add = np.matmul, np.subtract, np.multiply, np.add
+    absolute, greater, maximum, divide, putmask = np.absolute, np.greater, np.maximum, np.divide, np.putmask
+    for gap in np.nditer(gaps):  # 0-d views: a ufunc takes one faster than the scalar that plain iteration gives
+        matmul(x, j, dy)
+        subtract(dy, h, dy)
+        multiply(x, gap, tmp)
+        multiply(dy, c0, dy)
+        add(tmp, dy, tmp)
+        multiply(tmp, dt, tmp)
+        add(y, tmp, y)
+        multiply(y, a0, tmp)
+        multiply(tmp, dt, tmp)
+        add(x, tmp, x)
+        absolute(x, tmp)
+        greater(tmp, one, over)
+        maximum(tmp, one, out=tmp)  # a positional output is deprecated for np.maximum
+        divide(x, tmp, x)
+        putmask(y, over, zero)
 
 
 def _scalars(params: SbParams, c0: float, dtype) -> tuple[np.ndarray, list[np.ndarray]]:
-    """_advance's scalar operands in dtype: an (n_step, 1) array of gaps, and c0, a0, dt, 1 and 0 as 0-d arrays.
+    """_anneal's gaps and scalars in dtype: the (n_step,) gaps, and c0, a0 and dt as 0-d arrays.
 
-    Row k is -(a0 - a(k)), where the pumping amplitude a(k) = a0 k / (n_step - 1)
-    ramps linearly from 0 (a one-step run stays at 0). A float64 operand would
-    make a ufunc on a float32 state compute in float64, and a Python float costs
-    a conversion on every call. Callers silence the overflow warning: a value
-    beyond float32 range casts to inf.
+    Entry k is -(a0 - a(k)), where the pumping amplitude a(k) = a0 k / (n_step - 1)
+    ramps linearly from 0 (a one-step run stays at 0). A Python float or a
+    dtype scalar would cost a conversion on every ufunc call. Callers silence
+    the overflow warning: a value beyond float32 range casts to inf.
     """
     pump = params.a0 * np.arange(params.n_step) / max(params.n_step - 1, 1)
-    scalars = [np.asarray(v, dtype) for v in (c0, params.a0, params.dt, 1.0, 0.0)]
-    return (-(params.a0 - pump)).astype(dtype)[:, None], scalars
+    return (-(params.a0 - pump)).astype(dtype), [np.asarray(v, dtype) for v in (c0, params.a0, params.dt)]
 
 
-def _stepped(state: OscillatorState, params: SbParams, c0: float, force) -> OscillatorState:
-    """One float64 step on copies of state.x and state.y; force(x, dy) writes J x - h into dy."""
+def _stepped(state: OscillatorState, params: SbParams, c0: float, j: np.ndarray, h: np.ndarray) -> OscillatorState:
+    """One float64 _anneal step of copies of state.x and state.y, over the gap of state.step."""
     if state.step >= params.n_step:
         raise ValueError(f"state.step={state.step} out of range for n_step={params.n_step}")
     x, y = np.array(state.x, dtype=np.float64), np.array(state.y, dtype=np.float64)
-    dy, tmp, over = _scratch(x)
     gaps, scalars = _scalars(params, c0, np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        force(x, dy)
-        _advance(x, y, dy, tmp, over, gaps[state.step], *scalars)
+        _anneal(x, y, j, h, gaps[state.step : state.step + 1], *scalars)
     if not np.isfinite(x).all():
         raise DivergenceError(f"state diverged at step {state.step}; lower c0 or dt")
     return OscillatorState(x=x, y=y, step=state.step + 1)
@@ -375,14 +368,13 @@ def _stepped(state: OscillatorState, params: SbParams, c0: float, force) -> Osci
 
 def step(state: OscillatorState, p: SplitProblem, params: SbParams) -> OscillatorState:
     """One ballistic-SB update of an (n,) or (R, n) state, by the kernel run_batch iterates, in float64."""
-    c0 = _c0(p, params)
     j, h, _ = _folded(p)
-    return _stepped(state, params, c0, lambda x, dy: _force(x, j, h, dy))
+    return _stepped(state, params, _c0(p, params), j, h)
 
 
 def step_dense(state: OscillatorState, dense: IsingProblem, params: SbParams, c0: float) -> OscillatorState:
-    """Reference stepper over a materialized problem; oracle for :func:`step`."""
-    return _stepped(state, params, c0, lambda x, dy, *_: np.subtract(dense.j @ x, dense.h, out=dy))
+    """The same step over a materialized problem; oracle for :func:`step`."""
+    return _stepped(state, params, c0, dense.j, dense.h)
 
 
 def _energies(spins: np.ndarray, j: np.ndarray, h: np.ndarray, offset: float) -> np.ndarray:
@@ -395,27 +387,25 @@ def run_batch(
 ) -> list[SbSolution | None]:
     """Runs start, start + 1, ... as one (R, n) float32 batch; row r starts from rngs[r].
 
-    The state, the work buffers and every operand of the step kernel are
-    float32: the folded couplings of _folded, cast into a 64-byte-aligned
-    buffer (O(k^2) on a restricted split), the folded biases and the scalars
-    are cast once per batch, and the steps run in place. A c0 or an initial
-    momentum beyond float32 range casts to inf, so its row diverges. No step
-    checks for divergence: the wall turns an inf into NaN, which every later
-    step carries, so one check of x after the loop finds each row that went
-    non-finite; such a row comes back as None. Energies are read out in float64
-    from the spins and the float64 (J, h, offset).
+    Every operand of the step kernel is float32 and cast once per batch: the
+    folded couplings of _folded into a 64-byte-aligned buffer (O(k^2) on a
+    restricted split), the folded biases tiled into a real (R, n) copy so no
+    step broadcasts them, and the gaps and scalars of _scalars. One _anneal
+    call then runs every step in place. A c0 or an initial momentum beyond
+    float32 range casts to inf, so its row diverges. No step checks for
+    divergence: the wall turns an inf into NaN, which every later step
+    carries, so one check of x after the loop finds each row that went
+    non-finite; such a row comes back as None. Energies are read out in
+    float64 from the spins and the float64 (J, h, offset).
     """
     t0 = time.perf_counter()
     j, h, offset = _folded(p)
     with np.errstate(over="ignore", invalid="ignore"):
         gaps, scalars = _scalars(params, _c0(p, params), np.float32)
-        j32, h32 = _cache_line_aligned(j, np.float32), h.astype(np.float32)
         x = np.zeros((len(rngs), p.n), np.float32)
         y = np.array([initial_state(p, rng).y for rng in rngs], np.float32)
-        dy, tmp, over = _scratch(x)
-        for gap in gaps:
-            _force(x, j32, h32, dy)
-            _advance(x, y, dy, tmp, over, gap, *scalars)
+        h32 = np.tile(h.astype(np.float32), (len(rngs), 1))  # a copy: a stride-0 view would still broadcast
+        _anneal(x, y, _cache_line_aligned(j, np.float32), h32, gaps, *scalars)
     finite = np.isfinite(x).all(axis=1)
     spins = np.where(x >= 0.0, 1.0, -1.0)
     energies = _energies(spins, j, h, offset)

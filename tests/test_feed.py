@@ -246,6 +246,25 @@ class TestSharedVwap:
         # a read where a sample or a publish is due (0 s, 1.2 s, 5.8 s and 7 s), none elsewhere
         assert per_call == [1, 0, 0, 0, 1, 0, 1, 0, 1]
 
+    def test_one_sample_row_per_advance(self, monkeypatch):
+        u = uni(3)
+        shared, per_second = MarketSession(u), self.PerUseSession(u)
+        calls = []
+        mid = shared.buffer.mid
+        monkeypatch.setattr(shared.buffer, "mid", lambda: calls.append(1) or mid())
+        per_call = []
+        for e in self.gap_feed():
+            calls.clear()
+            shared.advance(e.ts)
+            per_call.append(len(calls))
+            per_second.advance(e.ts)
+            for s in (shared, per_second):
+                s.apply(e)
+        # one row where a sample is due (0 s, 1 s, 2-5 s and 6-7 s): the 5.8 s call appends four copies of it
+        assert per_call == [1, 0, 0, 0, 1, 0, 1, 0, 1]
+        assert len(shared.samples.rows) == 8
+        assert np.array_equal(shared.samples.matrix(), per_second.samples.matrix(), equal_nan=True)
+
 
 class TestReplay:
     def test_empty_file(self, tmp_path):

@@ -200,6 +200,18 @@ class TestStep:
             assert np.abs(s_split.y - s_dense.y).max() <= 1e-10
             assert np.abs(s_split.x).max() <= 1.0
 
+    @pytest.mark.parametrize("rows", [3, 6])
+    def test_dense_step_of_a_batch_matches_split(self, rows):
+        # with as many rows as stocks, J X has the shape of the row-wise X J, so a transposed force would not raise
+        p = random_split(6, np.random.default_rng(4))
+        params = SbParams(n_step=10)
+        rng = np.random.default_rng(5)
+        state = OscillatorState(x=rng.uniform(-0.9, 0.9, (rows, 6)), y=rng.uniform(-0.1, 0.1, (rows, 6)), step=3)
+        want = step(state, p, params)
+        got = step_dense(state, dense_reconstruct(p), params, default_c0(p, params.a0))
+        assert np.abs(got.x - want.x).max() <= 1e-12
+        assert np.abs(got.y - want.y).max() <= 1e-12
+
     def test_deterministic(self):
         p = random_split(8, np.random.default_rng(2))
         params = SbParams(n_step=50)
@@ -751,34 +763,34 @@ class TestFloat32:
 
     @pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
     def test_every_kernel_operand_is_float32(self, monkeypatch, restricted):
-        # a float64 operand, 0-d included, would silently make its ufunc compute in float64
+        # a float64 operand, 0-d included, would silently make its ufunc compute in float64, and an array
+        # operand that broadcasts against the state costs 2-3x one of the state's shape on every step
         p, keep, _ = masked_split(16, np.random.default_rng(53))
         if restricted:
             p = restrict(p, keep)
         calls = []
-        for name in ("_force", "_advance"):
-            kernel = getattr(sb, name)
+        anneal = sb._anneal
 
-            def recorded(*args, kernel=kernel, name=name):
-                calls.append((name, args))
-                kernel(*args)
+        def recorded(*args):
+            calls.append(args)
+            anneal(*args)
 
-            monkeypatch.setattr(sb, name, recorded)
+        monkeypatch.setattr(sb, "_anneal", recorded)
         run_batch(p, SbParams(n_step=4), [substream(0, i) for i in range(3)])
-        assert [name for name, _ in calls] == ["_force", "_advance"] * 4
-        for name, args in calls:
-            assert all(isinstance(a, np.ndarray) for a in args)
-            other = [a.dtype for a in args if a.dtype != np.float32]
-            assert other == ([np.dtype(bool)] if name == "_advance" else [])  # _advance's wall mask
-        # _force takes (x, j, h, dy), with the tick coupling folded into j; the coupling operand is cast per
-        # batch into a cache-line-aligned buffer: at n=512 a mid-line start made every step's x @ J 30-50% slower
-        assert all(len(args) == 4 for name, args in calls if name == "_force")
-        j = calls[0][1][1]
-        assert all(args[1] is j for name, args in calls if name == "_force")
-        assert j.flags.c_contiguous and j.ctypes.data % 64 == 0
+        assert len(calls) == 1  # the whole loop is one call per batch
+        x, y, j, h, gaps, *scalars = calls[0]
+        assert x.shape == (3, p.n)
+        assert all(isinstance(a, np.ndarray) and a.dtype == np.float32 for a in calls[0])
+        for a in (y, h):  # a real copy of x's shape: a stride-0 view would still broadcast
+            assert a.shape == x.shape and 0 not in a.strides
+        assert gaps.shape == (4,)
+        assert len(scalars) == 3 and all(a.shape == () for a in scalars)
+        # the folded couplings are cast per batch into a cache-line-aligned buffer: at n=512 a mid-line
+        # start made every step's x @ J 30-50% slower
         dense = dense_reconstruct(p)
+        assert j.flags.c_contiguous and j.ctypes.data % 64 == 0
         assert np.array_equal(j, dense.j.astype(np.float32))
-        assert np.array_equal(calls[0][1][2], dense.h.astype(np.float32))
+        assert np.array_equal(h, np.tile(dense.h.astype(np.float32), (3, 1)))
 
 
 class TestTieBreak:
