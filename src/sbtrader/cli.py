@@ -70,6 +70,13 @@ def _spin_string(spins: np.ndarray) -> str:
     return "".join("+" if s > 0 else "-" for s in spins)
 
 
+def _print_schedule(split: sb.SplitProblem, params: sb.SbParams) -> None:
+    """The steps and step size the batch ran, derived from the split unless the config sets them."""
+    n_step, dt = sb.schedule(split, params)
+    print(f"n_step={n_step}")
+    print(f"dt={dt!r}")
+
+
 def cmd_solve(args) -> int:
     config = _config(eng.EngineConfig, args.config)
     params = dataclasses.replace(config.sb_params(), seed=args.seed)
@@ -81,6 +88,7 @@ def cmd_solve(args) -> int:
         print(f"bits={''.join(str(int((s + 1) // 2)) for s in sol.spins)}")
         print(f"energy={sol.energy!r}")
         print(f"run_index={sol.run_index}")
+        _print_schedule(split, params)
         print(f"elapsed_s={sol.elapsed:.6f}")
         return 0
     universe = st.load_universe(args.universe)
@@ -106,6 +114,8 @@ def cmd_solve(args) -> int:
         print(f"reason={reason}")
     print(f"h_cost={verdict.h_cost!r}")
     print(f"accepted={verdict.accepted}")
+    if keep.size:
+        _print_schedule(split, params)
     print(f"elapsed_s={sol.elapsed:.6f}")
     return 0 if verdict.accepted else 2
 

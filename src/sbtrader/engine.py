@@ -104,8 +104,8 @@ class EngineConfig:
     strategy: StrategyParams = field(default_factory=StrategyParams)
     session_close_us: int = field(default=9_000_000_000, metadata={"kv_seconds": "session_close_s"})
     t_force_us: int = field(default=60_000_000, metadata={"kv_seconds": "t_force_s"})
-    n_step: int = SbParams.n_step
-    dt: float = SbParams.dt
+    n_step: int | None = SbParams.n_step
+    dt: float | None = SbParams.dt
     restarts: int = SbParams.restarts
     a0: float = SbParams.a0
     c0: float | None = SbParams.c0

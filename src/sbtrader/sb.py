@@ -17,11 +17,13 @@ its energy, and the batch searches 2^k states instead of 2^n.
 Restarts run as one batch (`run_batch`): positions and momenta are (R, N)
 float32 matrices, and row r draws its initial momenta from the RNG stream the
 caller passes for it, so a run keeps its key whichever batch it lands in. The
-batch casts the folded J (it is symmetric) into a cache-line-aligned float32
-buffer, tiles the folded h into an (R, N) float32 copy and casts the gaps and
-scalars once; then one call of `_anneal` runs the whole loop in place, each
-step a single `x @ J` product and 14 ufunc calls on operands of the state's
-shape, with no array broadcast. The wall maps x to x/|x| wherever |x| > 1:
+batch derives its step count and step size from its folded J (`schedule`,
+see SbParams), casts that J (it is symmetric) into a cache-line-aligned
+float32 buffer, tiles the folded h into an (R, N) float32 copy, casts the
+gaps and scalars, and scales J and h by c0 dt and the gaps and a0 by dt, all
+once; then one call of `_anneal` runs the whole loop in place, each step a
+single `x @ J` product and 11 ufunc calls on operands of the state's shape,
+with no array broadcast. The wall maps x to x/|x| wherever |x| > 1:
 exactly +-1 for a finite x, NaN for an inf, and a NaN stays NaN. A row that
 goes non-finite therefore stays so, and one check after the loop finds it; a
 diverged row is reported as None while the other rows finish. A c0 or an
@@ -58,6 +60,7 @@ __all__ = [
     "compute_h_tick",
     "dense_reconstruct",
     "initial_state",
+    "schedule",
     "step",
     "step_dense",
     "run",
@@ -80,30 +83,65 @@ class DivergenceError(RuntimeError):
 class SbParams:
     """Ballistic-SB parameters; the defaults are the one statement of the operating point.
 
-    `EngineConfig` takes its solver defaults from these fields. n_step and dt
-    default to 300 / 0.02; a0 ramps the pumping amplitude linearly from 0 over
-    the run. Scaling a0 and c0 together only rescales time, so a0 sets the
-    effective anneal length at fixed n_step*dt; the default pairing (a0=10
-    with c0 = 1.5 a0 / (sqrt(n) * rms of nonzero day couplings)) was
-    calibrated against the brute-force oracle on selection instances, where
-    nothing is masked. On a restricted split (`restrict`), n and the rms are
-    those of the k kept stocks. `run_batch` steps in float32, so a c0 beyond
-    float32 range (about 3.4e38) makes every row diverge; SplitProblem
-    rejects day couplings beyond that range.
+    `EngineConfig` takes its solver defaults from these fields. a0 ramps the
+    pumping amplitude linearly from 0 over the run. Scaling a0 and c0 together
+    only rescales time, so a0 sets the effective anneal length at fixed
+    n_step*dt; the default pairing (a0=10 with c0 = 1.5 a0 / (sqrt(n) * rms of
+    nonzero day couplings)) was calibrated against the brute-force oracle on
+    selection instances, where nothing is masked. On a restricted split
+    (`restrict`), n and the rms are those of the k kept stocks.
+
+    n_step and dt default to None, and `schedule` derives them per batch. The
+    symplectic-Euler step is stable only for dt < 2 / sqrt(a0 (a0 + c0 |l|)),
+    l the lowest eigenvalue of J; past that limit the walls clip a growing
+    oscillation and no feasible group comes out. The limit shrinks about as
+    k^-1/4 (0.075 at k = 16, 0.040 at k = 256), so no fixed dt is both short
+    and safe. The derived dt is m = 0.6 of the limit, with c0 the batch's
+    default_c0 and |l| bounded by the largest absolute row sum of the folded
+    J (Gershgorin: O(k^2), no BLAS, and within 7% of eigvalsh on selection
+    instances, whose two rank-one penalties dominate J); the derived n_step
+    is ceil(6 / dt), the anneal length of the former fixed 300 x 0.02. A
+    derived dt never falls below 6 / 3000, so no split makes a batch run
+    more than 3000 steps. An explicit dt or n_step is used as given (with an
+    explicit dt, n_step = ceil(6 / dt)). An explicit c0 sets the force but
+    not the derived dt, so a c0 far past the limit still diverges.
+
+    m was calibrated like c0's 1.5, with R = 10: hits of the 30 tight n = 16
+    instances and of criterion 3's 50, exact best-group hits on 40
+    `random_instance(128, 4, penalty=3)` instances (c1 = 300; all 40 had a
+    feasible row where marked *), instances of 32 with a feasible row at
+    k = 256 and 512, and the steps at k = 16 / 512:
+
+        m            tight  crit. 3  k=128  k=256  k=512  steps
+        0.4          28     47       20*    23     15     209 / 453
+        0.5          27     47       22     23     10     167 / 362
+        0.6          28     48       19*    24     11     139 / 302
+        0.7          27     46       23     24     11     120 / 259
+        0.8          27     46       19     24      9     105 / 227
+        300 x 0.02   27     47       18*    29     13     300 / 300
+        150 x 0.04   28     48       17*     0      0     150 / 150
+
+    The k = 256 and 512 counts flip whole instances under a 1% change of dt
+    (fixed dt 0.0195-0.0205 read 24-32 at k = 256), and they rise with the
+    anneal length, not with m.
+
+    `run_batch` steps in float32, so a c0 beyond float32 range (about 3.4e38)
+    makes every row diverge; SplitProblem rejects day couplings beyond that
+    range.
     """
 
-    n_step: int = 300
-    dt: float = 0.02
+    n_step: int | None = None
+    dt: float | None = None
     a0: float = 10.0
     c0: float | None = None
     restarts: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # chained comparisons are False for NaN; c0=None means default_c0
+        # chained comparisons are False for NaN; None means derived (n_step, dt) or default_c0 (c0)
         for ok, message in (
-            (self.n_step >= 1, "n_step must be >= 1"),
-            (0 < self.dt < np.inf, "dt must be positive and finite"),
+            (self.n_step is None or self.n_step >= 1, "n_step must be >= 1"),
+            (self.dt is None or 0 < self.dt < np.inf, "dt must be positive and finite"),
             (0 < self.a0 < np.inf, "a0 must be positive and finite"),
             (self.c0 is None or 0 < self.c0 < np.inf, "c0 must be positive and finite"),
             (self.restarts >= 1, "restarts must be >= 1"),
@@ -292,9 +330,32 @@ def default_c0(p: SplitProblem, a0: float) -> float:
     return 1.5 * a0 / (np.sqrt(p.n) * scale)
 
 
-def _c0(p: SplitProblem, params: SbParams) -> float:
-    """params.c0, else default_c0; looked up per call, so a patched default_c0 is used."""
-    return params.c0 if params.c0 is not None else default_c0(p, params.a0)
+_DT_MARGIN = 0.6  # the derived dt, as a fraction of the step's stability limit (SbParams)
+_ANNEAL_TIME = 6.0  # n_step * dt of a derived schedule: the former fixed 300 x 0.02
+_MAX_STEPS = 3000  # a derived dt never falls below _ANNEAL_TIME / _MAX_STEPS
+
+
+def _schedule(params: SbParams, j: np.ndarray, c0: float) -> tuple[int, float]:
+    """(n_step, dt) for folded couplings j: params' own where set, else derived (see SbParams).
+
+    c0 is the one the derived dt is for (default_c0 in run_batch and step), not
+    params.c0. O(k^2) and BLAS-free, so the result does not depend on the BLAS
+    build. Callers silence the overflow warning: a c0 g beyond float64 range
+    makes the limit 0, and the dt floor then applies.
+    """
+    dt = params.dt
+    if dt is None:
+        g = np.abs(j).sum(axis=1).max(initial=0.0)  # >= |lambda_min(j)|, as j's diagonal is 0
+        limit = 2.0 / np.sqrt(params.a0 * (params.a0 + c0 * g))
+        dt = max(float(_DT_MARGIN * limit), _ANNEAL_TIME / _MAX_STEPS)
+    n_step = params.n_step if params.n_step is not None else int(np.ceil(_ANNEAL_TIME / dt))
+    return n_step, dt
+
+
+def schedule(p: SplitProblem, params: SbParams) -> tuple[int, float]:
+    """The (n_step, dt) that run_batch and step run p with."""
+    with np.errstate(over="ignore"):
+        return _schedule(params, _folded(p)[0], default_c0(p, params.a0))
 
 
 def initial_state(p: SplitProblem, rng: np.random.Generator) -> OscillatorState:
@@ -302,22 +363,23 @@ def initial_state(p: SplitProblem, rng: np.random.Generator) -> OscillatorState:
     return OscillatorState(x=np.zeros(p.n), y=rng.uniform(-0.1, 0.1, p.n), step=0)
 
 
-def _anneal(x, y, j, h, gaps, c0, a0, dt) -> None:
+def _anneal(x, y, j, h, gaps, a0) -> None:
     """Run one ballistic-SB step of x and y in place for each gap in gaps, with the force J x - h.
 
-    j is a folded J (symmetric, so each row of x @ J is J x); gaps holds each
-    step's -(a0 - a(k)), and c0, a0 and dt are 0-d (see _scalars). Every
-    operand is in the state's dtype, since a float64 one would make a ufunc on
-    a float32 state compute in float64. run_batch passes an h of x's shape, as
-    are the work buffers, so no call pays 2-3x for broadcasting an array. The
-    15 calls a step do the operations of `reference_run_batch` in
-    tests/helpers.py in its order, so the result is bit-identical to it in
-    either dtype; prescaling by c0*dt would change the rounding and the step at
-    which a row overflows. The wall zeroes y and maps x to x/|x| wherever
-    |x| > 1, by dividing x by max(|x|, 1): exactly +-1 for a finite x, NaN for
-    an inf, and a NaN stays NaN, so a row that goes non-finite stays so to the
-    end, and since a non-finite y makes x non-finite in the same step, checking
-    x covers y. Callers silence the overflow and invalid warnings and check x.
+    Every operand comes prescaled by dt (_scalars): j and h are c0 dt times the
+    folded J and h (j symmetric, so each row of x @ j is J x), gaps holds each
+    step's -(a0 - a(k)) dt, and a0 is the 0-d a0 dt. So a step is
+    y += gap x + (x J - h) and x += a0 y. Every operand is in the state's dtype,
+    since a float64 one would make a ufunc on a float32 state compute in
+    float64. run_batch passes an h of x's shape, as are the work buffers, so no
+    call pays 2-3x for broadcasting an array. The 12 calls a step do the
+    operations of `reference_run_batch` in tests/helpers.py in its order, so the
+    result is bit-identical to it in either dtype. The wall zeroes y and maps x
+    to x/|x| wherever |x| > 1, by dividing x by max(|x|, 1): exactly +-1 for a
+    finite x, NaN for an inf, and a NaN stays NaN, so a row that goes
+    non-finite stays so to the end, and since a non-finite y makes x
+    non-finite in the same step, checking x covers y. Callers silence the
+    overflow and invalid warnings and check x.
     """
     dy, tmp, over = np.empty_like(x), np.empty_like(x), np.empty(x.shape, dtype=bool)
     one, zero = np.ones((), x.dtype), np.zeros((), x.dtype)
@@ -327,12 +389,9 @@ def _anneal(x, y, j, h, gaps, c0, a0, dt) -> None:
         matmul(x, j, dy)
         subtract(dy, h, dy)
         multiply(x, gap, tmp)
-        multiply(dy, c0, dy)
         add(tmp, dy, tmp)
-        multiply(tmp, dt, tmp)
         add(y, tmp, y)
         multiply(y, a0, tmp)
-        multiply(tmp, dt, tmp)
         add(x, tmp, x)
         absolute(x, tmp)
         greater(tmp, one, over)
@@ -341,26 +400,35 @@ def _anneal(x, y, j, h, gaps, c0, a0, dt) -> None:
         putmask(y, over, zero)
 
 
-def _scalars(params: SbParams, c0: float, dtype) -> tuple[np.ndarray, list[np.ndarray]]:
-    """_anneal's gaps and scalars in dtype: the (n_step,) gaps, and c0, a0 and dt as 0-d arrays.
+def _scalars(params: SbParams, n_step: int, dt: float, c0: float, steps: np.ndarray, dtype):
+    """_anneal's gaps and a0, and the scale of J and h, in dtype: (gaps dt, a0 dt, c0 dt) for the given steps.
 
-    Entry k is -(a0 - a(k)), where the pumping amplitude a(k) = a0 k / (n_step - 1)
-    ramps linearly from 0 (a one-step run stays at 0). A Python float or a
-    dtype scalar would cost a conversion on every ufunc call. Callers silence
-    the overflow warning: a value beyond float32 range casts to inf.
+    The c0 is params.c0, else the c0 passed (default_c0). Gap k is -(a0 - a(k)),
+    where the pumping amplitude a(k) = a0 k / (n_step - 1) ramps linearly from
+    0 (a one-step run stays at 0). Each value is cast to dtype before it is
+    multiplied by dt, so a c0 or a0 beyond float32 range is inf and its rows
+    diverge. The scalars are 0-d arrays: a Python float or a dtype scalar
+    would cost a conversion on every ufunc call. Callers silence the overflow
+    warning.
     """
-    pump = params.a0 * np.arange(params.n_step) / max(params.n_step - 1, 1)
-    return (-(params.a0 - pump)).astype(dtype), [np.asarray(v, dtype) for v in (c0, params.a0, params.dt)]
+    pump = params.a0 * steps / max(n_step - 1, 1)
+    c0 = params.c0 if params.c0 is not None else c0
+    dt, a0, c0 = (np.asarray(v, dtype) for v in (dt, params.a0, c0))
+    return (pump - params.a0).astype(dtype) * dt, np.asarray(a0 * dt), np.asarray(c0 * dt)
 
 
 def _stepped(state: OscillatorState, params: SbParams, c0: float, j: np.ndarray, h: np.ndarray) -> OscillatorState:
-    """One float64 _anneal step of copies of state.x and state.y, over the gap of state.step."""
-    if state.step >= params.n_step:
-        raise ValueError(f"state.step={state.step} out of range for n_step={params.n_step}")
-    x, y = np.array(state.x, dtype=np.float64), np.array(state.y, dtype=np.float64)
-    gaps, scalars = _scalars(params, c0, np.float64)
+    """One float64 _anneal step of copies of state.x and state.y, over the gap of state.step alone.
+
+    c0 derives a None dt, and is the force's unless params.c0 is set.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        _anneal(x, y, j, h, gaps[state.step : state.step + 1], *scalars)
+        n_step, dt = _schedule(params, j, c0)
+        if state.step >= n_step:
+            raise ValueError(f"state.step={state.step} out of range for n_step={n_step}")
+        x, y = np.array(state.x, dtype=np.float64), np.array(state.y, dtype=np.float64)
+        gap, a0, scale = _scalars(params, n_step, dt, c0, np.arange(state.step, state.step + 1), np.float64)
+        _anneal(x, y, j * scale, h * scale, gap, a0)
     if not np.isfinite(x).all():
         raise DivergenceError(f"state diverged at step {state.step}; lower c0 or dt")
     return OscillatorState(x=x, y=y, step=state.step + 1)
@@ -369,11 +437,15 @@ def _stepped(state: OscillatorState, params: SbParams, c0: float, j: np.ndarray,
 def step(state: OscillatorState, p: SplitProblem, params: SbParams) -> OscillatorState:
     """One ballistic-SB update of an (n,) or (R, n) state, by the kernel run_batch iterates, in float64."""
     j, h, _ = _folded(p)
-    return _stepped(state, params, _c0(p, params), j, h)
+    return _stepped(state, params, default_c0(p, params.a0), j, h)
 
 
 def step_dense(state: OscillatorState, dense: IsingProblem, params: SbParams, c0: float) -> OscillatorState:
-    """The same step over a materialized problem; oracle for :func:`step`."""
+    """The same step over a materialized problem; oracle for :func:`step`.
+
+    c0 is the force's unless params.c0 is set, and with params.dt None it derives
+    dt, as default_c0 does in step: pass default_c0 of the split to match step.
+    """
     return _stepped(state, params, c0, dense.j, dense.h)
 
 
@@ -387,25 +459,31 @@ def run_batch(
 ) -> list[SbSolution | None]:
     """Runs start, start + 1, ... as one (R, n) float32 batch; row r starts from rngs[r].
 
-    Every operand of the step kernel is float32 and cast once per batch: the
-    folded couplings of _folded into a 64-byte-aligned buffer (O(k^2) on a
-    restricted split), the folded biases tiled into a real (R, n) copy so no
-    step broadcasts them, and the gaps and scalars of _scalars. One _anneal
-    call then runs every step in place. A c0 or an initial momentum beyond
-    float32 range casts to inf, so its row diverges. No step checks for
-    divergence: the wall turns an inf into NaN, which every later step
-    carries, so one check of x after the loop finds each row that went
-    non-finite; such a row comes back as None. Energies are read out in
+    The schedule comes from the folded couplings of _folded (see SbParams).
+    Every operand of the step kernel is float32, cast once per batch and then
+    scaled by c0 dt in float32: the folded couplings into a 64-byte-aligned
+    buffer (O(k^2) on a restricted split), the folded biases tiled into a real
+    (R, n) copy so no step broadcasts them, and the gaps and a0 of _scalars.
+    One _anneal call then runs every step in place. A c0, coupling, bias or
+    initial momentum beyond float32 range casts to inf, so its row diverges.
+    No step checks for divergence: the wall turns an inf into NaN, which every
+    later step carries, so one check of x after the loop finds each row that
+    went non-finite; such a row comes back as None. Energies are read out in
     float64 from the spins and the float64 (J, h, offset).
     """
     t0 = time.perf_counter()
     j, h, offset = _folded(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps, scalars = _scalars(params, _c0(p, params), np.float32)
+        c0 = default_c0(p, params.a0)
+        n_step, dt = _schedule(params, j, c0)
+        gaps, a0, scale = _scalars(params, n_step, dt, c0, np.arange(n_step), np.float32)
         x = np.zeros((len(rngs), p.n), np.float32)
         y = np.array([initial_state(p, rng).y for rng in rngs], np.float32)
+        j32 = _cache_line_aligned(j, np.float32)
+        j32 *= scale
         h32 = np.tile(h.astype(np.float32), (len(rngs), 1))  # a copy: a stride-0 view would still broadcast
-        _anneal(x, y, _cache_line_aligned(j, np.float32), h32, gaps, *scalars)
+        h32 *= scale
+        _anneal(x, y, j32, h32, gaps, a0)
     finite = np.isfinite(x).all(axis=1)
     spins = np.where(x >= 0.0, 1.0, -1.0)
     energies = _energies(spins, j, h, offset)

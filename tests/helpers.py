@@ -8,7 +8,16 @@ import numpy as np
 from sbtrader.engine import EngineConfig, TradingEngine
 from sbtrader.feed import FEED_HEADER, SynthSpec, TickEvent, synth_generate, write_feed
 from sbtrader.ising import qubo_energy
-from sbtrader.sb import DivergenceError, OscillatorState, SbSolution, _energies, default_c0, dense_reconstruct, initial_state
+from sbtrader.sb import (
+    DivergenceError,
+    OscillatorState,
+    SbSolution,
+    _energies,
+    default_c0,
+    dense_reconstruct,
+    initial_state,
+    schedule,
+)
 from sbtrader.strategy import (
     CorrelationMatrix,
     Stock,
@@ -253,16 +262,28 @@ def _reference_force(x, j, h):
     return x @ j - h
 
 
-def _reference_pump(params, k):
+def _reference_pump(params, n_step, k):
     """Pumping amplitude a(k) = a0 k / (n_step - 1) at step k; 0 for a one-step run."""
-    return 0.0 if params.n_step == 1 else params.a0 * k / (params.n_step - 1)
+    return 0.0 if n_step == 1 else params.a0 * k / (n_step - 1)
 
 
-def _reference_advance(x, y, dy, a_t, c0, params, dtype=np.float64):
-    # every scalar in the state's dtype, so a float32 state is stepped in float32
-    gap, c0, a0, dt = (dtype(v) for v in (-(params.a0 - a_t), c0, params.a0, params.dt))
-    y = y + (gap * x + c0 * dy) * dt
-    x = x + a0 * y * dt
+def _reference_operands(p, params, dtype):
+    """dense_reconstruct(p)'s J and h cast to dtype, then scaled by c0 dt in dtype, with sb.schedule's (n_step, dt).
+
+    Each value is cast before it is scaled, so a c0 beyond float32 range is inf and its rows diverge.
+    """
+    n_step, dt = schedule(p, params)
+    c0 = params.c0 if params.c0 is not None else default_c0(p, params.a0)
+    dense = dense_reconstruct(p)
+    scale = dtype(c0) * dtype(dt)
+    return dense, dense.j.astype(dtype) * scale, dense.h.astype(dtype) * scale, n_step, dt
+
+
+def _reference_advance(x, y, dy, a_t, params, dt, dtype=np.float64):
+    # every scalar in the state's dtype, so a float32 state is stepped in float32; dy is already scaled by c0 dt
+    gap, a0, dt = (dtype(v) for v in (-(params.a0 - a_t), params.a0, dt))
+    y = y + (gap * dt * x + dy)
+    x = x + a0 * dt * y
     finite = np.isfinite(x).all(axis=-1)
     over = np.abs(x) > 1.0
     if over.any():
@@ -271,15 +292,23 @@ def _reference_advance(x, y, dy, a_t, c0, params, dtype=np.float64):
     return x, y, finite
 
 
+def unscaled_advance(x, y, a_t, c0, j, h, params, dt):
+    """The float64 step with c0 and dt applied to the force, not folded into J, h, the gap and a0: y += (gap x +
+    c0 (J x - h)) dt, x += a0 y dt, then the walls. The prescaled kernel rounds differently and is held to it."""
+    y = y + (-(params.a0 - a_t) * x + c0 * (x @ j - h)) * dt
+    x = x + params.a0 * y * dt
+    over = np.abs(x) > 1.0
+    return np.clip(x, -1.0, 1.0), np.where(over, 0.0, y)
+
+
 def reference_step(state, p, params):
     """The allocating `sb.step` that the in-place kernel replaced, kept as its oracle; it steps dense_reconstruct(p)."""
-    if state.step >= params.n_step:
-        raise ValueError(f"state.step={state.step} out of range for n_step={params.n_step}")
-    c0 = params.c0 if params.c0 is not None else default_c0(p, params.a0)
-    dense = dense_reconstruct(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        dy = _reference_force(state.x, dense.j, dense.h)
-        x, y, finite = _reference_advance(state.x, state.y, dy, _reference_pump(params, state.step), c0, params)
+        _, j, h, n_step, dt = _reference_operands(p, params, np.float64)
+        if state.step >= n_step:
+            raise ValueError(f"state.step={state.step} out of range for n_step={n_step}")
+        dy = _reference_force(state.x, j, h)
+        x, y, finite = _reference_advance(state.x, state.y, dy, _reference_pump(params, n_step, state.step), params, dt)
     if not np.all(finite):
         raise DivergenceError(f"state diverged at step {state.step}; lower c0 or dt")
     return OscillatorState(x=x, y=y, step=state.step + 1)
@@ -290,23 +319,22 @@ def reference_run_batch(p, params, rngs, start=0, dtype=np.float64):
 
     It steps in `dtype`: `run_batch` runs in float32, so float32 is its
     bit-for-bit oracle and float64 the precision it is compared against. It
-    checks every row for non-finite state at every step, before the wall
-    clamps an inf back to +-1, and keeps the flags sticky. It steps and reads
-    out the problem that `dense_reconstruct` materialises, so the kernel's own
-    fold (`sb._folded`) is checked against it. The energy readout
-    `sb._energies` is shared with `run_batch`, not copied: only the step
-    kernel was replaced.
+    runs `sb.schedule`'s (n_step, dt), with J, h, the gap and a0 prescaled by
+    dt as the kernel does. It checks every row for non-finite state at every
+    step, before the wall clamps an inf back to +-1, and keeps the flags
+    sticky. It steps and reads out the problem that `dense_reconstruct`
+    materialises, so the kernel's own fold (`sb._folded`) is checked against
+    it. The energy readout `sb._energies` is shared with `run_batch`, not
+    copied: only the step kernel was replaced.
     """
-    c0 = params.c0 if params.c0 is not None else default_c0(p, params.a0)
-    dense = dense_reconstruct(p)
     finite = np.ones(len(rngs), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        j, h = (a.astype(dtype) for a in (dense.j, dense.h))
+        dense, j, h, n_step, dt = _reference_operands(p, params, dtype)
         x = np.zeros((len(rngs), p.n), dtype)
         y = np.array([initial_state(p, rng).y for rng in rngs], dtype)
-        for k in range(params.n_step):
+        for k in range(n_step):
             dy = _reference_force(x, j, h)
-            x, y, ok = _reference_advance(x, y, dy, _reference_pump(params, k), c0, params, dtype)
+            x, y, ok = _reference_advance(x, y, dy, _reference_pump(params, n_step, k), params, dt, dtype)
             finite &= ok
     spins = np.where(x >= 0.0, 1.0, -1.0)
     energies = _energies(spins, dense.j, dense.h, dense.offset)

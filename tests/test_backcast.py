@@ -380,6 +380,35 @@ def gated_and_reference_rows(monkeypatch, day_feeds, universe, config, corr):
     return rows, calls[TradingEngine], calls[helpers.EveryEventCloseEngine]
 
 
+class TestDecisionQuality:
+    def test_golden_synth16_decisions_open_the_exact_best_group(self, tmp_path, monkeypatch):
+        """Each decision with room on the golden_synth16 feeds opens `helpers.best_group` wherever its cost
+        clears accept_threshold, and nothing elsewhere; 5 of its 20 decisions with room have such a group.
+
+        The anneal's schedule can move these decisions without any other test failing, so this pins the count.
+        """
+        files = helpers.write_synthetic_fixture(tmp_path)
+        day_feeds = [(p.stem, str(p)) for p in sorted(files["feed_dir"].glob("*.csv"))]
+        config = config_from_kv(EngineConfig, read_kv(files["config"]))
+        decide = TradingEngine.on_quote_change
+        decisions = []  # (best group or None when it does not clear the threshold, the group opened)
+
+        def scored(engine, ts, code=None):
+            params = engine.config.strategy
+            room = ts < engine._force_us and np.count_nonzero(engine._open) + params.n_s <= params.p_max
+            cost, best = helpers.best_group(engine._deviation(), engine.corr, params)
+            orders = decide(engine, ts, code)
+            if room:
+                cleared = best.tolist() if cost <= params.accept_threshold else None
+                decisions.append((cleared, sorted(engine.universe.index(o.code) for o in orders)))
+            return orders
+
+        monkeypatch.setattr(TradingEngine, "on_quote_change", scored)
+        run_backcast(day_feeds, load_universe(files["universe"]), config, corr_override=load_correlation(files["corr"]))
+        assert len(decisions) == 20 and sum(best is not None for best, _ in decisions) == 5
+        assert all(opened == (best or []) for best, opened in decisions)
+
+
 class TestCloseGateEquivalence:
     """The engine checks its open positions only when their inputs may have changed, with the same orders
     as a check on every event."""

@@ -10,7 +10,7 @@ from sbtrader import backcast as bc
 from sbtrader import sb
 from sbtrader.cli import _load_deviations, main
 from sbtrader.engine import EngineConfig
-from sbtrader.ising import ising_energy, save_matrix
+from sbtrader.ising import QuboProblem, ising_energy, qubo_to_ising, save_matrix
 from sbtrader.strategy import (
     CorrelationMatrix,
     build_split,
@@ -64,6 +64,20 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", "--qubo", str(path), "--config", str(config))
         assert code == 1
         assert "diverged" in err and "spins=" not in out
+
+    @pytest.mark.parametrize("text, want", [("", None), ("n_step=50\ndt=0.01\n", (50, 0.01)), ("dt=0.04\n", (150, 0.04))],
+                             ids=["derived", "explicit", "explicit-dt"])
+    def test_prints_the_schedule_it_ran(self, tmp_path, capsys, text, want):
+        path = tmp_path / "q.txt"
+        q = np.random.default_rng(3).normal(0.0, 1.0, (12, 12))
+        save_matrix(path, q + q.T)
+        config = tmp_path / "solver.cfg"
+        config.write_text(text)
+        code, out, _ = run_cli(capsys, "solve", "--qubo", str(path), "--config", str(config))
+        split = sb.split_from_ising(qubo_to_ising(QuboProblem(q + q.T).symmetrized()))
+        n_step, dt = want or sb.schedule(split, sb.SbParams())
+        assert code == 0 and f"n_step={n_step}\ndt={dt!r}\n" in out
+        assert want or 100 < n_step < 300  # derived from the couplings: not the former fixed 300 x 0.02
 
     def test_entry_beyond_float32_range_exit_1(self, tmp_path, capsys):
         path = tmp_path / "q.txt"

@@ -1,5 +1,6 @@
 """Tests for the ballistic-SB solver and the day/tick split machinery."""
 
+import math
 import warnings
 
 import numpy as np
@@ -31,7 +32,7 @@ from sbtrader.sb import (
     substream,
     update_tick,
 )
-from sbtrader.strategy import build_split
+from sbtrader.strategy import build_split, check_constraints, random_instance
 
 
 def random_split(n, rng, c1=1.0, c3=2.0):
@@ -175,9 +176,10 @@ class TestStep:
 
     def test_divergence_detected(self):
         # the walls keep plain ballistic dynamics bounded, so force a
-        # single-step overflow to exercise the non-finite guard
+        # single-step overflow to exercise the non-finite guard: c0 dt, which
+        # scales J and h, is beyond float64 range
         p = random_split(4, np.random.default_rng(1))
-        params = SbParams(c0=1e308, n_step=10)
+        params = SbParams(c0=1e308, n_step=10, dt=2.0)
         state = OscillatorState(x=np.full(4, 0.5), y=np.zeros(4), step=0)
         with pytest.raises(DivergenceError):
             for _ in range(10):
@@ -559,6 +561,56 @@ class ConstRng:
         return np.full(n, self.value)
 
 
+def selection_split(k, seed):
+    """random_instance(k, 4) with the trading penalties (c1 = 300, c2 = c3 = 3): its deviations and split."""
+    dev, corr, params = random_instance(k, 4, np.random.default_rng(seed), c1=300.0, penalty=3.0)
+    return dev, build_split(dev, corr, params)
+
+
+class TestSchedule:
+    """With n_step and dt None, run_batch and step derive them from the batch's couplings (see SbParams)."""
+
+    def test_explicit_values_keep_their_meaning(self):
+        p = random_split(8, np.random.default_rng(60))
+        n_step, dt = sb.schedule(p, SbParams())
+        assert n_step == math.ceil(6.0 / dt)
+        assert sb.schedule(p, SbParams(n_step=50, dt=0.01)) == (50, 0.01)
+        assert sb.schedule(p, SbParams(dt=0.04)) == (150, 0.04)
+        assert sb.schedule(p, SbParams(n_step=7)) == (7, dt)
+        # an explicit c0 sets the force, not the derived dt: c0=1e308 diverges rather than shrinking dt to the floor
+        assert sb.schedule(p, SbParams(c0=1e308)) == (n_step, dt)
+
+    @pytest.mark.parametrize("k", [16, 128, 512])
+    def test_derived_dt_lies_below_the_stability_limit(self, k):
+        # symplectic Euler on x'' = -a0 (a0 + c0 |lambda|) x is stable only for dt < 2 / sqrt(a0 (a0 + c0 |lambda|));
+        # the Gershgorin bound on |lambda_min(J)| keeps the derived dt at or below 0.6 of that limit
+        _, p = selection_split(k, k)
+        lam = np.linalg.eigvalsh(dense_reconstruct(p).j)[0]
+        limit = 2.0 / np.sqrt(10.0 * (10.0 + default_c0(p, 10.0) * abs(lam)))
+        n_step, dt = sb.schedule(p, SbParams())
+        assert 0.5 * limit < dt <= 0.6 * limit
+        assert n_step == math.ceil(6.0 / dt)
+
+    @pytest.mark.parametrize("k", [256, 512])
+    def test_defaults_find_feasible_rows_where_a_fixed_shorter_schedule_finds_none(self, k):
+        # the limit shrinks about as k^-1/4 (0.040 at k = 256): a fixed 150 x 0.04 finds no feasible row on
+        # these 8 instances, at either k
+        found = 0
+        for seed in range(8):
+            dev, p = selection_split(k, seed)
+            rows = run_batch(p, SbParams(seed=seed), [substream(seed, i) for i in range(10)])
+            found += any(check_constraints((sol.spins + 1.0) / 2.0, dev, 4).ok for sol in rows if sol is not None)
+        assert found >= 1
+
+    def test_dt_floor_bounds_the_steps(self):
+        # day couplings 1e-30 times the tick coupling make default_c0 about 1e31: the limit is far below any
+        # useful dt, and the floor keeps the batch at 3000 steps instead of about 1e17
+        p = random_split(8, np.random.default_rng(61), c3=3.0)
+        p = SplitProblem(p.j_day * 1e-30, p.h_day, p.sgn_dp, p.abs_dp, p.c1, p.c3)
+        assert sb.schedule(p, SbParams()) == (3000, 6.0 / 3000)
+        assert all(sol is not None for sol in run_batch(p, SbParams(), [substream(0, i) for i in range(3)]))
+
+
 class TestBatch:
     @pytest.mark.parametrize("n", [6, 16, 128])
     @pytest.mark.parametrize("restarts", [1, 2, 10])
@@ -609,14 +661,20 @@ class TestBatch:
         p = random_split(4, np.random.default_rng(34))
         state = OscillatorState(x=np.zeros((3, 4)), y=np.array([np.zeros(4), np.full(4, 1e308), np.zeros(4)]))
         with pytest.raises(DivergenceError):
-            step(state, p, SbParams())
+            step(state, p, SbParams(dt=0.2))  # x += a0 dt y, with a0 dt = 2, overflows in row 1
 
 
-def zero_bias_split(n, rng):
-    """Random day couplings with no bias and an all-zero tick side."""
+def zero_bias_split(n, rng, scale=1.0):
+    """Random day couplings, times scale, with no bias and an all-zero tick side."""
     return SplitProblem(
-        j_day=random_split(n, rng).j_day, h_day=np.zeros(n), sgn_dp=np.zeros(n), abs_dp=np.zeros(n), c1=0.0, c3=0.0
+        j_day=random_split(n, rng).j_day * scale, h_day=np.zeros(n), sgn_dp=np.zeros(n), abs_dp=np.zeros(n), c1=0.0,
+        c3=0.0,
     )
+
+
+# c0 = 1e308 with dt = 0.02 and couplings 1/dt = 50 times larger: c0 dt J, the prescaled couplings, is then the c0 J
+# of an unscaled step, so a float64 step overflows where c0 (J x - h) would (prescaling moves that point by 1/dt)
+OVERFLOW_AT_THE_WALL = dict(params=SbParams(n_step=300, dt=0.02, c0=1e308), scale=50.0)
 
 
 def assert_same_batches(got, want):
@@ -658,8 +716,8 @@ class TestReferenceKernel:
     def test_rows_diverging_after_the_wall(self):
         # With no bias and c0=1e308, the walls clamp every row at step 1 and
         # the rows first go non-finite at step 2: the wall must not hide that.
-        p = zero_bias_split(6, np.random.default_rng(42))
-        params = SbParams(c0=1e308)
+        p = zero_bias_split(6, np.random.default_rng(42), OVERFLOW_AT_THE_WALL["scale"])
+        params = OVERFLOW_AT_THE_WALL["params"]
         for r in range(3):
             state, walled = initial_state(p, substream(7, r)), False
             with pytest.raises(DivergenceError, match="at step [23];"):
@@ -679,15 +737,30 @@ class TestReferenceKernel:
         shape = (n,) if rows is None else (rows, n)
         state = OscillatorState(x=np.zeros(shape), y=np.random.default_rng(44).uniform(-0.1, 0.1, shape))
         ref = state
-        for _ in range(params.n_step):
+        for _ in range(sb.schedule(p, params)[0]):
             state, ref = step(state, p, params), helpers.reference_step(ref, p, params)
             assert np.array_equal(state.x, ref.x) and np.array_equal(state.y, ref.y)
             assert state.step == ref.step
 
+    @pytest.mark.parametrize("n", [6, 24])
+    def test_prescaled_trajectory_tracks_the_unscaled_update(self, n):
+        # the kernel and its reference fold c0 dt into J and h and dt into the gap and a0; in float64 that
+        # changes only the rounding of the update y += (gap x + c0 (J x - h)) dt, x += a0 y dt
+        p = random_split(n, np.random.default_rng([49, n]))
+        params = SbParams()
+        n_step, dt = sb.schedule(p, params)
+        c0, dense = default_c0(p, params.a0), dense_reconstruct(p)
+        state = initial_state(p, np.random.default_rng(50))
+        x, y = state.x, state.y
+        for k in range(n_step):
+            state = step(state, p, params)
+            x, y = helpers.unscaled_advance(x, y, params.a0 * k / (n_step - 1), c0, dense.j, dense.h, params, dt)
+            assert np.abs(state.x - x).max() <= 1e-12 and np.abs(state.y - y).max() <= 1e-12
+
     @pytest.mark.parametrize("rows", [None, 3])
     def test_step_raises_where_reference_does(self, rows):
-        p = zero_bias_split(6, np.random.default_rng(45))
-        params = SbParams(c0=1e308)
+        p = zero_bias_split(6, np.random.default_rng(45), OVERFLOW_AT_THE_WALL["scale"])
+        params = OVERFLOW_AT_THE_WALL["params"]
         shape = (6,) if rows is None else (rows, 6)
         state = OscillatorState(x=np.zeros(shape), y=np.random.default_rng(46).uniform(-0.1, 0.1, shape))
         ref = state
@@ -778,19 +851,23 @@ class TestFloat32:
         monkeypatch.setattr(sb, "_anneal", recorded)
         run_batch(p, SbParams(n_step=4), [substream(0, i) for i in range(3)])
         assert len(calls) == 1  # the whole loop is one call per batch
-        x, y, j, h, gaps, *scalars = calls[0]
+        x, y, j, h, gaps, a0 = calls[0]
         assert x.shape == (3, p.n)
         assert all(isinstance(a, np.ndarray) and a.dtype == np.float32 for a in calls[0])
         for a in (y, h):  # a real copy of x's shape: a stride-0 view would still broadcast
             assert a.shape == x.shape and 0 not in a.strides
-        assert gaps.shape == (4,)
-        assert len(scalars) == 3 and all(a.shape == () for a in scalars)
+        assert gaps.shape == (4,) and a0.shape == ()
         # the folded couplings are cast per batch into a cache-line-aligned buffer: at n=512 a mid-line
-        # start made every step's x @ J 30-50% slower
+        # start made every step's x @ J 30-50% slower; J, h, the gaps and a0 are scaled after the cast
+        _, dt = sb.schedule(p, SbParams(n_step=4))
+        f32 = np.float32
+        scale = f32(default_c0(p, 10.0)) * f32(dt)
         dense = dense_reconstruct(p)
         assert j.flags.c_contiguous and j.ctypes.data % 64 == 0
-        assert np.array_equal(j, dense.j.astype(np.float32))
-        assert np.array_equal(h, np.tile(dense.h.astype(np.float32), (3, 1)))
+        assert np.array_equal(j, dense.j.astype(f32) * scale)
+        assert np.array_equal(h, np.tile(dense.h.astype(f32) * scale, (3, 1)))
+        assert np.array_equal(gaps, (10.0 * np.arange(4) / 3 - 10.0).astype(f32) * f32(dt))
+        assert a0 == f32(10.0) * f32(dt)
 
 
 class TestTieBreak:
