@@ -96,15 +96,18 @@ class SbParams:
     l the lowest eigenvalue of J; past that limit the walls clip a growing
     oscillation and no feasible group comes out. The limit shrinks about as
     k^-1/4 (0.075 at k = 16, 0.040 at k = 256), so no fixed dt is both short
-    and safe. The derived dt is m = 0.6 of the limit, with c0 the batch's
-    default_c0 and |l| bounded by the largest absolute row sum of the folded
-    J (Gershgorin: O(k^2), no BLAS, and within 7% of eigvalsh on selection
-    instances, whose two rank-one penalties dominate J); the derived n_step
-    is ceil(6 / dt), the anneal length of the former fixed 300 x 0.02. A
-    derived dt never falls below 6 / 3000, so no split makes a batch run
-    more than 3000 steps. An explicit dt or n_step is used as given (with an
-    explicit dt, n_step = ceil(6 / dt)). An explicit c0 sets the force but
-    not the derived dt, so a c0 far past the limit still diverges.
+    and safe. The derived dt is m = 0.6 of the limit, with c0 the one the
+    force uses (c0, else default_c0) and |l| bounded by the largest absolute
+    row sum of the folded J (Gershgorin: O(k^2), no BLAS, and within 7% of
+    eigvalsh on selection instances, whose two rank-one penalties dominate
+    J). The derived n_step is ceil(T / dt) for the anneal time
+    T = 6 max(1, sqrt(k / 128)): up to k = 128 that is the anneal length of
+    the former fixed 300 x 0.02, and larger batches need a longer anneal to
+    end in a feasible group (at k = 2048, 300 x 0.02 found one on none of 8
+    instances, the derived 1685 x 0.014 on 4). A derived dt never falls
+    below T / 3000, so no split makes a batch run more than 3000 steps. An
+    explicit dt or n_step is used as given (with an explicit dt,
+    n_step = ceil(T / dt)).
 
     m was calibrated like c0's 1.5, with R = 10: hits of the 30 tight n = 16
     instances and of criterion 3's 50, exact best-group hits on 40
@@ -113,17 +116,16 @@ class SbParams:
     k = 256 and 512, and the steps at k = 16 / 512:
 
         m            tight  crit. 3  k=128  k=256  k=512  steps
-        0.4          28     47       20*    23     15     209 / 453
-        0.5          27     47       22     23     10     167 / 362
-        0.6          28     48       19*    24     11     139 / 302
-        0.7          27     46       23     24     11     120 / 259
-        0.8          27     46       19     24      9     105 / 227
+        0.4          28     47       20*    30     25     209 / 905
+        0.5          27     47       22     30     28     167 / 724
+        0.6          28     48       19*    31     27     139 / 604
+        0.7          27     46       23     32     22     120 / 518
+        0.8          27     46       19     30     24     105 / 453
         300 x 0.02   27     47       18*    29     13     300 / 300
         150 x 0.04   28     48       17*     0      0     150 / 150
 
     The k = 256 and 512 counts flip whole instances under a 1% change of dt
-    (fixed dt 0.0195-0.0205 read 24-32 at k = 256), and they rise with the
-    anneal length, not with m.
+    (300 x 0.02 perturbed by one step or 0.5% in dt reads 29-31 and 13-18).
 
     `run_batch` steps in float32, so a c0 beyond float32 range (about 3.4e38)
     makes every row diverge; SplitProblem rejects day couplings beyond that
@@ -331,31 +333,37 @@ def default_c0(p: SplitProblem, a0: float) -> float:
 
 
 _DT_MARGIN = 0.6  # the derived dt, as a fraction of the step's stability limit (SbParams)
-_ANNEAL_TIME = 6.0  # n_step * dt of a derived schedule: the former fixed 300 x 0.02
-_MAX_STEPS = 3000  # a derived dt never falls below _ANNEAL_TIME / _MAX_STEPS
+_ANNEAL_TIME = 6.0  # n_step * dt of a derived schedule up to _LONGER_FROM stocks: the former fixed 300 x 0.02
+_LONGER_FROM = 128  # past this many stocks the derived anneal time grows as sqrt(k)
+_MAX_STEPS = 3000  # a derived dt never falls below anneal time / _MAX_STEPS
+
+
+def _c0(p: SplitProblem, params: SbParams) -> float:
+    """The c0 of the force: params.c0 where set, else default_c0."""
+    return params.c0 if params.c0 is not None else default_c0(p, params.a0)
 
 
 def _schedule(params: SbParams, j: np.ndarray, c0: float) -> tuple[int, float]:
-    """(n_step, dt) for folded couplings j: params' own where set, else derived (see SbParams).
+    """(n_step, dt) for folded couplings j and the force's c0: params' own where set, else derived (see SbParams).
 
-    c0 is the one the derived dt is for (default_c0 in run_batch and step), not
-    params.c0. O(k^2) and BLAS-free, so the result does not depend on the BLAS
-    build. Callers silence the overflow warning: a c0 g beyond float64 range
-    makes the limit 0, and the dt floor then applies.
+    O(k^2) and BLAS-free, so the result does not depend on the BLAS build.
+    Callers silence the overflow warning: a c0 g beyond float64 range makes
+    the limit 0, and the dt floor then applies.
     """
+    anneal_time = _ANNEAL_TIME * max(1.0, np.sqrt(j.shape[0] / _LONGER_FROM))
     dt = params.dt
     if dt is None:
         g = np.abs(j).sum(axis=1).max(initial=0.0)  # >= |lambda_min(j)|, as j's diagonal is 0
         limit = 2.0 / np.sqrt(params.a0 * (params.a0 + c0 * g))
-        dt = max(float(_DT_MARGIN * limit), _ANNEAL_TIME / _MAX_STEPS)
-    n_step = params.n_step if params.n_step is not None else int(np.ceil(_ANNEAL_TIME / dt))
+        dt = max(float(_DT_MARGIN * limit), anneal_time / _MAX_STEPS)
+    n_step = params.n_step if params.n_step is not None else int(np.ceil(anneal_time / dt))
     return n_step, dt
 
 
 def schedule(p: SplitProblem, params: SbParams) -> tuple[int, float]:
     """The (n_step, dt) that run_batch and step run p with."""
     with np.errstate(over="ignore"):
-        return _schedule(params, _folded(p)[0], default_c0(p, params.a0))
+        return _schedule(params, _folded(p)[0], _c0(p, params))
 
 
 def initial_state(p: SplitProblem, rng: np.random.Generator) -> OscillatorState:
@@ -403,25 +411,20 @@ def _anneal(x, y, j, h, gaps, a0) -> None:
 def _scalars(params: SbParams, n_step: int, dt: float, c0: float, steps: np.ndarray, dtype):
     """_anneal's gaps and a0, and the scale of J and h, in dtype: (gaps dt, a0 dt, c0 dt) for the given steps.
 
-    The c0 is params.c0, else the c0 passed (default_c0). Gap k is -(a0 - a(k)),
-    where the pumping amplitude a(k) = a0 k / (n_step - 1) ramps linearly from
-    0 (a one-step run stays at 0). Each value is cast to dtype before it is
-    multiplied by dt, so a c0 or a0 beyond float32 range is inf and its rows
-    diverge. The scalars are 0-d arrays: a Python float or a dtype scalar
-    would cost a conversion on every ufunc call. Callers silence the overflow
-    warning.
+    Gap k is -(a0 - a(k)), where the pumping amplitude a(k) = a0 k / (n_step - 1)
+    ramps linearly from 0 (a one-step run stays at 0). Each value is cast to
+    dtype before it is multiplied by dt, so a c0 or a0 beyond float32 range is
+    inf and its rows diverge. The scalars are 0-d arrays: a Python float or a
+    dtype scalar would cost a conversion on every ufunc call. Callers silence
+    the overflow warning.
     """
     pump = params.a0 * steps / max(n_step - 1, 1)
-    c0 = params.c0 if params.c0 is not None else c0
     dt, a0, c0 = (np.asarray(v, dtype) for v in (dt, params.a0, c0))
     return (pump - params.a0).astype(dtype) * dt, np.asarray(a0 * dt), np.asarray(c0 * dt)
 
 
 def _stepped(state: OscillatorState, params: SbParams, c0: float, j: np.ndarray, h: np.ndarray) -> OscillatorState:
-    """One float64 _anneal step of copies of state.x and state.y, over the gap of state.step alone.
-
-    c0 derives a None dt, and is the force's unless params.c0 is set.
-    """
+    """One float64 _anneal step of copies of state.x and state.y, with the force's c0 and state.step's gap alone."""
     with np.errstate(over="ignore", invalid="ignore"):
         n_step, dt = _schedule(params, j, c0)
         if state.step >= n_step:
@@ -437,16 +440,16 @@ def _stepped(state: OscillatorState, params: SbParams, c0: float, j: np.ndarray,
 def step(state: OscillatorState, p: SplitProblem, params: SbParams) -> OscillatorState:
     """One ballistic-SB update of an (n,) or (R, n) state, by the kernel run_batch iterates, in float64."""
     j, h, _ = _folded(p)
-    return _stepped(state, params, default_c0(p, params.a0), j, h)
+    return _stepped(state, params, _c0(p, params), j, h)
 
 
 def step_dense(state: OscillatorState, dense: IsingProblem, params: SbParams, c0: float) -> OscillatorState:
     """The same step over a materialized problem; oracle for :func:`step`.
 
-    c0 is the force's unless params.c0 is set, and with params.dt None it derives
-    dt, as default_c0 does in step: pass default_c0 of the split to match step.
+    c0 stands in for default_c0, which a materialized problem cannot derive:
+    pass default_c0 of the split to match step. params.c0 overrides it, as in step.
     """
-    return _stepped(state, params, c0, dense.j, dense.h)
+    return _stepped(state, params, params.c0 if params.c0 is not None else c0, dense.j, dense.h)
 
 
 def _energies(spins: np.ndarray, j: np.ndarray, h: np.ndarray, offset: float) -> np.ndarray:
@@ -474,7 +477,7 @@ def run_batch(
     t0 = time.perf_counter()
     j, h, offset = _folded(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        c0 = default_c0(p, params.a0)
+        c0 = _c0(p, params)
         n_step, dt = _schedule(params, j, c0)
         gaps, a0, scale = _scalars(params, n_step, dt, c0, np.arange(n_step), np.float32)
         x = np.zeros((len(rngs), p.n), np.float32)

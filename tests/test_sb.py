@@ -577,19 +577,26 @@ class TestSchedule:
         assert sb.schedule(p, SbParams(n_step=50, dt=0.01)) == (50, 0.01)
         assert sb.schedule(p, SbParams(dt=0.04)) == (150, 0.04)
         assert sb.schedule(p, SbParams(n_step=7)) == (7, dt)
-        # an explicit c0 sets the force, not the derived dt: c0=1e308 diverges rather than shrinking dt to the floor
-        assert sb.schedule(p, SbParams(c0=1e308)) == (n_step, dt)
+        # an explicit c0 is the force's, and the derived dt follows it; c0=1e308 takes the floor's 3000 steps
+        n_step4, dt4 = sb.schedule(p, SbParams(c0=4.0 * default_c0(p, 10.0)))
+        assert dt4 < dt and n_step4 == math.ceil(6.0 / dt4)
+        assert sb.schedule(p, SbParams(c0=1e308)) == (3000, 6.0 / 3000)
 
+    @pytest.mark.parametrize("c0_factor", [None, 4.0])
     @pytest.mark.parametrize("k", [16, 128, 512])
-    def test_derived_dt_lies_below_the_stability_limit(self, k):
+    def test_derived_dt_lies_below_the_stability_limit(self, k, c0_factor):
         # symplectic Euler on x'' = -a0 (a0 + c0 |lambda|) x is stable only for dt < 2 / sqrt(a0 (a0 + c0 |lambda|));
-        # the Gershgorin bound on |lambda_min(J)| keeps the derived dt at or below 0.6 of that limit
+        # the Gershgorin bound on |lambda_min(J)| keeps the derived dt at or below 0.6 of that limit, for the
+        # c0 the force uses (an explicit 4 default_c0 is past the limit of a dt derived from default_c0)
         _, p = selection_split(k, k)
+        params = SbParams(c0=None if c0_factor is None else c0_factor * default_c0(p, 10.0))
+        c0 = default_c0(p, 10.0) * (c0_factor or 1.0)
         lam = np.linalg.eigvalsh(dense_reconstruct(p).j)[0]
-        limit = 2.0 / np.sqrt(10.0 * (10.0 + default_c0(p, 10.0) * abs(lam)))
-        n_step, dt = sb.schedule(p, SbParams())
+        limit = 2.0 / np.sqrt(10.0 * (10.0 + c0 * abs(lam)))
+        n_step, dt = sb.schedule(p, params)
         assert 0.5 * limit < dt <= 0.6 * limit
-        assert n_step == math.ceil(6.0 / dt)
+        # the anneal time n_step dt is 6 up to k = 128, and grows as sqrt(k) past it
+        assert n_step == math.ceil(6.0 * max(1.0, math.sqrt(k / 128)) / dt)
 
     @pytest.mark.parametrize("k", [256, 512])
     def test_defaults_find_feasible_rows_where_a_fixed_shorter_schedule_finds_none(self, k):
@@ -601,6 +608,16 @@ class TestSchedule:
             rows = run_batch(p, SbParams(seed=seed), [substream(seed, i) for i in range(10)])
             found += any(check_constraints((sol.spins + 1.0) / 2.0, dev, 4).ok for sol in rows if sol is not None)
         assert found >= 1
+
+    def test_large_batches_anneal_longer(self):
+        # past k = 128 the anneal time grows as sqrt(k) (12 at k = 512): on instances 0-15 the defaults find a
+        # feasible row on 13, the former fixed 300 x 0.02 on 8, and the derived dt with the anneal time held at 6 on 5
+        found = 0
+        for seed in range(16):
+            dev, p = selection_split(512, seed)
+            rows = run_batch(p, SbParams(seed=seed), [substream(seed, i) for i in range(10)])
+            found += any(check_constraints((sol.spins + 1.0) / 2.0, dev, 4).ok for sol in rows if sol is not None)
+        assert found >= 10
 
     def test_dt_floor_bounds_the_steps(self):
         # day couplings 1e-30 times the tick coupling make default_c0 about 1e31: the limit is far below any
