@@ -71,7 +71,7 @@ def _spin_string(spins: np.ndarray) -> str:
 
 
 def _print_schedule(split: sb.SplitProblem, params: sb.SbParams) -> None:
-    """The steps and step size the batch ran, derived from the split unless the config sets them."""
+    """The steps and step size the batch ran: dt derived from the split, n_step too unless the config sets it."""
     n_step, dt = sb.schedule(split, params)
     print(f"n_step={n_step}")
     print(f"dt={dt!r}")
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--config",
         help="key=value file in the backcast format (field names of EngineConfig and StrategyParams; "
-        "unknown keys are rejected). Its solver keys (n_step, dt, restarts, a0, c0) set the solver; its "
+        "unknown keys are rejected). Its solver keys (n_step, restarts, c0) set the solver; its "
         "strategy keys are used only with --universe/--deviations/--corr; the other keys are checked "
         "and ignored",
     )

@@ -105,20 +105,18 @@ class EngineConfig:
     session_close_us: int = field(default=9_000_000_000, metadata={"kv_seconds": "session_close_s"})
     t_force_us: int = field(default=60_000_000, metadata={"kv_seconds": "t_force_s"})
     n_step: int | None = SbParams.n_step
-    dt: float | None = SbParams.dt
     restarts: int = SbParams.restarts
-    a0: float = SbParams.a0
     c0: float | None = SbParams.c0
     commission_rate: float = 0.0
     corr_window: int = 5
     warmup_days: int = 5
 
     def __post_init__(self) -> None:
-        self.sb_params()  # SbParams checks n_step, dt, a0, c0 and restarts
+        self.sb_params()  # SbParams checks n_step, c0 and restarts
         if not self.session_close_us > 0:
             raise ValueError("session_close_us must be positive")
-        if not self.t_force_us >= 0:
-            raise ValueError("t_force_us must be >= 0")
+        if not 0 <= self.t_force_us < self.session_close_us:
+            raise ValueError("t_force_us must be >= 0 and below session_close_us")
         if not 0 <= self.commission_rate < np.inf:
             raise ValueError("commission_rate must be >= 0 and finite")
         if not self.corr_window >= 1:
@@ -127,7 +125,7 @@ class EngineConfig:
             raise ValueError("warmup_days must be >= 0")
 
     def sb_params(self) -> SbParams:
-        return SbParams(n_step=self.n_step, dt=self.dt, a0=self.a0, c0=self.c0, restarts=self.restarts)
+        return SbParams(n_step=self.n_step, c0=self.c0, restarts=self.restarts)
 
 
 class TradingEngine:

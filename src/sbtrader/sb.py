@@ -44,6 +44,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -76,7 +77,7 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Raised when oscillator state goes non-finite (bad c0/dt choice)."""
+    """Raised when oscillator state goes non-finite (a c0, coupling or momentum too large)."""
 
 
 @dataclass
@@ -84,14 +85,14 @@ class SbParams:
     """Ballistic-SB parameters; the defaults are the one statement of the operating point.
 
     `EngineConfig` takes its solver defaults from these fields. a0 ramps the
-    pumping amplitude linearly from 0 over the run. Scaling a0 and c0 together
-    only rescales time, so a0 sets the effective anneal length at fixed
-    n_step*dt; the default pairing (a0=10 with c0 = 1.5 a0 / (sqrt(n) * rms of
-    nonzero day couplings)) was calibrated against the brute-force oracle on
-    selection instances, where nothing is masked. On a restricted split
+    pumping amplitude linearly from 0 over the run. It is a constant, not a
+    field: scaling a0 and c0 together only rescales time, which the derived
+    schedule already sets. The pairing of a0 = 10 with c0 = 1.5 a0 / (sqrt(n) *
+    rms of nonzero day couplings) was calibrated against the brute-force oracle
+    on selection instances, where nothing is masked. On a restricted split
     (`restrict`), n and the rms are those of the k kept stocks.
 
-    n_step and dt default to None, and `schedule` derives them per batch. The
+    `schedule` derives dt per batch, and n_step too unless it is set. The
     symplectic-Euler step is stable only for dt < 2 / sqrt(a0 (a0 + c0 |l|)),
     l the lowest eigenvalue of J; past that limit the walls clip a growing
     oscillation and no feasible group comes out. The limit shrinks about as
@@ -106,8 +107,7 @@ class SbParams:
     end in a feasible group (at k = 2048, 300 x 0.02 found one on none of 8
     instances, the derived 1685 x 0.014 on 4). A derived dt never falls
     below T / 3000, so no split makes a batch run more than 3000 steps. An
-    explicit dt or n_step is used as given (with an explicit dt,
-    n_step = ceil(T / dt)).
+    explicit n_step is used as given, with the derived dt.
 
     m was calibrated like c0's 1.5, with R = 10: hits of the 30 tight n = 16
     instances and of criterion 3's 50, exact best-group hits on 40
@@ -132,19 +132,16 @@ class SbParams:
     range.
     """
 
+    a0: ClassVar[float] = 10.0
     n_step: int | None = None
-    dt: float | None = None
-    a0: float = 10.0
     c0: float | None = None
     restarts: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # chained comparisons are False for NaN; None means derived (n_step, dt) or default_c0 (c0)
+        # chained comparisons are False for NaN; None means a derived n_step or default_c0
         for ok, message in (
             (self.n_step is None or self.n_step >= 1, "n_step must be >= 1"),
-            (self.dt is None or 0 < self.dt < np.inf, "dt must be positive and finite"),
-            (0 < self.a0 < np.inf, "a0 must be positive and finite"),
             (self.c0 is None or 0 < self.c0 < np.inf, "c0 must be positive and finite"),
             (self.restarts >= 1, "restarts must be >= 1"),
         ):
@@ -344,18 +341,16 @@ def _c0(p: SplitProblem, params: SbParams) -> float:
 
 
 def _schedule(params: SbParams, j: np.ndarray, c0: float) -> tuple[int, float]:
-    """(n_step, dt) for folded couplings j and the force's c0: params' own where set, else derived (see SbParams).
+    """(n_step, dt) for folded couplings j and the force's c0: dt derived, n_step too unless set (see SbParams).
 
     O(k^2) and BLAS-free, so the result does not depend on the BLAS build.
     Callers silence the overflow warning: a c0 g beyond float64 range makes
     the limit 0, and the dt floor then applies.
     """
     anneal_time = _ANNEAL_TIME * max(1.0, np.sqrt(j.shape[0] / _LONGER_FROM))
-    dt = params.dt
-    if dt is None:
-        g = np.abs(j).sum(axis=1).max(initial=0.0)  # >= |lambda_min(j)|, as j's diagonal is 0
-        limit = 2.0 / np.sqrt(params.a0 * (params.a0 + c0 * g))
-        dt = max(float(_DT_MARGIN * limit), anneal_time / _MAX_STEPS)
+    g = np.abs(j).sum(axis=1).max(initial=0.0)  # >= |lambda_min(j)|, as j's diagonal is 0
+    limit = 2.0 / np.sqrt(params.a0 * (params.a0 + c0 * g))
+    dt = max(float(_DT_MARGIN * limit), anneal_time / _MAX_STEPS)
     n_step = params.n_step if params.n_step is not None else int(np.ceil(anneal_time / dt))
     return n_step, dt
 
@@ -413,8 +408,8 @@ def _scalars(params: SbParams, n_step: int, dt: float, c0: float, steps: np.ndar
 
     Gap k is -(a0 - a(k)), where the pumping amplitude a(k) = a0 k / (n_step - 1)
     ramps linearly from 0 (a one-step run stays at 0). Each value is cast to
-    dtype before it is multiplied by dt, so a c0 or a0 beyond float32 range is
-    inf and its rows diverge. The scalars are 0-d arrays: a Python float or a
+    dtype before it is multiplied by dt, so a c0 beyond float32 range is inf
+    and its rows diverge. The scalars are 0-d arrays: a Python float or a
     dtype scalar would cost a conversion on every ufunc call. Callers silence
     the overflow warning.
     """
@@ -433,7 +428,7 @@ def _stepped(state: OscillatorState, params: SbParams, c0: float, j: np.ndarray,
         gap, a0, scale = _scalars(params, n_step, dt, c0, np.arange(state.step, state.step + 1), np.float64)
         _anneal(x, y, j * scale, h * scale, gap, a0)
     if not np.isfinite(x).all():
-        raise DivergenceError(f"state diverged at step {state.step}; lower c0 or dt")
+        raise DivergenceError(f"state diverged at step {state.step}; lower c0")
     return OscillatorState(x=x, y=y, step=state.step + 1)
 
 
@@ -502,7 +497,7 @@ def run_batch(
 def _solved(sols: list[SbSolution | None], start: int) -> list[SbSolution]:
     for r, sol in enumerate(sols):
         if sol is None:
-            raise DivergenceError(f"run {start + r} diverged; lower c0 or dt")
+            raise DivergenceError(f"run {start + r} diverged; lower c0")
     return sols
 
 

@@ -452,6 +452,7 @@ def load_correlation(path) -> CorrelationMatrix:
 def read_kv(path) -> dict[str, str]:
     """Read a key=value file into raw strings; `config_from_kv` describes the format."""
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}  # key -> the line that set it
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -459,8 +460,11 @@ def read_kv(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+            seen[key] = lineno
+            out[key] = value
     return out
 
 
@@ -468,14 +472,15 @@ def config_from_kv(cls, kv: dict[str, str]):
     """Build the config dataclass `cls` (StrategyParams, EngineConfig, SynthSpec) from key=value pairs.
 
     Format: one `key=value` per line; blank lines and lines starting with `#`
-    are skipped. Each key is a field name of `cls` and its value is parsed
-    with the field's type (`float | None` parses as float). A field that is
-    itself a config dataclass, such as `EngineConfig.strategy`, is filled
-    from the same flat keys. A field whose metadata names a `kv_seconds` key
-    is read from that key in seconds and stored as integer microseconds
-    (`session_close_s` and `t_force_s` fill `session_close_us` and
-    `t_force_us`). Unknown keys are rejected. Every value goes to the
-    constructor, so the class's `__post_init__` is the one place it is checked.
+    are skipped, and a key may appear once. Each key is a field name of `cls`
+    and its value is parsed with the field's type (`float | None` parses as
+    float). A field that is itself a config dataclass, such as
+    `EngineConfig.strategy`, is filled from the same flat keys. A field whose
+    metadata names a `kv_seconds` key is read from that key in seconds and
+    stored as integer microseconds (`session_close_s` and `t_force_s` fill
+    `session_close_us` and `t_force_us`). Unknown keys are rejected. Every
+    value goes to the constructor, so the class's `__post_init__` is the one
+    place it is checked.
     """
     unread = dict(kv)
     config = _fill(cls, unread)

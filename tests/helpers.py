@@ -310,7 +310,7 @@ def reference_step(state, p, params):
         dy = _reference_force(state.x, j, h)
         x, y, finite = _reference_advance(state.x, state.y, dy, _reference_pump(params, n_step, state.step), params, dt)
     if not np.all(finite):
-        raise DivergenceError(f"state diverged at step {state.step}; lower c0 or dt")
+        raise DivergenceError(f"state diverged at step {state.step}; lower c0")
     return OscillatorState(x=x, y=y, step=state.step + 1)
 
 

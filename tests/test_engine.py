@@ -684,35 +684,36 @@ class TestEngineConfig:
         path = tmp_path / "e.cfg"
         path.write_text(
             "n_s=4\np_max=6\na_trans=2000000\nc1=10\nc2=1\nc3=1\naccept_threshold=0.5\n"
-            "session_close_s=100\nt_force_s=5\nn_step=50\ndt=0.01\nrestarts=2\na0=4\n"
+            "session_close_s=100\nt_force_s=5\nn_step=50\nrestarts=2\n"
             "c0=0.3\ncommission_rate=0.001\ncorr_window=3\nwarmup_days=2\n"
         )
         cfg = config_from_kv(EngineConfig, read_kv(path))
         assert cfg.strategy.p_max == 6
         assert cfg.session_close_us == 100_000_000
         assert cfg.t_force_us == 5_000_000
-        assert cfg.n_step == 50 and cfg.dt == 0.01 and cfg.restarts == 2
-        assert cfg.a0 == 4.0 and cfg.c0 == 0.3
+        assert cfg.n_step == 50 and cfg.restarts == 2 and cfg.c0 == 0.3
         assert cfg.commission_rate == 0.001
         assert cfg.corr_window == 3 and cfg.warmup_days == 2
 
-    def test_unknown_key_named(self):
-        with pytest.raises(ValueError, match="unknown config key: bogus"):
-            config_from_kv(EngineConfig, {"bogus": "1"})
+    # dt is always derived and a0 is a constant (SbParams), so their keys are unknown whatever the value
+    @pytest.mark.parametrize("line", ["bogus=1", "dt=-1", "dt=nan", "dt=inf", "dt=0.02", "a0=nan", "a0=0", "a0=10"])
+    def test_unknown_key_named(self, tmp_path, line):
+        path = tmp_path / "e.cfg"
+        path.write_text(f"{line}\n")
+        key = line.split("=")[0]
+        with pytest.raises(ValueError, match=f"^unknown config key: {key}$"):
+            config_from_kv(EngineConfig, read_kv(path))
 
     @pytest.mark.parametrize(
         "line, named",
         [
             ("restarts=0", "restarts"),
-            ("dt=-1", "dt"),
-            ("dt=nan", "dt"),
-            ("dt=inf", "dt"),
-            ("a0=nan", "a0"),
-            ("a0=0", "a0"),
             ("c0=nan", "c0"),
             ("c0=-1", "c0"),
             ("accept_threshold=nan", "accept_threshold"),
             ("t_force_s=-5", "t_force_us"),
+            ("session_close_s=30", "t_force_us"),
+            ("session_close_s=30\nt_force_s=30", "t_force_us"),
             ("corr_window=0", "corr_window"),
             ("commission_rate=-1", "commission_rate"),
             ("commission_rate=inf", "commission_rate"),
@@ -738,6 +739,12 @@ class TestEngineConfig:
         path.write_text(f"{line}\n")
         with pytest.raises(ValueError, match=rf"\b{named}\b"):
             config_from_kv(EngineConfig, read_kv(path))
+
+    def test_forced_unwind_window_starts_inside_the_session(self):
+        # with the default 60 s window, a 30 s session would start inside it and the engine would never open a group
+        with pytest.raises(ValueError, match="t_force_us must be >= 0 and below session_close_us"):
+            EngineConfig(session_close_us=30_000_000)
+        assert EngineConfig(session_close_us=30_000_000, t_force_us=29_999_999).t_force_us == 29_999_999
 
     def test_defaults(self):
         cfg = EngineConfig()

@@ -162,9 +162,11 @@ class TestStep:
             c1=0.0,
             c3=0.0,
         )
-        params = SbParams(a0=10.0, dt=0.02)
-        state = OscillatorState(x=np.array([0.9]), y=np.array([1.0]), step=0)
-        new = step(state, p, params)  # x would reach 0.9 + 10*1*0.02 = 1.1
+        params = SbParams()
+        a0_dt = params.a0 * sb.schedule(p, params)[1]  # dt is 0.6 of the limit 2 / a0 of an uncoupled stock: 0.12
+        assert 0.9 + a0_dt * (2.0 - a0_dt * 0.9) > 1.0  # y -= a0 dt x at step 0, then x += a0 dt y: about 2.0
+        state = OscillatorState(x=np.array([0.9]), y=np.array([2.0]), step=0)
+        new = step(state, p, params)
         assert new.x[0] == 1.0 and new.y[0] == 0.0
 
     def test_step_counter_guard(self):
@@ -176,10 +178,12 @@ class TestStep:
 
     def test_divergence_detected(self):
         # the walls keep plain ballistic dynamics bounded, so force a
-        # single-step overflow to exercise the non-finite guard: c0 dt, which
-        # scales J and h, is beyond float64 range
-        p = random_split(4, np.random.default_rng(1))
-        params = SbParams(c0=1e308, n_step=10, dt=2.0)
+        # single-step overflow to exercise the non-finite guard: c0 = 1e308
+        # takes the dt floor 6 / 3000, and c0 dt J, the prescaled couplings,
+        # is beyond float64 range for couplings of order 1e4
+        q = random_split(4, np.random.default_rng(1))
+        p = SplitProblem(q.j_day * 1e4, q.h_day, q.sgn_dp, q.abs_dp, q.c1, q.c3)
+        params = SbParams(c0=1e308, n_step=10)
         state = OscillatorState(x=np.full(4, 0.5), y=np.zeros(4), step=0)
         with pytest.raises(DivergenceError):
             for _ in range(10):
@@ -568,15 +572,19 @@ def selection_split(k, seed):
 
 
 class TestSchedule:
-    """With n_step and dt None, run_batch and step derive them from the batch's couplings (see SbParams)."""
+    """run_batch and step derive dt from the batch's couplings, and n_step too unless it is set (see SbParams)."""
 
     def test_explicit_values_keep_their_meaning(self):
         p = random_split(8, np.random.default_rng(60))
         n_step, dt = sb.schedule(p, SbParams())
         assert n_step == math.ceil(6.0 / dt)
-        assert sb.schedule(p, SbParams(n_step=50, dt=0.01)) == (50, 0.01)
-        assert sb.schedule(p, SbParams(dt=0.04)) == (150, 0.04)
+        # an explicit n_step runs at the derived dt; dt and a0 are not options
+        assert sb.schedule(p, SbParams(n_step=50)) == (50, dt)
         assert sb.schedule(p, SbParams(n_step=7)) == (7, dt)
+        for key in ("dt", "a0"):
+            with pytest.raises(TypeError, match=key):
+                SbParams(**{key: 1.0})
+        assert SbParams(n_step=300).a0 == 10.0
         # an explicit c0 is the force's, and the derived dt follows it; c0=1e308 takes the floor's 3000 steps
         n_step4, dt4 = sb.schedule(p, SbParams(c0=4.0 * default_c0(p, 10.0)))
         assert dt4 < dt and n_step4 == math.ceil(6.0 / dt4)
@@ -676,9 +684,9 @@ class TestBatch:
 
     def test_batched_step_raises_on_any_diverged_row(self):
         p = random_split(4, np.random.default_rng(34))
-        state = OscillatorState(x=np.zeros((3, 4)), y=np.array([np.zeros(4), np.full(4, 1e308), np.zeros(4)]))
+        state = OscillatorState(x=np.zeros((3, 4)), y=np.array([np.zeros(4), np.full(4, np.inf), np.zeros(4)]))
         with pytest.raises(DivergenceError):
-            step(state, p, SbParams(dt=0.2))  # x += a0 dt y, with a0 dt = 2, overflows in row 1
+            step(state, p, SbParams())  # x += a0 dt y is inf in row 1, and the wall makes it NaN
 
 
 def zero_bias_split(n, rng, scale=1.0):
@@ -689,9 +697,10 @@ def zero_bias_split(n, rng, scale=1.0):
     )
 
 
-# c0 = 1e308 with dt = 0.02 and couplings 1/dt = 50 times larger: c0 dt J, the prescaled couplings, is then the c0 J
-# of an unscaled step, so a float64 step overflows where c0 (J x - h) would (prescaling moves that point by 1/dt)
-OVERFLOW_AT_THE_WALL = dict(params=SbParams(n_step=300, dt=0.02, c0=1e308), scale=50.0)
+# c0 = 1e308 overflows c0 g, so the derived dt is the floor 6 / 3000; couplings 1/dt = 500 times larger make c0 dt J,
+# the prescaled couplings, the c0 J of an unscaled step, so a float64 step overflows where c0 (J x - h) would
+# (prescaling moves that point by 1/dt)
+OVERFLOW_AT_THE_WALL = dict(params=SbParams(n_step=300, c0=1e308), scale=500.0)
 
 
 def assert_same_batches(got, want):

@@ -492,6 +492,13 @@ class TestFilesAndConfig:
         path.write_text("# comment\nn_s = 4\nc1=2.5\n\n")
         assert read_kv(path) == {"n_s": "4", "c1": "2.5"}
 
+    def test_read_kv_repeated_key(self, tmp_path):
+        # a repeated key would otherwise load its last value without a word
+        path = tmp_path / "cfg"
+        path.write_text("c1=1\nn_s=4\n# c1 again\n c1 = 2\n")
+        with pytest.raises(ValueError, match=r":4: key 'c1' repeats line 1$"):
+            read_kv(path)
+
     def test_read_kv_malformed_line(self, tmp_path):
         path = tmp_path / "cfg"
         path.write_text("n_s 4\n")
