@@ -21,15 +21,17 @@ batch derives its step count and step size from its folded J (`schedule`,
 see SbParams), casts that J (it is symmetric) into a cache-line-aligned
 float32 buffer, tiles the folded h into an (R, N) float32 copy, casts the
 gaps and scalars, and scales J and h by c0 dt and the gaps and a0 by dt, all
-once; then one call of `_anneal` runs the whole loop in place, each step a
-single `x @ J` product and 11 ufunc calls on operands of the state's shape,
-with no array broadcast. The wall maps x to x/|x| wherever |x| > 1:
-exactly +-1 for a finite x, NaN for an inf, and a NaN stays NaN. A row that
-goes non-finite therefore stays so, and one check after the loop finds it; a
-diverged row is reported as None while the other rows finish. A c0 or an
-initial momentum outside float32 range is inf from the start, so its row
-diverges. Each row's energy is read out in float64 from the folded
-(J, h, offset), so equal spins give equal energies. `run` is the one-row batch
+once; then one call of `_anneal` runs the loop in place until the batch
+locks on the wall (every spin at +-1 and pushed outward by every later step,
+so no later step changes it), each step a single `x @ J` product and 11 ufunc
+calls on operands of the state's shape, with no array broadcast. The wall
+maps x to x/|x| wherever |x| > 1: exactly +-1 for a finite x, NaN for an inf,
+and a NaN stays NaN. A row that goes non-finite therefore stays so, never
+locks, and one check after the loop finds it; a diverged row is reported as
+None while the other rows finish. A c0 or an initial momentum outside float32
+range is inf from the start, so its row diverges. Each row's energy is read
+out in float64 from the folded (J, h, offset), so equal spins give equal
+energies. `run` is the one-row batch
 and `solve` is `pick_best` over the `restarts` rows of `solve_rows`. `pick_best`
 is the one row rule, which the engine applies to its accepted rows: the lowest
 energy, within a tolerance that absorbs the last-bit differences a batched
@@ -126,6 +128,8 @@ class SbParams:
 
     The k = 256 and 512 counts flip whole instances under a 1% change of dt
     (300 x 0.02 perturbed by one step or 0.5% in dt reads 29-31 and 13-18).
+    The steps column is the scheduled n_step; a batch runs fewer when it
+    locks on the wall first (_anneal), with the same spins.
 
     `run_batch` steps in float32, so a c0 beyond float32 range (about 3.4e38)
     makes every row diverge; SplitProblem rejects day couplings beyond that
@@ -366,8 +370,12 @@ def initial_state(p: SplitProblem, rng: np.random.Generator) -> OscillatorState:
     return OscillatorState(x=np.zeros(p.n), y=rng.uniform(-0.1, 0.1, p.n), step=0)
 
 
-def _anneal(x, y, j, h, gaps, a0) -> None:
-    """Run one ballistic-SB step of x and y in place for each gap in gaps, with the force J x - h.
+_LOCK_CHUNK = 16  # _anneal checks the lock after every this many steps; 8 and 32 ran no faster
+_LOCK_FORCE_BOUND = 2.0**64  # a locked row's x (x gap + x J - h) stays below this (_locked)
+
+
+def _anneal(x, y, j, h, gaps, a0) -> int:
+    """Run one ballistic-SB step of x and y in place for each gap in gaps, with the force J x - h, until the batch locks.
 
     Every operand comes prescaled by dt (_scalars): j and h are c0 dt times the
     folded J and h (j symmetric, so each row of x @ j is J x), gaps holds each
@@ -383,24 +391,65 @@ def _anneal(x, y, j, h, gaps, a0) -> None:
     non-finite stays so to the end, and since a non-finite y makes x
     non-finite in the same step, checking x covers y. Callers silence the
     overflow and invalid warnings and check x.
+
+    The gaps run in chunks of _LOCK_CHUNK steps. Before each later chunk, the
+    batch stops if every row is locked on the wall for the next gap (_locked):
+    every |x| = 1, x y >= 0, and x (x gap + (x J - h)) >= 0 (and below a bound
+    that keeps later steps finite), in this kernel's float32 operations. The
+    gaps only rise toward 0, so every later step then
+    pushes x outward and the wall puts it back at exactly +-1: the x it returns
+    is that of running every gap, bit for bit. A NaN fails every comparison, so
+    a batch with a diverged row runs every gap. Returns the number of steps run.
     """
     dy, tmp, over = np.empty_like(x), np.empty_like(x), np.empty(x.shape, dtype=bool)
     one, zero = np.ones((), x.dtype), np.zeros((), x.dtype)
     matmul, subtract, multiply, add = np.matmul, np.subtract, np.multiply, np.add
     absolute, greater, maximum, divide, putmask = np.absolute, np.greater, np.maximum, np.divide, np.putmask
-    for gap in np.nditer(gaps):  # 0-d views: a ufunc takes one faster than the scalar that plain iteration gives
-        matmul(x, j, dy)
-        subtract(dy, h, dy)
-        multiply(x, gap, tmp)
-        add(tmp, dy, tmp)
-        add(y, tmp, y)
-        multiply(y, a0, tmp)
-        add(x, tmp, x)
-        absolute(x, tmp)
-        greater(tmp, one, over)
-        maximum(tmp, one, out=tmp)  # a positional output is deprecated for np.maximum
-        divide(x, tmp, x)
-        putmask(y, over, zero)
+    n_step = len(gaps)
+    for start in range(0, n_step, _LOCK_CHUNK):
+        # 0-d views: a ufunc takes one faster than the scalar that plain iteration gives
+        for gap in np.nditer(gaps[start : start + _LOCK_CHUNK]):
+            matmul(x, j, dy)
+            subtract(dy, h, dy)
+            multiply(x, gap, tmp)
+            add(tmp, dy, tmp)
+            add(y, tmp, y)
+            multiply(y, a0, tmp)
+            add(x, tmp, x)
+            absolute(x, tmp)
+            greater(tmp, one, over)
+            maximum(tmp, one, out=tmp)  # a positional output is deprecated for np.maximum
+            divide(x, tmp, x)
+            putmask(y, over, zero)
+        stop = start + _LOCK_CHUNK
+        if stop < n_step and _locked(x, y, j, h, gaps[stop, ...], dy, tmp):
+            return stop
+    return n_step
+
+
+def _locked(x, y, j, h, gap, dy, tmp) -> bool:
+    """Whether every row is locked on the wall for gap and every later, larger gap: no such step can change x.
+
+    For every stock: |x| = 1, x y >= 0, and 0 <= x (x gap + (x J - h)) < _LOCK_FORCE_BOUND,
+    the last computed as a step of _anneal computes it, into its work buffers dy and
+    tmp. With x = +-1, x (x gap' + f) rounds as gap' + x f does, which cannot fall as
+    gap' rises, and x J - h keeps its bits while x does; so each later step keeps
+    x y >= 0, moves x outward or not at all, and the wall puts it back at exactly
+    +-1. The bound keeps y and x + a0 y finite, where an overflow would make x NaN at
+    the wall. The wall keeps |x| <= 1, so min |x| = 1 means every |x| is 1.
+    """
+    np.absolute(x, tmp)
+    if not tmp.min() == 1.0:
+        return False
+    np.multiply(x, y, tmp)
+    if not tmp.min() >= 0.0:
+        return False
+    np.matmul(x, j, dy)
+    np.subtract(dy, h, dy)
+    np.multiply(x, gap, tmp)
+    np.add(tmp, dy, tmp)
+    np.multiply(x, tmp, tmp)
+    return bool(tmp.min() >= 0.0 and tmp.max() < _LOCK_FORCE_BOUND)
 
 
 def _scalars(params: SbParams, n_step: int, dt: float, c0: float, steps: np.ndarray, dtype):
@@ -462,7 +511,11 @@ def run_batch(
     scaled by c0 dt in float32: the folded couplings into a 64-byte-aligned
     buffer (O(k^2) on a restricted split), the folded biases tiled into a real
     (R, n) copy so no step broadcasts them, and the gaps and a0 of _scalars.
-    One _anneal call then runs every step in place. A c0, coupling, bias or
+    One _anneal call then runs the steps in place, and stops early once every
+    row is locked on the wall: each |x| = 1, each y points outward, and the
+    next step's force pushes each x outward. The gaps rise monotonically toward
+    0 in float32, so no later step can move a locked x, and the spins and
+    energies are those of the full schedule, bit for bit. A c0, coupling, bias or
     initial momentum beyond float32 range casts to inf, so its row diverges.
     No step checks for divergence: the wall turns an inf into NaN, which every
     later step carries, so one check of x after the loop finds each row that

@@ -565,9 +565,12 @@ class ConstRng:
         return np.full(n, self.value)
 
 
-def selection_split(k, seed):
-    """random_instance(k, 4) with the trading penalties (c1 = 300, c2 = c3 = 3): its deviations and split."""
-    dev, corr, params = random_instance(k, 4, np.random.default_rng(seed), c1=300.0, penalty=3.0)
+def selection_split(k, seed, penalty=3.0):
+    """random_instance(k, 4) with c1 = 300 and the trading penalties c2 = c3 = 3: its deviations and split.
+
+    penalty=None takes random_instance's default, which dominates the whole cost range.
+    """
+    dev, corr, params = random_instance(k, 4, np.random.default_rng(seed), c1=300.0, penalty=penalty)
     return dev, build_split(dev, corr, params)
 
 
@@ -809,6 +812,131 @@ class TestReferenceKernel:
         assert not np.array_equal(new.x, x0)  # the step did move it, on its own copy
         walled = np.abs(new.x) == 1.0
         assert np.any(walled) and np.all(new.y[walled] == 0.0)
+
+
+def record_anneal(monkeypatch):
+    """Wrap sb._anneal: each call appends (x, y, j, h, gaps, a0, steps run), with x and y as the call left them."""
+    calls = []
+    anneal = sb._anneal
+
+    def recorded(x, y, j, h, gaps, a0):
+        ran = anneal(x, y, j, h, gaps, a0)
+        calls.append((x.copy(), y.copy(), j, h, gaps, a0, ran))
+        return ran
+
+    monkeypatch.setattr(sb, "_anneal", recorded)
+    return calls
+
+
+LOCK_SIZES = [4, 6, 10, 16, 22, 64, 128]
+
+
+class TestLockedStop:
+    """_anneal stops a batch once every row is locked on the wall, with the x of the full run (sb._locked)."""
+
+    @pytest.mark.parametrize("penalty", [3.0, None], ids=["penalty3", "default"])
+    @pytest.mark.parametrize("k", LOCK_SIZES)
+    def test_no_remaining_step_moves_a_locked_batch(self, monkeypatch, k, penalty):
+        kernel = sb._anneal
+        calls = record_anneal(monkeypatch)
+        for seed in range(10):
+            _, p = selection_split(k, seed, penalty)
+            run_batch(p, SbParams(seed=seed), [substream(seed, i) for i in range(10)])
+        for x, y, j, h, gaps, a0, ran in calls:  # a batch that never locked ran every gap: nothing remains
+            locked = x.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(ran, len(gaps)):  # one gap a call: the remaining steps, with no lock check
+                    kernel(x, y, j, h, gaps[i : i + 1], a0)
+            assert np.array_equal(x.view(np.uint32), locked.view(np.uint32))
+
+    @pytest.mark.parametrize("penalty", [3.0, None], ids=["penalty3", "default"])
+    @pytest.mark.parametrize("k", LOCK_SIZES)
+    def test_stopped_batches_equal_the_full_length_oracle(self, monkeypatch, k, penalty):
+        calls = record_anneal(monkeypatch)
+        for seed in range(10):
+            _, p = selection_split(k, seed, penalty)
+            params = SbParams(seed=seed)
+            got = run_batch(p, params, [substream(seed, i) for i in range(10)])
+            want = helpers.reference_run_batch(p, params, [substream(seed, i) for i in range(10)], dtype=np.float32)
+            assert_same_batches(got, want)
+        if k <= 22:  # the saving itself: small batches lock well before their last step
+            assert sum(ran < len(gaps) for *_, gaps, _, ran in calls) >= 8
+
+    def test_diverged_rows_never_lock(self, monkeypatch):
+        _, p = selection_split(10, 0)
+        params = SbParams()
+        n_step = sb.schedule(p, params)[0]
+        calls = record_anneal(monkeypatch)
+        clean = run_batch(p, params, [substream(0, i) for i in range(4)])
+
+        def rngs():
+            return [substream(0, 0), substream(0, 1), ConstRng(1e308), substream(0, 2), substream(0, 3)]
+
+        mixed = run_batch(p, params, rngs())
+        assert calls[0][-1] < n_step and calls[1][-1] == n_step
+        assert mixed[2] is None
+        for sol, ref in zip(mixed[:2] + mixed[3:], clean):
+            assert np.array_equal(sol.spins, ref.spins)
+            assert sol.energy == pytest.approx(ref.energy, rel=1e-12)
+        assert_same_batches(mixed, helpers.reference_run_batch(p, params, rngs(), dtype=np.float32))
+        # c0 beyond float32 range makes every row NaN from the first step: all 3000 steps of the dt floor run
+        assert run_batch(p, SbParams(c0=1e308), [substream(0, i) for i in range(3)]) == [None, None, None]
+        assert calls[2][-1] == len(calls[2][4]) == 3000
+
+    @staticmethod
+    def wall_state():
+        """Three rows of six stocks on the wall, moving outward: x J - h = 2 x, y = x / 2, for gap -1/4."""
+        rng = np.random.default_rng(70)
+        x = rng.choice([-1.0, 1.0], (3, 6)).astype(np.float32)
+        m = rng.integers(-8, 9, (6, 6)) / 8.0
+        j = (m + m.T).astype(np.float32)  # eighths: every product and sum below is exact in float32
+        np.fill_diagonal(j, 0.0)
+        return x, x / 2, j, x @ j - 2 * x, np.asarray(-0.25, np.float32)
+
+    @staticmethod
+    def locked(x, y, j, h, gap):
+        return sb._locked(x, y, j, h, gap, np.empty_like(x), np.empty_like(x))
+
+    def test_a_state_moving_outward_locks_and_stays(self):
+        x, y, j, h, gap = self.wall_state()
+        assert self.locked(x, y, j, h, gap)
+        gaps = np.linspace(-0.25, 0.0, 40).astype(np.float32)
+        a0 = np.asarray(0.5, np.float32)
+        before = x.copy()
+        assert sb._anneal(x, y, j, h, gaps, a0) == 16  # the first chunk boundary
+        for i in range(16, len(gaps)):
+            sb._anneal(x, y, j, h, gaps[i : i + 1], a0)
+        assert np.array_equal(x, before)
+
+    def test_momentum_against_the_wall_does_not_lock(self):
+        x, y, j, h, gap = self.wall_state()
+        y[1, 2] = -y[1, 2]
+        assert not self.locked(x, y, j, h, gap)
+
+    def test_inward_force_does_not_lock(self):
+        x, y, j, h, gap = self.wall_state()
+        h[0, 3] += 4 * x[0, 3]  # x J - h = -2 x there: x (x gap + x J - h) = -2.25
+        assert not self.locked(x, y, j, h, gap)
+        before = x.copy()
+        sb._anneal(x, y, j, h, gap.reshape(1), np.asarray(0.5, np.float32))  # y = -1.75 x, then x = 0.125 x
+        assert x[0, 3] == 0.125 * before[0, 3]
+        x[0, 3] = before[0, 3]
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_nan_does_not_lock(self, field):
+        x, y, j, h, gap = self.wall_state()
+        {"x": x, "y": y}[field][2, 0] = np.nan
+        assert not self.locked(x, y, j, h, gap)
+
+    def test_force_too_large_to_step_finitely_does_not_lock(self):
+        # x (x gap + x J - h) = 3e38 >= 0 holds, but y += 3e38 x and a0 y overflow, and the wall makes x NaN
+        x, y, j, h, gap = self.wall_state()
+        h[1, 1] = -3e38 * x[1, 1]
+        assert not self.locked(x, y, j, h, gap)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sb._anneal(x, y, j, h, gap.reshape(1), np.asarray(1.2, np.float32))
+        assert np.isnan(x[1, 1])
 
 
 class TestFloat32:
