@@ -3,12 +3,13 @@
 The engine owns one day's market state. On each quote change it rebuilds the
 deviation vector, whose mask is the one gate on which stocks may join a group,
 refreshes the O(N) tick side of the split problem, and, unless every stock is
-masked, solves one batch of restarts with fresh random initial states over the
-unmasked stocks alone (`sb.restrict`, O(N + k^2) for k unmasked). One batch
-makes one decision: a diverged row skips it, and otherwise the cheapest
-accepted group (`sb.pick_best` over the accepted rows, the rule `sb.solve`
-uses) opens if the open list has room for it. So at most one group opens per
-quote change; with p_max >= 2 n_s a second group waits for the next one.
+masked, solves one batch of restarts over the unmasked stocks alone
+(`sb.restrict`, O(N + k^2) for k unmasked), its initial states drawn from one
+RNG stream per decision. One batch makes one decision: a diverged row skips
+it, and otherwise the cheapest accepted group (`sb.pick_best` over the
+accepted rows, the rule `sb.solve` uses) opens if the open list has room for
+it. So at most one group opens per quote change; with p_max >= 2 n_s a second
+group waits for the next one.
 Closing is driven by the deviation sign crossing zero (taking the convergence
 profit) and by a forced unwind window before session close. A held stock's
 deviation depends only on its ask and bid, the published VWAP and whether the
@@ -216,14 +217,14 @@ class TradingEngine:
 
         One decision is one batch of runs 0..restarts-1 over the unmasked stocks
         (`restrict` fixes every masked spin at -1, which changes neither the
-        groups that `check_constraints` accepts nor their energies; `expand`
-        writes the spins back to length N). A diverged row skips the decision,
-        counted in `skipped_events`. Otherwise each distinct spin vector is
-        evaluated once, every row of an accepted vector is kept in row order, and
-        the lowest-energy accepted row, the cheapest accepted group, goes to
+        groups that `check_constraints` accepts nor their energies), whose rows
+        draw in row order from one (seed, day, event) stream. A diverged row
+        skips the decision, counted in `skipped_events`. Otherwise each distinct
+        spin vector is written back to length N (`expand`) and evaluated once,
+        every row of an accepted vector is kept in row order, and the
+        lowest-energy accepted row, the cheapest accepted group, goes to
         `judge_open`; with p_max >= 2 n_s a second group waits for the next quote
-        change. Each run draws from its own (seed, day, event, run) stream, as if
-        the runs were solved one at a time.
+        change.
         """
         if ts >= self._force_us:
             return []  # inside the forced-unwind window; judgment would reject
@@ -232,8 +233,8 @@ class TradingEngine:
         if dev.mask.all():
             return []  # nothing may join a group
         keep = np.flatnonzero(~dev.mask)
-        rngs = [substream(self.seed, self.day_key, self.event_index, r) for r in range(self.config.restarts)]
-        rows = expand(sb_run(restrict(self.split, keep), self._params, rngs), keep, dev.n)
+        rng = substream(self.seed, self.day_key, self.event_index)
+        rows = sb_run(restrict(self.split, keep), self._params, [rng] * self.config.restarts)
         if None in rows:
             self.skipped_events += 1
             return []
@@ -242,13 +243,13 @@ class TradingEngine:
         for sol in rows:
             key = sol.spins.tobytes()
             if key not in verdicts:
-                verdicts[key] = evaluate_candidate(sol, dev, self.corr, self.config.strategy).accepted
+                full = expand([sol], keep, dev.n)[0]
+                verdicts[key] = evaluate_candidate(full, dev, self.corr, self.config.strategy).accepted
             if verdicts[key]:
                 accepted.append(sol)
         if not accepted:
             return []
-        # expand left every masked stock out of the group
-        return self.judge_open(np.flatnonzero(pick_best(accepted).spins > 0), dev, ts)
+        return self.judge_open(keep[pick_best(accepted).spins > 0], dev, ts)  # no masked stock joins the group
 
     def judge_open(self, selected: np.ndarray, dev: DeviationVector, ts: int) -> list[Order]:
         """Open the whole group if the open list has room for it; register before issuing orders.

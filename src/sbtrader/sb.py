@@ -16,23 +16,22 @@ its energy, and the batch searches 2^k states instead of 2^n.
 
 Restarts run as one batch (`run_batch`): positions and momenta are (R, N)
 float32 matrices, and row r draws its initial momenta from the RNG stream the
-caller passes for it, so a run keeps its key whichever batch it lands in. The
-batch derives its step count and step size from its folded J (`schedule`,
-see SbParams), casts that J (it is symmetric) into a cache-line-aligned
-float32 buffer, tiles the folded h into an (R, N) float32 copy, casts the
-gaps and scalars, and scales J and h by c0 dt and the gaps and a0 by dt, all
-once; then one call of `_anneal` runs the loop in place until the batch
-locks on the wall (every spin at +-1 and pushed outward by every later step,
-so no later step changes it), each step a single `x @ J` product and 11 ufunc
-calls on operands of the state's shape, with no array broadcast. The wall
-maps x to x/|x| wherever |x| > 1: exactly +-1 for a finite x, NaN for an inf,
-and a NaN stays NaN. A row that goes non-finite therefore stays so, never
-locks, and one check after the loop finds it; a diverged row is reported as
-None while the other rows finish. A c0 or an initial momentum outside float32
-range is inf from the start, so its row diverges. Each row's energy is read
-out in float64 from the folded (J, h, offset), so equal spins give equal
-energies. `run` is the one-row batch
-and `solve` is `pick_best` over the `restarts` rows of `solve_rows`. `pick_best`
+caller passes for it, in row order. The batch derives its step count and step
+size from its folded J (`schedule`, see SbParams), casts that J (it is
+symmetric) into a cache-line-aligned float32 buffer, copies the folded h into
+each row of an (R, N) float32 block, casts the gaps and scalars, and scales J
+and h by c0 dt and the gaps and a0 by dt, all once; then one call of `_anneal`
+runs the loop in place until the batch locks on the wall (every spin at +-1
+and pushed outward by every later step, so no later step changes it), each
+step a single `x @ J` product and 11 ufunc calls on operands of the state's
+shape, with no array broadcast. The wall maps x to x/|x| wherever |x| > 1:
+exactly +-1 for a finite x, NaN for an inf, and a NaN stays NaN. A row that
+goes non-finite therefore stays so, never locks, and one check after the loop
+finds it; a diverged row is reported as None while the other rows finish. A c0
+or an initial momentum outside float32 range is inf from the start, so its row
+diverges. Each row's energy is read out in float64 from the folded (J, h,
+offset), so equal spins give equal energies. `run` is the one-row batch and
+`solve` is `pick_best` over the `restarts` rows of `solve_rows`. `pick_best`
 is the one row rule, which the engine applies to its accepted rows: the lowest
 energy, within a tolerance that absorbs the last-bit differences a batched
 product can give rows with equal spins. `step` runs one step of the same
@@ -318,7 +317,7 @@ def _folded(p: SplitProblem) -> tuple[np.ndarray, np.ndarray, float]:
     dense_reconstruct(p), which stays a separate construction as the tests' oracle.
     """
     j = p.j_day - (p.c3 / 2.0) * np.outer(p.sgn_dp, p.sgn_dp)
-    np.fill_diagonal(j, 0.0)
+    j.flat[:: p.n + 1] = 0.0  # the diagonal
     return j, p.h_day + compute_h_tick(p), p.offset_day + _tick_offset(p)
 
 
@@ -365,9 +364,14 @@ def schedule(p: SplitProblem, params: SbParams) -> tuple[int, float]:
         return _schedule(params, _folded(p)[0], _c0(p, params))
 
 
+def _momenta(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n initial momenta uniform in [-0.1, 0.1], the one draw of initial_state and run_batch."""
+    return rng.uniform(-0.1, 0.1, n)
+
+
 def initial_state(p: SplitProblem, rng: np.random.Generator) -> OscillatorState:
     """Zero positions, momenta uniform in [-0.1, 0.1]."""
-    return OscillatorState(x=np.zeros(p.n), y=rng.uniform(-0.1, 0.1, p.n), step=0)
+    return OscillatorState(x=np.zeros(p.n), y=_momenta(rng, p.n), step=0)
 
 
 _LOCK_CHUNK = 16  # _anneal checks the lock after every this many steps; 8 and 32 ran no faster
@@ -506,21 +510,23 @@ def run_batch(
 ) -> list[SbSolution | None]:
     """Runs start, start + 1, ... as one (R, n) float32 batch; row r starts from rngs[r].
 
-    The schedule comes from the folded couplings of _folded (see SbParams).
-    Every operand of the step kernel is float32, cast once per batch and then
-    scaled by c0 dt in float32: the folded couplings into a 64-byte-aligned
-    buffer (O(k^2) on a restricted split), the folded biases tiled into a real
-    (R, n) copy so no step broadcasts them, and the gaps and a0 of _scalars.
-    One _anneal call then runs the steps in place, and stops early once every
-    row is locked on the wall: each |x| = 1, each y points outward, and the
-    next step's force pushes each x outward. The gaps rise monotonically toward
-    0 in float32, so no later step can move a locked x, and the spins and
-    energies are those of the full schedule, bit for bit. A c0, coupling, bias or
-    initial momentum beyond float32 range casts to inf, so its row diverges.
-    No step checks for divergence: the wall turns an inf into NaN, which every
-    later step carries, so one check of x after the loop finds each row that
-    went non-finite; such a row comes back as None. Energies are read out in
-    float64 from the spins and the float64 (J, h, offset).
+    Rows draw their momenta in row order, so one generator passed R times draws
+    what one (R, n) draw from it would. The schedule comes from the folded
+    couplings of _folded (see SbParams). Every operand of the step kernel is
+    float32, cast once per batch and then scaled by c0 dt in float32: the
+    folded couplings into a 64-byte-aligned buffer (O(k^2) on a restricted
+    split), the folded biases copied into each row of an (R, n) block so no
+    step broadcasts them, and the gaps and a0 of _scalars. One _anneal call
+    then runs the steps in place, and stops early once every row is locked on
+    the wall: each |x| = 1, each y points outward, and the next step's force
+    pushes each x outward. The gaps rise monotonically toward 0 in float32, so
+    no later step can move a locked x, and the spins and energies are those of
+    the full schedule, bit for bit. A c0, coupling, bias or initial momentum
+    beyond float32 range casts to inf, so its row diverges. No step checks for
+    divergence: the wall turns an inf into NaN, which every later step carries,
+    so one check of x after the loop finds each row that went non-finite; such
+    a row comes back as None. Energies are read out in float64 from the spins
+    and the float64 (J, h, offset).
     """
     t0 = time.perf_counter()
     j, h, offset = _folded(p)
@@ -529,20 +535,20 @@ def run_batch(
         n_step, dt = _schedule(params, j, c0)
         gaps, a0, scale = _scalars(params, n_step, dt, c0, np.arange(n_step), np.float32)
         x = np.zeros((len(rngs), p.n), np.float32)
-        y = np.array([initial_state(p, rng).y for rng in rngs], np.float32)
+        y, h32 = np.empty_like(x), np.empty_like(x)  # h32 a real copy: a stride-0 view would still broadcast
+        for r, rng in enumerate(rngs):
+            y[r] = _momenta(rng, p.n)
         j32 = _cache_line_aligned(j, np.float32)
         j32 *= scale
-        h32 = np.tile(h.astype(np.float32), (len(rngs), 1))  # a copy: a stride-0 view would still broadcast
+        h32[...] = h
         h32 *= scale
         _anneal(x, y, j32, h32, gaps, a0)
-    finite = np.isfinite(x).all(axis=1)
+    finite = np.isfinite(x).all(axis=1).tolist()
     spins = np.where(x >= 0.0, 1.0, -1.0)
-    energies = _energies(spins, j, h, offset)
+    energies = _energies(spins, j, h, offset).tolist()
     elapsed = time.perf_counter() - t0
     return [
-        SbSolution(spins=spins[r], energy=float(energies[r]), run_index=start + r, elapsed=elapsed)
-        if finite[r]
-        else None
+        SbSolution(spins=spins[r], energy=energies[r], run_index=start + r, elapsed=elapsed) if finite[r] else None
         for r in range(len(rngs))
     ]
 

@@ -279,7 +279,8 @@ class SequentialEngine(TradingEngine):
     """Reference decision loop: the runs solved one at a time with `sb.run`, then the engine's row rule.
 
     A diverged run skips the decision; otherwise the lowest-energy accepted row (`pick_best`) goes to
-    judgment. Each run solves the same restricted split as the batch, so the comparison tests batching alone.
+    judgment. Each run solves the same restricted split as the batch and draws, in run order, from the same
+    one (seed, day, event) stream, so the comparison tests batching alone.
     """
 
     def on_quote_change(self, ts, code=None):
@@ -291,9 +292,9 @@ class SequentialEngine(TradingEngine):
             return []
         keep = np.flatnonzero(~dev.mask)
         restricted = restrict(self.split, keep)
+        rng = substream(self.seed, self.day_key, self.event_index)
         rows = []
         for run_index in range(self.config.restarts):
-            rng = substream(self.seed, self.day_key, self.event_index, run_index)
             try:
                 rows.append(run(restricted, self._params, rng, run_index=run_index))
             except DivergenceError:
@@ -458,6 +459,25 @@ class TestBatchedDecisions:
         engine.finalize(2_000_000)
         assert len(engine.positions) == 4 and all(p.state == CLOSED for p in engine.positions)
 
+    def test_one_stream_per_solving_decision(self, monkeypatch):
+        # a decision that solves builds one stream, keyed (seed, day, event), and passes it for every row;
+        # a decision with every stock masked, or inside the forced-unwind window, builds none
+        streams = count_calls(monkeypatch, "substream")
+        batches = count_calls(monkeypatch, "sb_run")
+        config = helpers.convergence_params(restarts=5)
+        engine = TradingEngine(helpers.make_universe(), helpers.convergence_corr(), config, seed=7, day_key=3,
+                               fill_handler=FillModel().fill)
+        codes = engine.universe.codes
+        prime_quotes(engine)  # flat quotes: every deviation is 0
+        assert engine.event_index == 2 * len(codes) and streams == [] and batches == []
+        engine.process(TickEvent(1_000_000, codes[0], "quote", helpers.BASE - 20, helpers.BASE - 22))
+        assert streams == [((7, 3, 2 * len(codes)), {})]
+        ((_, _, rngs), _), = batches
+        assert len(rngs) == 5 and all(rng is rngs[0] for rng in rngs)
+        close_us = engine.config.session_close_us
+        engine.process(TickEvent(close_us - 1_000_000, codes[1], "quote", helpers.BASE - 20, helpers.BASE - 22))
+        assert len(streams) == len(batches) == 1 and not engine.positions
+
     def test_quote_whose_mid_overflows_is_rejected(self):
         # ask + bid of a 1e308 quote is inf: it is counted at the buffer, so no overflow reaches a mid
         engine = make_engine()
@@ -587,7 +607,8 @@ class TestOpenStockMasked:
         assert solved[0].sgn_dp.tolist() == [1.0] and solved[1].sgn_dp.tolist() == [1.0, -1.0]
         # every row of a decision has the same spins, so each decision evaluates one spin vector
         assert len(judged) == 2
-        # each expanded row has the open stocks' bits at 0 and selects only the unmasked ones
+        # each judged spin vector, written back to length N, has the open stocks' bits at 0 and selects only the
+        # unmasked ones
         assert all(s.tolist() == [-1.0] * 4 + [1.0, -1.0] for s in judged[:1])
         assert all(s.tolist() == [-1.0] * 4 + [1.0, 1.0] for s in judged[1:])
         assert len(engine.fills) == opened and engine.open_codes == set(codes[:4])

@@ -717,6 +717,27 @@ def assert_same_batches(got, want):
             assert sol.run_index == ref.run_index
 
 
+class TestSharedStream:
+    """One generator passed for every row draws what one (R, k) draw from it would; the engine relies on this."""
+
+    @pytest.mark.parametrize("k", [4, 10, 22])
+    def test_sequential_draws_equal_one_block(self, k):
+        g, g2 = substream(9, k), substream(9, k)
+        rows = [g.uniform(-0.1, 0.1, k) for _ in range(10)]
+        assert np.array_equal(np.array(rows), g2.uniform(-0.1, 0.1, (10, k)))
+        assert g.bit_generator.state == g2.bit_generator.state
+
+    @pytest.mark.parametrize("k", [4, 10, 22])
+    def test_shared_generator_batch_bit_identical(self, k):
+        for seed in range(3):
+            _, p = selection_split(k, seed)
+            g, g2, g3 = (substream(seed, k) for _ in range(3))
+            got = run_batch(p, SbParams(), [g] * 10)
+            assert_same_batches(got, helpers.reference_run_batch(p, SbParams(), [g2] * 10, dtype=np.float32))
+            g3.uniform(-0.1, 0.1, (10, k))  # the batch drew one (10, k) block, row by row
+            assert g.bit_generator.state == g3.bit_generator.state
+
+
 class TestReferenceKernel:
     """The in-place kernel against the allocating one it replaced (tests/helpers.py)."""
 
