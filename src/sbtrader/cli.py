@@ -71,7 +71,7 @@ def _spin_string(spins: np.ndarray) -> str:
 
 
 def _print_schedule(split: sb.SplitProblem, params: sb.SbParams) -> None:
-    """The steps and step size the batch ran: dt derived from the split, n_step too unless the config sets it."""
+    """The steps and step size the batch ran, both derived from the split (`sb.schedule`)."""
     n_step, dt = sb.schedule(split, params)
     print(f"n_step={n_step}")
     print(f"dt={dt!r}")
@@ -101,9 +101,9 @@ def cmd_solve(args) -> int:
     else:  # every stock is masked: the empty group is all that is left, and no batch runs
         rows = [sb.SbSolution(spins=-np.ones(universe.n), energy=split.offset_day, run_index=0, elapsed=0.0)]
     # the engine's rule: the lowest-energy accepted row; with none accepted, the lowest-energy row and its reasons
-    accepted = [sol for sol in rows if st.evaluate_candidate(sol, dev, corr, config.strategy).accepted]
-    sol = sb.pick_best(accepted or rows)
-    verdict = st.evaluate_candidate(sol, dev, corr, config.strategy)
+    verdicts = [st.evaluate_candidate(sol, dev, corr, config.strategy) for sol in rows]
+    sol = sb.pick_best([sol for sol, verdict in zip(rows, verdicts) if verdict.accepted] or rows)
+    verdict = verdicts[sol.run_index]  # the rows are runs 0..R-1, in order
     selected = np.flatnonzero(np.asarray(sol.spins) > 0)
     sides = ["long" if dev.dp[i] < 0 else "short" for i in selected]
     print(f"spins={_spin_string(sol.spins)}")
@@ -172,11 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--config",
         help="key=value file in the backcast format (field names of EngineConfig and StrategyParams; "
-        "unknown keys are rejected). Its solver keys (n_step, restarts, c0) set the solver; its "
+        "unknown keys are rejected). Its solver keys (restarts, c0) set the solver; its "
         "strategy keys are used only with --universe/--deviations/--corr; the other keys are checked "
         "and ignored",
     )
-    p.add_argument("--seed", type=nonnegative_int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0, help="seed of the one stream every run draws from")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("gen-feed", help="generate a deterministic synthetic tick feed")

@@ -4,11 +4,11 @@ The engine owns one day's market state. On each quote change it rebuilds the
 deviation vector, whose mask is the one gate on which stocks may join a group,
 refreshes the O(N) tick side of the split problem, and, unless every stock is
 masked, solves one batch of restarts over the unmasked stocks alone
-(`sb.restrict`, O(N + k^2) for k unmasked), its initial states drawn from one
-RNG stream per decision. One batch makes one decision: a diverged row skips
-it, and otherwise the cheapest accepted group (`sb.pick_best` over the
-accepted rows, the rule `sb.solve` uses) opens if the open list has room for
-it. So at most one group opens per quote change; with p_max >= 2 n_s a second
+(`sb.restrict`, O(N + k^2) for k unmasked), its initial states one block
+drawn from one RNG stream per decision. One batch makes one decision: a
+diverged row skips it, and otherwise the cheapest accepted group
+(`sb.pick_best` over the accepted rows, the rule `sb.solve` uses) opens if the
+open list has room for it. So at most one group opens per quote change; with p_max >= 2 n_s a second
 group waits for the next one.
 Closing is driven by the deviation sign crossing zero (taking the convergence
 profit) and by a forced unwind window before session close. A held stock's
@@ -100,12 +100,11 @@ class Position:
 
 @dataclass
 class EngineConfig:
-    """Strategy parameters plus session timing and solver settings (defaults: `SbParams`)."""
+    """Strategy parameters, session timing, and the solver's restarts and c0 (defaults: `SbParams`; no schedule)."""
 
     strategy: StrategyParams = field(default_factory=StrategyParams)
     session_close_us: int = field(default=9_000_000_000, metadata={"kv_seconds": "session_close_s"})
     t_force_us: int = field(default=60_000_000, metadata={"kv_seconds": "t_force_s"})
-    n_step: int | None = SbParams.n_step
     restarts: int = SbParams.restarts
     c0: float | None = SbParams.c0
     commission_rate: float = 0.0
@@ -113,7 +112,7 @@ class EngineConfig:
     warmup_days: int = 5
 
     def __post_init__(self) -> None:
-        self.sb_params()  # SbParams checks n_step, c0 and restarts
+        self.sb_params()  # SbParams checks c0 and restarts
         if not self.session_close_us > 0:
             raise ValueError("session_close_us must be positive")
         if not 0 <= self.t_force_us < self.session_close_us:
@@ -126,7 +125,7 @@ class EngineConfig:
             raise ValueError("warmup_days must be >= 0")
 
     def sb_params(self) -> SbParams:
-        return SbParams(n_step=self.n_step, c0=self.c0, restarts=self.restarts)
+        return SbParams(c0=self.c0, restarts=self.restarts)
 
 
 class TradingEngine:
@@ -218,13 +217,13 @@ class TradingEngine:
         One decision is one batch of runs 0..restarts-1 over the unmasked stocks
         (`restrict` fixes every masked spin at -1, which changes neither the
         groups that `check_constraints` accepts nor their energies), whose rows
-        draw in row order from one (seed, day, event) stream. A diverged row
-        skips the decision, counted in `skipped_events`. Otherwise each distinct
-        spin vector is written back to length N (`expand`) and evaluated once,
-        every row of an accepted vector is kept in row order, and the
-        lowest-energy accepted row, the cheapest accepted group, goes to
-        `judge_open`; with p_max >= 2 n_s a second group waits for the next quote
-        change.
+        are one (restarts, k) draw from the decision's (seed, day, event)
+        stream. A diverged row skips the decision, counted in `skipped_events`.
+        Otherwise each distinct spin vector is written back to length N
+        (`expand`) and evaluated once, every row of an accepted vector is kept
+        in row order, and the lowest-energy accepted row, the cheapest accepted
+        group, goes to `judge_open`; with p_max >= 2 n_s a second group waits
+        for the next quote change.
         """
         if ts >= self._force_us:
             return []  # inside the forced-unwind window; judgment would reject
@@ -234,7 +233,7 @@ class TradingEngine:
             return []  # nothing may join a group
         keep = np.flatnonzero(~dev.mask)
         rng = substream(self.seed, self.day_key, self.event_index)
-        rows = sb_run(restrict(self.split, keep), self._params, [rng] * self.config.restarts)
+        rows = sb_run(restrict(self.split, keep), self._params, rng)
         if None in rows:
             self.skipped_events += 1
             return []

@@ -15,26 +15,27 @@ fixed stocks have no tick terms, so every assignment of the kept spins keeps
 its energy, and the batch searches 2^k states instead of 2^n.
 
 Restarts run as one batch (`run_batch`): positions and momenta are (R, N)
-float32 matrices, and row r draws its initial momenta from the RNG stream the
-caller passes for it, in row order. The batch derives its step count and step
-size from its folded J (`schedule`, see SbParams), casts that J (it is
-symmetric) into a cache-line-aligned float32 buffer, copies the folded h into
-each row of an (R, N) float32 block, casts the gaps and scalars, and scales J
-and h by c0 dt and the gaps and a0 by dt, all once; then one call of `_anneal`
-runs the loop in place until the batch locks on the wall (every spin at +-1
-and pushed outward by every later step, so no later step changes it), each
-step a single `x @ J` product and 11 ufunc calls on operands of the state's
-shape, with no array broadcast. The wall maps x to x/|x| wherever |x| > 1:
-exactly +-1 for a finite x, NaN for an inf, and a NaN stays NaN. A row that
-goes non-finite therefore stays so, never locks, and one check after the loop
-finds it; a diverged row is reported as None while the other rows finish. A c0
-or an initial momentum outside float32 range is inf from the start, so its row
-diverges. Each row's energy is read out in float64 from the folded (J, h,
-offset), so equal spins give equal energies. `run` is the one-row batch and
-`solve` is `pick_best` over the `restarts` rows of `solve_rows`. `pick_best`
-is the one row rule, which the engine applies to its accepted rows: the lowest
-energy, within a tolerance that absorbs the last-bit differences a batched
-product can give rows with equal spins. `step` runs one step of the same
+float32 matrices, the momenta one (R, N) draw from the caller's generator, so
+a row's initial momenta do not depend on the rows after it. The batch derives
+its step count and step size from its folded J (`schedule`, see SbParams),
+casts that J (it is symmetric) into a cache-line-aligned float32 buffer,
+copies the folded h into each row of an (R, N) float32 block, casts the gaps
+and scalars, and scales J and h by c0 dt and the gaps and a0 by dt, all once;
+then one call of `_anneal` runs the loop in place until the batch locks on the
+wall (every spin at +-1 and pushed outward by every later step, so no later
+step changes it), each step a single `x @ J` product and 11 ufunc calls on
+operands of the state's shape, with no array broadcast. The wall maps x to
+x/|x| wherever |x| > 1: exactly +-1 for a finite x, NaN for an inf, and a NaN
+stays NaN. A row that goes non-finite therefore stays so, never locks, and one
+check after the loop finds it; a diverged row is reported as None while the
+other rows finish. A c0 or an initial momentum outside float32 range is inf
+from the start, so its row diverges. Each row's energy is read out in float64
+from the folded (J, h, offset), so equal spins give equal energies. `run` is
+the one-row batch and `solve` is `pick_best` over the `restarts` rows of
+`solve_rows`, drawn from `substream(seed)` as a decision's are from its (seed,
+day, event) stream. `pick_best` is the one row rule, which the engine applies
+to its accepted rows: the lowest energy, within a tolerance that absorbs
+last-bit differences of summation order. `step` runs one step of the same
 kernel on a float64 copy of an (N,) or (R, N) state, and `step_dense` runs it
 over a materialized problem; they, `dense_reconstruct` and
 `ising.brute_force_min` are oracles for the tests.
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -364,9 +365,9 @@ def schedule(p: SplitProblem, params: SbParams) -> tuple[int, float]:
         return _schedule(params, _folded(p)[0], _c0(p, params))
 
 
-def _momenta(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n initial momenta uniform in [-0.1, 0.1], the one draw of initial_state and run_batch."""
-    return rng.uniform(-0.1, 0.1, n)
+def _momenta(rng: np.random.Generator, shape) -> np.ndarray:
+    """Momenta uniform in [-0.1, 0.1], of shape (n,) or (R, n): the one draw of initial_state and run_batch."""
+    return rng.uniform(-0.1, 0.1, shape)
 
 
 def initial_state(p: SplitProblem, rng: np.random.Generator) -> OscillatorState:
@@ -501,17 +502,21 @@ def step_dense(state: OscillatorState, dense: IsingProblem, params: SbParams, c0
 
 
 def _energies(spins: np.ndarray, j: np.ndarray, h: np.ndarray, offset: float) -> np.ndarray:
-    """-1/2 s.J.s + h.s + offset for each row s of spins; over _folded(p) it is ising_energy of dense_reconstruct(p)."""
-    return -0.5 * np.einsum("ri,ri->r", spins @ j, spins) + spins @ h + offset
+    """-1/2 s.J.s + h.s + offset for each row s of spins; over _folded(p) it is ising_energy of dense_reconstruct(p).
+
+    einsum sums each row in an order set by n alone, where a BLAS product's order can depend on the
+    row count, so equal spins give equal energies in a batch of any size.
+    """
+    quadratic = np.einsum("ri,ri->r", np.einsum("ri,ij->rj", spins, j), spins)
+    return -0.5 * quadratic + np.einsum("ri,i->r", spins, h) + offset
 
 
-def run_batch(
-    p: SplitProblem, params: SbParams, rngs: list[np.random.Generator], start: int = 0
-) -> list[SbSolution | None]:
-    """Runs start, start + 1, ... as one (R, n) float32 batch; row r starts from rngs[r].
+def run_batch(p: SplitProblem, params: SbParams, rng: np.random.Generator) -> list[SbSolution | None]:
+    """Runs 0..R-1, R = params.restarts, as one (R, n) float32 batch, their momenta one (R, n) draw from rng.
 
-    Rows draw their momenta in row order, so one generator passed R times draws
-    what one (R, n) draw from it would. The schedule comes from the folded
+    The block is drawn in row order: its first r rows are the momenta of an
+    r-row batch from an equal generator, and R draws of n from rng give the
+    same block (TestSharedStream). The schedule comes from the folded
     couplings of _folded (see SbParams). Every operand of the step kernel is
     float32, cast once per batch and then scaled by c0 dt in float32: the
     folded couplings into a 64-byte-aligned buffer (O(k^2) on a restricted
@@ -534,10 +539,8 @@ def run_batch(
         c0 = _c0(p, params)
         n_step, dt = _schedule(params, j, c0)
         gaps, a0, scale = _scalars(params, n_step, dt, c0, np.arange(n_step), np.float32)
-        x = np.zeros((len(rngs), p.n), np.float32)
-        y, h32 = np.empty_like(x), np.empty_like(x)  # h32 a real copy: a stride-0 view would still broadcast
-        for r, rng in enumerate(rngs):
-            y[r] = _momenta(rng, p.n)
+        y = _momenta(rng, (params.restarts, p.n)).astype(np.float32)
+        x, h32 = np.zeros_like(y), np.empty_like(y)  # h32 a real copy: a stride-0 view would still broadcast
         j32 = _cache_line_aligned(j, np.float32)
         j32 *= scale
         h32[...] = h
@@ -548,21 +551,20 @@ def run_batch(
     energies = _energies(spins, j, h, offset).tolist()
     elapsed = time.perf_counter() - t0
     return [
-        SbSolution(spins=spins[r], energy=energies[r], run_index=start + r, elapsed=elapsed) if finite[r] else None
-        for r in range(len(rngs))
+        SbSolution(spins=spins[r], energy=energies[r], run_index=r, elapsed=elapsed) if finite[r] else None
+        for r in range(params.restarts)
     ]
 
 
-def _solved(sols: list[SbSolution | None], start: int) -> list[SbSolution]:
-    for r, sol in enumerate(sols):
-        if sol is None:
-            raise DivergenceError(f"run {start + r} diverged; lower c0")
+def _solved(sols: list[SbSolution | None]) -> list[SbSolution]:
+    if None in sols:
+        raise DivergenceError(f"run {sols.index(None)} diverged; lower c0")
     return sols
 
 
-def run(p: SplitProblem, params: SbParams, rng: np.random.Generator, run_index: int = 0) -> SbSolution:
-    """A single run, the one-row batch: init from rng, iterate n_step steps, read out spin signs."""
-    return _solved(run_batch(p, params, [rng], start=run_index), run_index)[0]
+def run(p: SplitProblem, params: SbParams, rng: np.random.Generator) -> SbSolution:
+    """A single run, the one-row batch (restarts=1) from rng; DivergenceError if it diverged."""
+    return _solved(run_batch(p, replace(params, restarts=1), rng))[0]
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -573,8 +575,7 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 def pick_best(sols: list[SbSolution]) -> SbSolution:
     """Lowest run index whose energy is within 1e-9 max(1, |E_min|) of the minimum.
 
-    The tolerance makes the pick independent of summation order: rows ending in
-    the same spins can differ by a few ULPs when their energies come from one GEMM.
+    The tolerance keeps the pick off the last bits of the energies, which depend on summation order.
     """
     e_min = min(sol.energy for sol in sols)
     tol = 1e-9 * max(1.0, abs(e_min))
@@ -582,13 +583,12 @@ def pick_best(sols: list[SbSolution]) -> SbSolution:
 
 
 def solve_rows(p: SplitProblem, params: SbParams) -> list[SbSolution]:
-    """The `restarts` rows of one batch on independent substreams; DivergenceError if a row diverged."""
-    rngs = [substream(params.seed, i) for i in range(params.restarts)]
-    return _solved(run_batch(p, params, rngs), 0)
+    """The `restarts` rows of one batch drawn from substream(params.seed); DivergenceError if a row diverged."""
+    return _solved(run_batch(p, params, substream(params.seed)))
 
 
 def solve(p: SplitProblem, params: SbParams) -> SbSolution:
-    """Best of the rows of solve_rows (see pick_best)."""
+    """Best of the rows of solve_rows (see pick_best), all from the one stream of params.seed."""
     return pick_best(solve_rows(p, params))
 
 

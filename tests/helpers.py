@@ -314,8 +314,12 @@ def reference_step(state, p, params):
     return OscillatorState(x=x, y=y, step=state.step + 1)
 
 
-def reference_run_batch(p, params, rngs, start=0, dtype=np.float64):
+def reference_run_batch(p, params, rng, dtype=np.float64):
     """The allocating `sb.run_batch` that the in-place kernel replaced, kept as its oracle.
+
+    It draws its `params.restarts` rows of momenta one by one from rng through
+    `initial_state`, so it also holds run_batch's one (R, n) block draw to R
+    row draws.
 
     It steps in `dtype`: `run_batch` runs in float32, so float32 is its
     bit-for-bit oracle and float64 the precision it is compared against. It
@@ -327,11 +331,11 @@ def reference_run_batch(p, params, rngs, start=0, dtype=np.float64):
     it. The energy readout `sb._energies` is shared with `run_batch`, not
     copied: only the step kernel was replaced.
     """
-    finite = np.ones(len(rngs), dtype=bool)
+    finite = np.ones(params.restarts, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         dense, j, h, n_step, dt = _reference_operands(p, params, dtype)
-        x = np.zeros((len(rngs), p.n), dtype)
-        y = np.array([initial_state(p, rng).y for rng in rngs], dtype)
+        x = np.zeros((params.restarts, p.n), dtype)
+        y = np.array([initial_state(p, rng).y for _ in range(params.restarts)], dtype)
         for k in range(n_step):
             dy = _reference_force(x, j, h)
             x, y, ok = _reference_advance(x, y, dy, _reference_pump(params, n_step, k), params, dt, dtype)
@@ -339,8 +343,8 @@ def reference_run_batch(p, params, rngs, start=0, dtype=np.float64):
     spins = np.where(x >= 0.0, 1.0, -1.0)
     energies = _energies(spins, dense.j, dense.h, dense.offset)
     return [
-        SbSolution(spins=spins[r], energy=float(energies[r]), run_index=start + r, elapsed=0.0)
+        SbSolution(spins=spins[r], energy=float(energies[r]), run_index=r, elapsed=0.0)
         if finite[r]
         else None
-        for r in range(len(rngs))
+        for r in range(params.restarts)
     ]

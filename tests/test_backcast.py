@@ -192,7 +192,6 @@ class TestRunBackcast:
         config = EngineConfig(
             strategy=StrategyParams(n_s=4, p_max=4, c1=500.0, c2=50.0, c3=50.0, accept_threshold=float("inf")),
             restarts=1,
-            n_step=20,
             session_close_us=20_000_000,
             t_force_us=5_000_000,
             corr_window=3,
@@ -258,7 +257,6 @@ class TestRunBackcast:
                 n_s=4, p_max=4, a_trans=4_000_000, c1=500.0, c2=50.0, c3=50.0, accept_threshold=float("inf")
             ),
             restarts=1,
-            n_step=60,
             session_close_us=40_000_000,
             t_force_us=10_000_000,
         )
@@ -277,7 +275,6 @@ class TestRunBackcast:
                 n_s=4, p_max=4, a_trans=4_000_000, c1=500.0, c2=50.0, c3=50.0, accept_threshold=float("inf")
             ),
             restarts=1,
-            n_step=60,
             session_close_us=150_000_000,
             t_force_us=30_000_000,
         )

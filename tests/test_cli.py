@@ -65,18 +65,15 @@ class TestSolve:
         assert code == 1
         assert "diverged" in err and "spins=" not in out
 
-    @pytest.mark.parametrize("text, want", [("", None), ("n_step=50\n", 50)], ids=["derived", "explicit"])
-    def test_prints_the_schedule_it_ran(self, tmp_path, capsys, text, want):
+    def test_prints_the_schedule_it_ran(self, tmp_path, capsys):
         path = tmp_path / "q.txt"
         q = np.random.default_rng(3).normal(0.0, 1.0, (12, 12))
         save_matrix(path, q + q.T)
-        config = tmp_path / "solver.cfg"
-        config.write_text(text)
-        code, out, _ = run_cli(capsys, "solve", "--qubo", str(path), "--config", str(config))
+        code, out, _ = run_cli(capsys, "solve", "--qubo", str(path))
         split = sb.split_from_ising(qubo_to_ising(QuboProblem(q + q.T).symmetrized()))
-        n_step, dt = sb.schedule(split, sb.SbParams(n_step=want))  # dt is derived either way
+        n_step, dt = sb.schedule(split, sb.SbParams())
         assert code == 0 and f"n_step={n_step}\ndt={dt!r}\n" in out
-        assert want or 100 < n_step < 300  # derived from the couplings: not the former fixed 300 x 0.02
+        assert 100 < n_step < 300  # derived from the couplings: not the former fixed 300 x 0.02
 
     def test_entry_beyond_float32_range_exit_1(self, tmp_path, capsys):
         path = tmp_path / "q.txt"
@@ -138,7 +135,7 @@ class TestSolve:
 
     def test_prints_the_lowest_energy_accepted_row(self, tmp_path, capsys, monkeypatch):
         # the lowest-energy row selects three stocks; the engine's rule passes it over for the accepted row
-        def stub(p, params, rngs, start=0):
+        def stub(p, params, rng):
             rows = [([1.0, 1.0, 1.0, -1.0], -2.0), ([1.0, 1.0, 1.0, 1.0], -1.0), ([-1.0] * 4, -0.5)]
             return [sb.SbSolution(spins=np.array(s), energy=e, run_index=r, elapsed=0.0) for r, (s, e) in enumerate(rows)]
 

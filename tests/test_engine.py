@@ -279,8 +279,9 @@ class SequentialEngine(TradingEngine):
     """Reference decision loop: the runs solved one at a time with `sb.run`, then the engine's row rule.
 
     A diverged run skips the decision; otherwise the lowest-energy accepted row (`pick_best`) goes to
-    judgment. Each run solves the same restricted split as the batch and draws, in run order, from the same
-    one (seed, day, event) stream, so the comparison tests batching alone.
+    judgment. Each run solves the same restricted split as the batch and draws its row, in run order, from
+    the decision's one (seed, day, event) stream, the rows of the batch's one block draw; so the comparison
+    tests batching alone.
     """
 
     def on_quote_change(self, ts, code=None):
@@ -294,9 +295,9 @@ class SequentialEngine(TradingEngine):
         restricted = restrict(self.split, keep)
         rng = substream(self.seed, self.day_key, self.event_index)
         rows = []
-        for run_index in range(self.config.restarts):
+        for _ in range(self.config.restarts):
             try:
-                rows.append(run(restricted, self._params, rng, run_index=run_index))
+                rows.append(run(restricted, self._params, rng))
             except DivergenceError:
                 self.skipped_events += 1
                 return []
@@ -460,8 +461,8 @@ class TestBatchedDecisions:
         assert len(engine.positions) == 4 and all(p.state == CLOSED for p in engine.positions)
 
     def test_one_stream_per_solving_decision(self, monkeypatch):
-        # a decision that solves builds one stream, keyed (seed, day, event), and passes it for every row;
-        # a decision with every stock masked, or inside the forced-unwind window, builds none
+        # a decision that solves builds one stream, keyed (seed, day, event), and passes it to its one batch of
+        # `restarts` rows; a decision with every stock masked, or inside the forced-unwind window, builds none
         streams = count_calls(monkeypatch, "substream")
         batches = count_calls(monkeypatch, "sb_run")
         config = helpers.convergence_params(restarts=5)
@@ -472,8 +473,8 @@ class TestBatchedDecisions:
         assert engine.event_index == 2 * len(codes) and streams == [] and batches == []
         engine.process(TickEvent(1_000_000, codes[0], "quote", helpers.BASE - 20, helpers.BASE - 22))
         assert streams == [((7, 3, 2 * len(codes)), {})]
-        ((_, _, rngs), _), = batches
-        assert len(rngs) == 5 and all(rng is rngs[0] for rng in rngs)
+        ((_, params, rng), _), = batches
+        assert isinstance(rng, np.random.Generator) and params.restarts == 5
         close_us = engine.config.session_close_us
         engine.process(TickEvent(close_us - 1_000_000, codes[1], "quote", helpers.BASE - 20, helpers.BASE - 22))
         assert len(streams) == len(batches) == 1 and not engine.positions
@@ -503,10 +504,11 @@ class TestRowRule:
         """
         sizes = []
 
-        def stub(p, params, rngs, start=0):
+        def stub(p, params, rng):
             sizes.append(p.n)
             if p.n < 6:
-                return [SbSolution(spins=-np.ones(p.n), energy=0.0, run_index=r, elapsed=0.0) for r in range(len(rngs))]
+                return [SbSolution(spins=-np.ones(p.n), energy=0.0, run_index=r, elapsed=0.0)
+                        for r in range(params.restarts)]
             rows = []
             for r, group in enumerate(groups):
                 spins = -np.ones(p.n)
@@ -580,10 +582,10 @@ class TestOpenStockMasked:
         # the open-stock mask keeps a stock out of the split the solver sees, so no row can re-open it
         solved, judged = [], []
 
-        def stub(p, params, rngs, start=0):  # every row selects every stock it is given
+        def stub(p, params, rng):  # every row selects every stock it is given
             solved.append(p)
-            return [SbSolution(spins=np.ones(p.n), energy=0.0, run_index=start + r, elapsed=0.0)
-                    for r in range(len(rngs))]
+            return [SbSolution(spins=np.ones(p.n), energy=0.0, run_index=r, elapsed=0.0)
+                    for r in range(params.restarts)]
 
         evaluate = eng.evaluate_candidate
 
@@ -705,19 +707,21 @@ class TestEngineConfig:
         path = tmp_path / "e.cfg"
         path.write_text(
             "n_s=4\np_max=6\na_trans=2000000\nc1=10\nc2=1\nc3=1\naccept_threshold=0.5\n"
-            "session_close_s=100\nt_force_s=5\nn_step=50\nrestarts=2\n"
+            "session_close_s=100\nt_force_s=5\nrestarts=2\n"
             "c0=0.3\ncommission_rate=0.001\ncorr_window=3\nwarmup_days=2\n"
         )
         cfg = config_from_kv(EngineConfig, read_kv(path))
         assert cfg.strategy.p_max == 6
         assert cfg.session_close_us == 100_000_000
         assert cfg.t_force_us == 5_000_000
-        assert cfg.n_step == 50 and cfg.restarts == 2 and cfg.c0 == 0.3
+        assert cfg.restarts == 2 and cfg.c0 == 0.3
         assert cfg.commission_rate == 0.001
         assert cfg.corr_window == 3 and cfg.warmup_days == 2
 
-    # dt is always derived and a0 is a constant (SbParams), so their keys are unknown whatever the value
-    @pytest.mark.parametrize("line", ["bogus=1", "dt=-1", "dt=nan", "dt=inf", "dt=0.02", "a0=nan", "a0=0", "a0=10"])
+    # a batch derives dt and n_step, and a0 is a constant (SbParams), so their keys are unknown whatever the value
+    @pytest.mark.parametrize(
+        "line", ["bogus=1", "dt=-1", "dt=nan", "dt=inf", "dt=0.02", "a0=nan", "a0=0", "a0=10", "n_step=50"]
+    )
     def test_unknown_key_named(self, tmp_path, line):
         path = tmp_path / "e.cfg"
         path.write_text(f"{line}\n")

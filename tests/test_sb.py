@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from sbtrader.sb import (
     run,
     run_batch,
     solve,
+    solve_rows,
     split_from_ising,
     step,
     step_dense,
@@ -267,11 +269,11 @@ class TestRunSolve:
         sol = run(p, SbParams(), np.random.default_rng(1))
         assert sol.energy == pytest.approx(ising_energy(dense_reconstruct(p), sol.spins), abs=1e-9)
 
-    def test_solve_restarts_one_equals_run_substream_zero(self):
+    def test_solve_restarts_one_equals_run_on_the_seed_stream(self):
         p = random_split(6, np.random.default_rng(4))
         params = SbParams(restarts=1, seed=42)
         via_solve = solve(p, params)
-        via_run = run(p, params, substream(42, 0), run_index=0)
+        via_run = run(p, params, substream(42))
         assert np.array_equal(via_solve.spins, via_run.spins)
         assert via_solve.energy == via_run.energy
 
@@ -295,7 +297,8 @@ class TestRunSolve:
         p = random_split(12, np.random.default_rng(9), c3=0.5)
         params = SbParams(restarts=10, seed=13)
         best = solve(p, params)
-        singles = [run(p, params, substream(13, i), run_index=i).energy for i in range(10)]
+        stream = substream(13)  # solve's one stream, drawn run by run
+        singles = [run(p, params, stream).energy for _ in range(10)]
         assert best.energy <= min(singles) + 1e-12
 
     def test_ground_state_on_small_instances(self):
@@ -330,7 +333,7 @@ class TestUpdateTick:
         q = update_tick(p, np.zeros(6), np.zeros(6))
         assert q.j_day is p.j_day
         assert q.h_day is p.h_day
-        run_batch(q, SbParams(), [substream(0, 0)])
+        run_batch(q, SbParams(restarts=1), substream(0, 0))
         assert vars(q).keys() == vars(p).keys()  # no per-batch buffer cached on the split
 
     def test_masking_a_stock_zeroes_its_h_tick(self):
@@ -479,7 +482,7 @@ class TestRestrict:
     def test_expanded_energy_is_the_full_energy(self, seed):
         rng = np.random.default_rng(100 + seed)
         p, keep, fixed = masked_split(16, rng)
-        sols = expand(run_batch(restrict(p, keep), SbParams(), [substream(seed, i) for i in range(4)]), keep, p.n)
+        sols = expand(run_batch(restrict(p, keep), SbParams(restarts=4), substream(seed)), keep, p.n)
         dense = dense_reconstruct(p)
         for sol in sols:
             assert sol.spins.shape == (p.n,) and (sol.spins[fixed] == -1.0).all()
@@ -526,14 +529,14 @@ class TestRestrict:
         p = update_tick(p, sgn, np.abs(sgn) * 0.01)
         r = restrict(p, np.arange(k))
         assert r.n == k and np.isfinite(np.float32(default_c0(r, 10.0)))
-        sols = expand(run_batch(r, SbParams(), [substream(0, i) for i in range(3)]), np.arange(k), p.n)
+        sols = expand(run_batch(r, SbParams(restarts=3), substream(0)), np.arange(k), p.n)
         assert all(sol is not None for sol in sols)
         best = min(ising_energy(dense_reconstruct(r), s) for s in all_spins(k))
         assert pick_best(sols).energy == pytest.approx(best, abs=1e-9)
 
     def test_huge_c0_still_diverges(self):
         p, keep, _ = masked_split(10, np.random.default_rng(11))
-        assert expand(run_batch(restrict(p, keep), SbParams(c0=1e308), [substream(0, i) for i in range(3)]),
+        assert expand(run_batch(restrict(p, keep), SbParams(c0=1e308, restarts=3), substream(0)),
                       keep, p.n) == [None, None, None]
 
 
@@ -561,8 +564,27 @@ class ConstRng:
     def __init__(self, value):
         self.value = value
 
-    def uniform(self, lo, hi, n):
-        return np.full(n, self.value)
+    def uniform(self, lo, hi, shape):
+        return np.full(shape, self.value)
+
+
+class BlockRng:
+    """Stands in for a generator: its draws read on through `block`, row by row or as one block."""
+
+    def __init__(self, block):
+        self.values = np.array(block, dtype=np.float64).ravel()
+        self.drawn = 0
+
+    def uniform(self, lo, hi, shape):
+        count = math.prod(np.atleast_1d(shape))
+        out = self.values[self.drawn : self.drawn + count].reshape(shape)
+        self.drawn += count
+        return out
+
+
+def with_diverged_row(seed, restarts, n, row):
+    """A real (restarts, n) draw of substream(seed), with a 1e308-momentum row inserted at `row`."""
+    return np.insert(substream(seed).uniform(-0.1, 0.1, (restarts, n)), row, 1e308, axis=0)
 
 
 def selection_split(k, seed, penalty=3.0):
@@ -616,7 +638,7 @@ class TestSchedule:
         found = 0
         for seed in range(8):
             dev, p = selection_split(k, seed)
-            rows = run_batch(p, SbParams(seed=seed), [substream(seed, i) for i in range(10)])
+            rows = run_batch(p, SbParams(seed=seed), substream(seed))
             found += any(check_constraints((sol.spins + 1.0) / 2.0, dev, 4).ok for sol in rows if sol is not None)
         assert found >= 1
 
@@ -626,7 +648,7 @@ class TestSchedule:
         found = 0
         for seed in range(16):
             dev, p = selection_split(512, seed)
-            rows = run_batch(p, SbParams(seed=seed), [substream(seed, i) for i in range(10)])
+            rows = run_batch(p, SbParams(seed=seed), substream(seed))
             found += any(check_constraints((sol.spins + 1.0) / 2.0, dev, 4).ok for sol in rows if sol is not None)
         assert found >= 10
 
@@ -636,7 +658,7 @@ class TestSchedule:
         p = random_split(8, np.random.default_rng(61), c3=3.0)
         p = SplitProblem(p.j_day * 1e-30, p.h_day, p.sgn_dp, p.abs_dp, p.c1, p.c3)
         assert sb.schedule(p, SbParams()) == (3000, 6.0 / 3000)
-        assert all(sol is not None for sol in run_batch(p, SbParams(), [substream(0, i) for i in range(3)]))
+        assert all(sol is not None for sol in run_batch(p, SbParams(restarts=3), substream(0)))
 
 
 class TestBatch:
@@ -645,19 +667,15 @@ class TestBatch:
     def test_rows_match_sequential_runs(self, n, restarts):
         p = random_split(n, np.random.default_rng([30, n]))
         params = SbParams(restarts=restarts, seed=3)
-        batch = run_batch(p, params, [substream(3, i) for i in range(restarts)])
+        batch = run_batch(p, params, substream(3))
         dense = dense_reconstruct(p)
+        stream = substream(3)  # the same stream, drawn run by run
         for i, sol in enumerate(batch):
-            single = run(p, params, substream(3, i), run_index=i)
+            single = run(p, params, stream)
             assert sol.run_index == i
             assert np.array_equal(sol.spins, single.spins)
             assert sol.energy == pytest.approx(ising_energy(dense, sol.spins), abs=1e-9)
             assert single.energy == pytest.approx(ising_energy(dense, single.spins), abs=1e-9)
-
-    def test_start_offsets_run_indices(self):
-        p = random_split(8, np.random.default_rng(31))
-        batch = run_batch(p, SbParams(), [substream(0, i) for i in (4, 5)], start=4)
-        assert [sol.run_index for sol in batch] == [4, 5]
 
     @pytest.mark.parametrize("n", [5, 24])
     def test_batched_step_matches_separate_steps(self, n):
@@ -674,16 +692,16 @@ class TestBatch:
 
     def test_diverged_row_reported_others_unchanged(self):
         p = random_split(10, np.random.default_rng(33))
-        params = SbParams()
-        rngs = [substream(5, 0), substream(5, 1), ConstRng(1e308), substream(5, 3), substream(5, 4)]
-        batch = run_batch(p, params, rngs)
+        params = SbParams(restarts=5)
+        block = with_diverged_row(5, 4, p.n, 2)
+        batch = run_batch(p, params, BlockRng(block))
         assert batch[2] is None
         for i in (0, 1, 3, 4):
-            single = run(p, params, substream(5, i), run_index=i)
+            single = run(p, params, BlockRng(block[i]))
             assert np.array_equal(batch[i].spins, single.spins)
             assert batch[i].energy == pytest.approx(single.energy, abs=1e-9)
         with pytest.raises(DivergenceError):
-            run(p, params, ConstRng(1e308), run_index=2)
+            run(p, params, BlockRng(block[2]))
 
     def test_batched_step_raises_on_any_diverged_row(self):
         p = random_split(4, np.random.default_rng(34))
@@ -718,7 +736,10 @@ def assert_same_batches(got, want):
 
 
 class TestSharedStream:
-    """One generator passed for every row draws what one (R, k) draw from it would; the engine relies on this."""
+    """A batch draws its R rows as one (R, k) block from its one generator; R row draws give the same numbers.
+
+    So the row-by-row reference (`helpers.reference_run_batch`) and R runs on a shared generator check the block draw.
+    """
 
     @pytest.mark.parametrize("k", [4, 10, 22])
     def test_sequential_draws_equal_one_block(self, k):
@@ -732,10 +753,26 @@ class TestSharedStream:
         for seed in range(3):
             _, p = selection_split(k, seed)
             g, g2, g3 = (substream(seed, k) for _ in range(3))
-            got = run_batch(p, SbParams(), [g] * 10)
-            assert_same_batches(got, helpers.reference_run_batch(p, SbParams(), [g2] * 10, dtype=np.float32))
-            g3.uniform(-0.1, 0.1, (10, k))  # the batch drew one (10, k) block, row by row
+            got = run_batch(p, SbParams(), g)
+            assert_same_batches(got, helpers.reference_run_batch(p, SbParams(), g2, dtype=np.float32))
+            g3.uniform(-0.1, 0.1, (10, k))  # the batch drew one (10, k) block
             assert g.bit_generator.state == g3.bit_generator.state
+
+    @pytest.mark.parametrize("k", [4, 10, 22, 128, 256])
+    def test_a_row_does_not_depend_on_its_batch_size(self, k):
+        # from equal generators, the first R rows of an (R + 3)-row batch are the R rows of an R-row batch, bit
+        # for bit: the draw, the spins and the energy readout
+        for seed in range(2):
+            _, p = selection_split(k, seed)
+            for restarts in (1, 2, 10):
+                small = run_batch(p, SbParams(restarts=restarts), substream(seed, k))
+                large = run_batch(p, SbParams(restarts=restarts + 3), substream(seed, k))
+                assert_same_batches(small, large[:restarts])
+
+    def test_solve_rows_is_the_batch_on_the_seed_stream(self):
+        p = random_split(12, np.random.default_rng(36))
+        params = SbParams(restarts=6, seed=5)
+        assert_same_batches(solve_rows(p, params), run_batch(p, params, substream(5)))
 
 
 class TestReferenceKernel:
@@ -749,16 +786,15 @@ class TestReferenceKernel:
                 rng = np.random.default_rng([41, n, seed])
                 p = random_split(n, rng) if tick == "random" else zero_bias_split(n, rng)
                 for c0 in (None, 1e308):
-                    params = SbParams(c0=c0)
+                    params = SbParams(c0=c0, restarts=restarts)
 
-                    def rngs():
-                        rows = [substream(seed, i) for i in range(restarts)]
-                        if restarts >= 3 and seed == 1:
-                            rows[restarts // 2] = ConstRng(1e308)  # a 1e308-momentum row
-                        return rows
+                    def rng():
+                        if restarts >= 3 and seed == 1:  # a 1e308-momentum row
+                            return BlockRng(with_diverged_row(seed, restarts - 1, n, restarts // 2))
+                        return substream(seed)
 
-                    got = run_batch(p, params, rngs(), start=seed)
-                    want = helpers.reference_run_batch(p, params, rngs(), start=seed, dtype=np.float32)
+                    got = run_batch(p, params, rng())
+                    want = helpers.reference_run_batch(p, params, rng(), dtype=np.float32)
                     assert_same_batches(got, want)
                     if c0 is None and not (restarts >= 3 and seed == 1):
                         assert all(sol is not None for sol in got)
@@ -767,17 +803,18 @@ class TestReferenceKernel:
         # With no bias and c0=1e308, the walls clamp every row at step 1 and
         # the rows first go non-finite at step 2: the wall must not hide that.
         p = zero_bias_split(6, np.random.default_rng(42), OVERFLOW_AT_THE_WALL["scale"])
-        params = OVERFLOW_AT_THE_WALL["params"]
+        params = replace(OVERFLOW_AT_THE_WALL["params"], restarts=3)
+        stream = substream(7)  # the batch's one stream, drawn row by row
         for r in range(3):
-            state, walled = initial_state(p, substream(7, r)), False
+            state, walled = initial_state(p, stream), False
             with pytest.raises(DivergenceError, match="at step [23];"):
                 for _ in range(params.n_step):
                     state = helpers.reference_step(state, p, params)
                     walled |= bool(np.any(np.abs(state.x) == 1.0))
             assert walled
-        got = run_batch(p, params, [substream(7, r) for r in range(3)])
+        got = run_batch(p, params, substream(7))
         assert got == [None, None, None]
-        assert_same_batches(got, helpers.reference_run_batch(p, params, [substream(7, r) for r in range(3)]))
+        assert_same_batches(got, helpers.reference_run_batch(p, params, substream(7)))
 
     @pytest.mark.parametrize("rows", [None, 4])
     @pytest.mark.parametrize("n", [6, 24])
@@ -862,7 +899,7 @@ class TestLockedStop:
         calls = record_anneal(monkeypatch)
         for seed in range(10):
             _, p = selection_split(k, seed, penalty)
-            run_batch(p, SbParams(seed=seed), [substream(seed, i) for i in range(10)])
+            run_batch(p, SbParams(seed=seed), substream(seed))
         for x, y, j, h, gaps, a0, ran in calls:  # a batch that never locked ran every gap: nothing remains
             locked = x.copy()
             with np.errstate(over="ignore", invalid="ignore"):
@@ -877,8 +914,8 @@ class TestLockedStop:
         for seed in range(10):
             _, p = selection_split(k, seed, penalty)
             params = SbParams(seed=seed)
-            got = run_batch(p, params, [substream(seed, i) for i in range(10)])
-            want = helpers.reference_run_batch(p, params, [substream(seed, i) for i in range(10)], dtype=np.float32)
+            got = run_batch(p, params, substream(seed))
+            want = helpers.reference_run_batch(p, params, substream(seed), dtype=np.float32)
             assert_same_batches(got, want)
         if k <= 22:  # the saving itself: small batches lock well before their last step
             assert sum(ran < len(gaps) for *_, gaps, _, ran in calls) >= 8
@@ -888,20 +925,18 @@ class TestLockedStop:
         params = SbParams()
         n_step = sb.schedule(p, params)[0]
         calls = record_anneal(monkeypatch)
-        clean = run_batch(p, params, [substream(0, i) for i in range(4)])
-
-        def rngs():
-            return [substream(0, 0), substream(0, 1), ConstRng(1e308), substream(0, 2), substream(0, 3)]
-
-        mixed = run_batch(p, params, rngs())
+        clean = run_batch(p, replace(params, restarts=4), substream(0))
+        params = replace(params, restarts=5)
+        mixed = run_batch(p, params, BlockRng(with_diverged_row(0, 4, p.n, 2)))
         assert calls[0][-1] < n_step and calls[1][-1] == n_step
         assert mixed[2] is None
         for sol, ref in zip(mixed[:2] + mixed[3:], clean):
             assert np.array_equal(sol.spins, ref.spins)
             assert sol.energy == pytest.approx(ref.energy, rel=1e-12)
-        assert_same_batches(mixed, helpers.reference_run_batch(p, params, rngs(), dtype=np.float32))
+        want = helpers.reference_run_batch(p, params, BlockRng(with_diverged_row(0, 4, p.n, 2)), dtype=np.float32)
+        assert_same_batches(mixed, want)
         # c0 beyond float32 range makes every row NaN from the first step: all 3000 steps of the dt floor run
-        assert run_batch(p, SbParams(c0=1e308), [substream(0, i) for i in range(3)]) == [None, None, None]
+        assert run_batch(p, SbParams(c0=1e308, restarts=3), substream(0)) == [None, None, None]
         assert calls[2][-1] == len(calls[2][4]) == 3000
 
     @staticmethod
@@ -967,8 +1002,8 @@ class TestFloat32:
         for k in range(30):
             split = build_split(*helpers.tight_instance(16, 4, k))
             params = SbParams(restarts=10, seed=k)
-            got = run_batch(split, params, [substream(k, i) for i in range(10)])
-            want = helpers.reference_run_batch(split, params, [substream(k, i) for i in range(10)])
+            got = run_batch(split, params, substream(k))
+            want = helpers.reference_run_batch(split, params, substream(k))
             assert all(np.array_equal(g.spins, w.spins) for g, w in zip(got, want)), f"instance {k}"
 
     def test_random_splits_lose_no_quality(self):
@@ -976,8 +1011,8 @@ class TestFloat32:
         for n in (16, 64, 128, 256):
             for k in range(10):
                 p = random_split(n, np.random.default_rng([51, n, k]))
-                got = run_batch(p, SbParams(), [substream(k, i) for i in range(10)])
-                want = helpers.reference_run_batch(p, SbParams(), [substream(k, i) for i in range(10)])
+                got = run_batch(p, SbParams(), substream(k))
+                want = helpers.reference_run_batch(p, SbParams(), substream(k))
                 differ += sum(not np.array_equal(g.spins, w.spins) for g, w in zip(got, want))
                 rows += len(want)
                 best32, best64 = pick_best(got).energy, pick_best(want).energy
@@ -986,9 +1021,9 @@ class TestFloat32:
 
     def test_c0_beyond_float32_range_diverges(self):
         p = random_split(1, np.random.default_rng(52))
-        params = SbParams(c0=1e308)
-        assert all(sol is not None for sol in helpers.reference_run_batch(p, params, [substream(0, 0)]))
-        assert run_batch(p, params, [substream(0, 0)]) == [None]
+        params = SbParams(c0=1e308, restarts=1)
+        assert all(sol is not None for sol in helpers.reference_run_batch(p, params, substream(0, 0)))
+        assert run_batch(p, params, substream(0, 0)) == [None]
 
     nan_pair = np.ones((8, 8))
     nan_pair[0, 1] = nan_pair[1, 0] = np.nan  # symmetric but for NaN != NaN; the diagonal stays 0
@@ -1024,7 +1059,7 @@ class TestFloat32:
             anneal(*args)
 
         monkeypatch.setattr(sb, "_anneal", recorded)
-        run_batch(p, SbParams(n_step=4), [substream(0, i) for i in range(3)])
+        run_batch(p, SbParams(n_step=4, restarts=3), substream(0))
         assert len(calls) == 1  # the whole loop is one call per batch
         x, y, j, h, gaps, a0 = calls[0]
         assert x.shape == (3, p.n)
@@ -1056,18 +1091,17 @@ class TestTieBreak:
         assert pick_best(sols).run_index == 1
 
     def test_rows_with_equal_spins_return_lower_index(self):
-        # every row of this batch reaches the ground state; the pick must be row 0
-        # whatever rounding the batched readout gives the later rows
+        # several rows of this batch reach the ground state; they read equal energies, and the pick is the first
         p = random_split(16, np.random.default_rng([16, 2]))
         params = SbParams(restarts=10, seed=2)
-        batch = run_batch(p, params, [substream(2, i) for i in range(10)])
+        batch = run_batch(p, params, substream(2))
         best = solve(p, params)
-        same = [sol.run_index for sol in batch if np.array_equal(sol.spins, best.spins)]
-        assert len(same) >= 2
-        assert best.run_index == same[0]
+        same = [sol for sol in batch if np.array_equal(sol.spins, best.spins)]
+        assert len(same) >= 2 and {sol.energy for sol in same} == {best.energy}
+        assert best.run_index == same[0].run_index
 
     def test_identical_rows_pick_first(self):
         p = random_split(12, np.random.default_rng(35))
-        batch = run_batch(p, SbParams(), [ConstRng(0.05)] * 10)
+        batch = run_batch(p, SbParams(), ConstRng(0.05))
         assert all(np.array_equal(sol.spins, batch[0].spins) for sol in batch)
         assert pick_best(batch).run_index == 0
