@@ -186,6 +186,8 @@ def run_backcast(
     the average of the last `corr_window` days' factors, the only ones kept.
     With an override every day trades against it and no day matrix is built.
     """
+    if seed < 0:  # checked before the warm-up days, which draw no stream
+        raise ValueError(f"seed must be >= 0, got {seed}")
     report = BackcastReport(capital=config.strategy.a_trans * config.strategy.p_max)
     history: deque[np.ndarray] = deque(maxlen=config.corr_window)
     fill_model = FillModel()

@@ -94,16 +94,17 @@ def cmd_solve(args) -> int:
     universe = st.load_universe(args.universe)
     corr = st.load_correlation(args.corr)
     dev = _load_deviations(args.deviations, universe.n)
-    keep = np.flatnonzero(~dev.mask)  # the engine's selection path: solve the unmasked stocks alone
-    split = sb.restrict(st.build_split(dev, corr, config.strategy), keep)
-    if keep.size:
-        rows = sb.expand(sb.solve_rows(split, params), keep, universe.n)
+    split = st.build_split(dev, corr, config.strategy)
+    keep = np.flatnonzero(~dev.mask)
+    if keep.size:  # the engine's decision rule
+        decided = eng.decide(split, dev, corr, config.strategy, params, sb.substream(args.seed))
+        if decided is None:
+            raise sb.DivergenceError("a run diverged; lower c0")
+        sol, verdict = decided
     else:  # every stock is masked: the empty group is all that is left, and no batch runs
-        rows = [sb.SbSolution(spins=-np.ones(universe.n), energy=split.offset_day, run_index=0, elapsed=0.0)]
-    # the engine's rule: the lowest-energy accepted row; with none accepted, the lowest-energy row and its reasons
-    verdicts = [st.evaluate_candidate(sol, dev, corr, config.strategy) for sol in rows]
-    sol = sb.pick_best([sol for sol, verdict in zip(rows, verdicts) if verdict.accepted] or rows)
-    verdict = verdicts[sol.run_index]  # the rows are runs 0..R-1, in order
+        empty = sb.restrict(split, keep).offset_day  # the empty group's energy on the full problem
+        sol = sb.SbSolution(spins=-np.ones(universe.n), energy=empty, run_index=0, elapsed=0.0)
+        verdict = st.evaluate_candidate(sol, dev, corr, config.strategy)
     selected = np.flatnonzero(np.asarray(sol.spins) > 0)
     sides = ["long" if dev.dp[i] < 0 else "short" for i in selected]
     print(f"spins={_spin_string(sol.spins)}")
@@ -115,7 +116,7 @@ def cmd_solve(args) -> int:
     print(f"h_cost={verdict.h_cost!r}")
     print(f"accepted={verdict.accepted}")
     if keep.size:
-        _print_schedule(split, params)
+        _print_schedule(sb.restrict(split, keep), params)  # the batch's schedule
     print(f"elapsed_s={sol.elapsed:.6f}")
     return 0 if verdict.accepted else 2
 
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         "strategy keys are used only with --universe/--deviations/--corr; the other keys are checked "
         "and ignored",
     )
-    p.add_argument("--seed", type=nonnegative_int, default=0, help="seed of the one stream every run draws from")
+    p.add_argument("--seed", type=nonnegative_int, default=0, help="seed of the stream the batch draws from")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("gen-feed", help="generate a deterministic synthetic tick feed")

@@ -3,13 +3,9 @@
 The engine owns one day's market state. On each quote change it rebuilds the
 deviation vector, whose mask is the one gate on which stocks may join a group,
 refreshes the O(N) tick side of the split problem, and, unless every stock is
-masked, solves one batch of restarts over the unmasked stocks alone
-(`sb.restrict`, O(N + k^2) for k unmasked), its initial states one block
-drawn from one RNG stream per decision. One batch makes one decision: a
-diverged row skips it, and otherwise the cheapest accepted group
-(`sb.pick_best` over the accepted rows, the rule `sb.solve` uses) opens if the
-open list has room for it. So at most one group opens per quote change; with p_max >= 2 n_s a second
-group waits for the next one.
+masked, lets `decide`, the one decision rule, pick a group, which opens if
+it was accepted and the open list has room for it. So at most one group opens
+per quote change; with p_max >= 2 n_s a second group waits for the next one.
 Closing is driven by the deviation sign crossing zero (taking the convergence
 profit) and by a forced unwind window before session close. A held stock's
 deviation depends only on its ask and bid, the published VWAP and whether the
@@ -26,8 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .feed import MarketSession, TickEvent
-from .sb import SbParams, expand, pick_best, restrict, run_batch as sb_run, substream, update_tick
+from .sb import SbParams, SbSolution, SplitProblem, expand, pick_best, restrict, substream, update_tick
+from .sb import run_batch as sb_run
 from .strategy import (
+    CandidateEvaluation,
     CorrelationMatrix,
     DeviationVector,
     StrategyParams,
@@ -47,6 +45,7 @@ __all__ = [
     "Position",
     "EngineConfig",
     "TradingEngine",
+    "decide",
     "ORDER_LOG_HEADER",
 ]
 
@@ -128,6 +127,31 @@ class EngineConfig:
         return SbParams(c0=self.c0, restarts=self.restarts)
 
 
+def decide(
+    split: SplitProblem, dev: DeviationVector, corr: CorrelationMatrix, strategy: StrategyParams, params: SbParams, rng
+) -> tuple[SbSolution, CandidateEvaluation] | None:
+    """The one decision rule: the group that dev selects, as a length-N row with its verdict; None if a row diverged.
+
+    One batch of runs 0..restarts-1, its rows one (restarts, k) draw from rng, solves the k >= 1 unmasked stocks
+    alone (`restrict` fixes every masked spin at -1, which changes neither the groups that `check_constraints`
+    accepts nor their energies). Each distinct spin vector is written back to length N (`expand`) and evaluated
+    once. The row is the lowest-energy accepted one (`pick_best` over the accepted rows in row order: the cheapest
+    accepted group) or, with none accepted, the lowest-energy row. The callees are this module's globals, looked up
+    at call time, so a patch of `engine.sb_run` or `engine.evaluate_candidate` sees every call.
+    """
+    keep = np.flatnonzero(~dev.mask)
+    rows = sb_run(restrict(split, keep), params, rng)
+    if None in rows:
+        return None
+    verdicts: dict[bytes, CandidateEvaluation] = {}  # a verdict depends on the spins alone
+    for sol in rows:
+        key = sol.spins.tobytes()
+        if key not in verdicts:
+            verdicts[key] = evaluate_candidate(expand(sol, keep, dev.n), dev, corr, strategy)
+    best = pick_best([sol for sol in rows if verdicts[sol.spins.tobytes()].accepted] or rows)
+    return expand(best, keep, dev.n), verdicts[best.spins.tobytes()]
+
+
 class TradingEngine:
     """One day's event loop over a totally ordered feed.
 
@@ -150,6 +174,8 @@ class TradingEngine:
         self.universe = universe
         self.corr = corr
         self.config = config
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self.seed = int(seed)
         self.day_key = int(day_key)
         self.fill_handler = fill_handler
@@ -212,18 +238,9 @@ class TradingEngine:
     # -- opening ------------------------------------------------------------
 
     def on_quote_change(self, ts: int, code: str | None = None) -> list[Order]:
-        """Re-solve after a quote change; returns any orders issued.
+        """Let `decide` pick a group from the decision's (seed, day, event) stream; returns any orders issued.
 
-        One decision is one batch of runs 0..restarts-1 over the unmasked stocks
-        (`restrict` fixes every masked spin at -1, which changes neither the
-        groups that `check_constraints` accepts nor their energies), whose rows
-        are one (restarts, k) draw from the decision's (seed, day, event)
-        stream. A diverged row skips the decision, counted in `skipped_events`.
-        Otherwise each distinct spin vector is written back to length N
-        (`expand`) and evaluated once, every row of an accepted vector is kept
-        in row order, and the lowest-energy accepted row, the cheapest accepted
-        group, goes to `judge_open`; with p_max >= 2 n_s a second group waits
-        for the next quote change.
+        A diverged row skips the decision, counted in `skipped_events`; an accepted group goes to `judge_open`.
         """
         if ts >= self._force_us:
             return []  # inside the forced-unwind window; judgment would reject
@@ -231,24 +248,13 @@ class TradingEngine:
         self.split = update_tick(self.split, dev.sgn(), np.abs(dev.dp))
         if dev.mask.all():
             return []  # nothing may join a group
-        keep = np.flatnonzero(~dev.mask)
         rng = substream(self.seed, self.day_key, self.event_index)
-        rows = sb_run(restrict(self.split, keep), self._params, rng)
-        if None in rows:
+        decided = decide(self.split, dev, self.corr, self.config.strategy, self._params, rng)
+        if decided is None:
             self.skipped_events += 1
             return []
-        verdicts: dict[bytes, bool] = {}  # a verdict depends on the spins alone
-        accepted = []
-        for sol in rows:
-            key = sol.spins.tobytes()
-            if key not in verdicts:
-                full = expand([sol], keep, dev.n)[0]
-                verdicts[key] = evaluate_candidate(full, dev, self.corr, self.config.strategy).accepted
-            if verdicts[key]:
-                accepted.append(sol)
-        if not accepted:
-            return []
-        return self.judge_open(keep[pick_best(accepted).spins > 0], dev, ts)  # no masked stock joins the group
+        row, verdict = decided
+        return self.judge_open(np.flatnonzero(row.spins > 0), dev, ts) if verdict.accepted else []
 
     def judge_open(self, selected: np.ndarray, dev: DeviationVector, ts: int) -> list[Order]:
         """Open the whole group if the open list has room for it; register before issuing orders.

@@ -10,7 +10,7 @@ matrix product with that J.
 A decision solves only the stocks that may join a group. `restrict` fixes
 every other spin at -1, which moves its couplings into the kept biases and a
 constant into the offset, and gathers the kept blocks of the day matrices in
-O(n + k^2) for k kept stocks; `expand` writes the spins back to length n. The
+O(n + k^2) for k kept stocks; `expand` writes a row's spins back to length n. The
 fixed stocks have no tick terms, so every assignment of the kept spins keeps
 its energy, and the batch searches 2^k states instead of 2^n.
 
@@ -31,9 +31,9 @@ check after the loop finds it; a diverged row is reported as None while the
 other rows finish. A c0 or an initial momentum outside float32 range is inf
 from the start, so its row diverges. Each row's energy is read out in float64
 from the folded (J, h, offset), so equal spins give equal energies. `run` is
-the one-row batch and `solve` is `pick_best` over the `restarts` rows of
-`solve_rows`, drawn from `substream(seed)` as a decision's are from its (seed,
-day, event) stream. `pick_best` is the one row rule, which the engine applies
+the one-row batch and `solve` is `pick_best` over the `restarts` rows of one
+batch drawn from `substream(seed)`, as a decision's are from its (seed, day,
+event) stream. `pick_best` is the one row rule, which `engine.decide` applies
 to its accepted rows: the lowest energy, within a tolerance that absorbs
 last-bit differences of summation order. `step` runs one step of the same
 kernel on a float64 copy of an (N,) or (R, N) state, and `step_dense` runs it
@@ -69,7 +69,6 @@ __all__ = [
     "run",
     "run_batch",
     "pick_best",
-    "solve_rows",
     "solve",
     "update_tick",
     "restrict",
@@ -148,6 +147,7 @@ class SbParams:
             (self.n_step is None or self.n_step >= 1, "n_step must be >= 1"),
             (self.c0 is None or 0 < self.c0 < np.inf, "c0 must be positive and finite"),
             (self.restarts >= 1, "restarts must be >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),
         ):
             if not ok:
                 raise ValueError(message)
@@ -582,14 +582,9 @@ def pick_best(sols: list[SbSolution]) -> SbSolution:
     return min((sol for sol in sols if sol.energy <= e_min + tol), key=lambda sol: sol.run_index)
 
 
-def solve_rows(p: SplitProblem, params: SbParams) -> list[SbSolution]:
-    """The `restarts` rows of one batch drawn from substream(params.seed); DivergenceError if a row diverged."""
-    return _solved(run_batch(p, params, substream(params.seed)))
-
-
 def solve(p: SplitProblem, params: SbParams) -> SbSolution:
-    """Best of the rows of solve_rows (see pick_best), all from the one stream of params.seed."""
-    return pick_best(solve_rows(p, params))
+    """pick_best of the `restarts` rows of one batch from substream(params.seed); DivergenceError if a row diverged."""
+    return pick_best(_solved(run_batch(p, params, substream(params.seed))))
 
 
 def update_tick(
@@ -640,16 +635,8 @@ def restrict(p: SplitProblem, keep: np.ndarray) -> SplitProblem:
     return q
 
 
-def expand(sols: list[SbSolution | None], keep: np.ndarray, n: int) -> list[SbSolution | None]:
-    """Solutions of restrict(p, keep) as solutions of p: spins written back to length n, -1 outside keep.
-
-    The energy is unchanged, since restrict keeps each assignment's energy; a None row stays None.
-    """
-    expanded = []
-    for sol in sols:
-        if sol is not None:
-            spins = np.full(n, -1.0)
-            spins[keep] = sol.spins
-            sol = SbSolution(spins=spins, energy=sol.energy, run_index=sol.run_index, elapsed=sol.elapsed)
-        expanded.append(sol)
-    return expanded
+def expand(sol: SbSolution, keep: np.ndarray, n: int) -> SbSolution:
+    """A row of restrict(p, keep) as a row of p: spins -1 outside keep, and the same energy (restrict keeps it)."""
+    spins = np.full(n, -1.0)
+    spins[keep] = sol.spins
+    return replace(sol, spins=spins)

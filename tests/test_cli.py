@@ -7,9 +7,10 @@ import pytest
 
 import helpers
 from sbtrader import backcast as bc
+from sbtrader import engine as eng
 from sbtrader import sb
 from sbtrader.cli import _load_deviations, main
-from sbtrader.engine import EngineConfig
+from sbtrader.engine import EngineConfig, decide
 from sbtrader.ising import QuboProblem, ising_energy, qubo_to_ising, save_matrix
 from sbtrader.strategy import (
     CorrelationMatrix,
@@ -139,7 +140,7 @@ class TestSolve:
             rows = [([1.0, 1.0, 1.0, -1.0], -2.0), ([1.0, 1.0, 1.0, 1.0], -1.0), ([-1.0] * 4, -0.5)]
             return [sb.SbSolution(spins=np.array(s), energy=e, run_index=r, elapsed=0.0) for r, (s, e) in enumerate(rows)]
 
-        monkeypatch.setattr(sb, "run_batch", stub)
+        monkeypatch.setattr(eng, "sb_run", stub)
         files = helpers.write_convergence_fixture(tmp_path)
         dev = tmp_path / "dev.txt"
         dev.write_text("-0.0042\n-0.004\n0.0042\n0.004\n0\n0\n")
@@ -153,6 +154,47 @@ class TestSolve:
         )
         assert code == 0
         assert "spins=++++--" in out and "energy=-1.0" in out and "accepted=True" in out
+
+    @pytest.mark.parametrize("seed", [0, 2, 9])
+    def test_prints_the_group_that_decide_returns(self, tmp_path, capsys, seed):
+        files = helpers.write_convergence_fixture(tmp_path)
+        dev = tmp_path / "dev.txt"
+        dev.write_text("-0.0042\n-0.004\n0.0042\n0.004\n0\n0\n")
+        code, out, _ = run_cli(
+            capsys,
+            "solve",
+            "--universe", str(files["universe"]),
+            "--deviations", str(dev),
+            "--corr", str(files["corr"]),
+            "--config", str(files["config"]),
+            "--seed", str(seed),
+        )
+        config = config_from_kv(EngineConfig, read_kv(files["config"]))
+        deviations, corr = _load_deviations(dev, 6), load_correlation(files["corr"])
+        split = build_split(deviations, corr, config.strategy)
+        row, verdict = decide(split, deviations, corr, config.strategy, config.sb_params(), sb.substream(seed))
+        lines = out.splitlines()
+        assert "spins=" + "".join("+" if s > 0 else "-" for s in row.spins) in lines
+        assert f"energy={row.energy!r}" in lines and f"accepted={verdict.accepted}" in lines
+        assert code == (0 if verdict.accepted else 2)
+
+    def test_universe_divergence_exit_1(self, tmp_path, capsys):
+        # c0=1e308 makes every row of the decision's batch diverge
+        files = helpers.write_convergence_fixture(tmp_path)
+        dev = tmp_path / "dev.txt"
+        dev.write_text("-0.0042\n-0.004\n0.0042\n0.004\n0\n0\n")
+        config = tmp_path / "huge_c0.cfg"
+        config.write_text(files["config"].read_text() + "c0=1e308\n")
+        code, out, err = run_cli(
+            capsys,
+            "solve",
+            "--universe", str(files["universe"]),
+            "--deviations", str(dev),
+            "--corr", str(files["corr"]),
+            "--config", str(config),
+        )
+        assert code == 1
+        assert "diverged" in err and "spins=" not in out
 
     def test_feasible_above_threshold_gives_its_reason(self, tmp_path, capsys):
         files = helpers.write_convergence_fixture(tmp_path)
@@ -254,7 +296,7 @@ class TestSolve:
         files = helpers.write_convergence_fixture(tmp_path)
         dev = tmp_path / "dev.txt"
         dev.write_text("-0.0042,1\n0\n0.0042,1\n0\n0\n0\n")
-        monkeypatch.setattr(sb, "run_batch", lambda *args, **kwargs: pytest.fail("a batch ran with every stock masked"))
+        monkeypatch.setattr(eng, "sb_run", lambda *args, **kwargs: pytest.fail("a batch ran with every stock masked"))
         code, out, _ = run_cli(
             capsys,
             "solve",

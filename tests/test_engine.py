@@ -8,13 +8,14 @@ import pytest
 
 import helpers
 from sbtrader import engine as eng
-from sbtrader.backcast import FillModel
+from sbtrader.backcast import FillModel, run_backcast
 from sbtrader.engine import (
     CLOSED,
     OPEN,
     EngineConfig,
     Fill,
     TradingEngine,
+    decide,
 )
 from sbtrader.feed import PriceBuffer, TickEvent
 from sbtrader.ising import ising_energy
@@ -35,6 +36,7 @@ from sbtrader.strategy import (
     Stock,
     StrategyParams,
     Universe,
+    build_split,
     config_from_kv,
     evaluate_candidate,
     read_kv,
@@ -276,12 +278,12 @@ class TestQuoteChangeFlow:
 
 
 class SequentialEngine(TradingEngine):
-    """Reference decision loop: the runs solved one at a time with `sb.run`, then the engine's row rule.
+    """Reference decision loop: the runs solved one at a time with `sb.run`, then the row rule of `engine.decide`.
 
-    A diverged run skips the decision; otherwise the lowest-energy accepted row (`pick_best`) goes to
-    judgment. Each run solves the same restricted split as the batch and draws its row, in run order, from
-    the decision's one (seed, day, event) stream, the rows of the batch's one block draw; so the comparison
-    tests batching alone.
+    A diverged run skips the decision; otherwise each row is expanded and judged on its own, and the
+    lowest-energy accepted row (`pick_best`) goes to judgment. Each run solves the same restricted split as
+    the batch and draws its row, in run order, from the decision's one (seed, day, event) stream, the rows of
+    the batch's one block draw; so the comparison tests batching alone.
     """
 
     def on_quote_change(self, ts, code=None):
@@ -302,7 +304,8 @@ class SequentialEngine(TradingEngine):
                 self.skipped_events += 1
                 return []
         strategy = self.config.strategy
-        accepted = [sol for sol in expand(rows, keep, dev.n) if evaluate_candidate(sol, dev, self.corr, strategy).accepted]
+        full = [expand(sol, keep, dev.n) for sol in rows]
+        accepted = [sol for sol in full if evaluate_candidate(sol, dev, self.corr, strategy).accepted]
         return self.judge_open(np.flatnonzero(pick_best(accepted).spins > 0), dev, ts) if accepted else []
 
 
@@ -570,11 +573,41 @@ class TestRowRule:
         # one verdict per distinct spin vector, in the order the vectors first appear
         assert [tuple(np.flatnonzero(sol.spins > 0)) for sol, _ in judged] == [(0, 1), b, a]
         assert [v.accepted for _, v in judged] == [False, True, True]
-        # pick_best still sees every accepted row, in row order, and the lowest tied run index opens
-        ((rows,), _), = picked
+        # the last decision's pick_best sees every accepted row, in row order, and the lowest tied run index
+        # opens; every earlier decision picked among rows that select nothing
+        (rows,), _ = picked[-1]
         assert [sol.run_index for sol in rows] == [1, 2, 3, 4]
         codes = engine.universe.codes
         assert engine.open_codes == {codes[i] for i in b}
+
+
+class TestDecide:
+    """`engine.decide`, the one decision rule of the engine and of `sbtrader solve --universe`."""
+
+    def test_with_none_accepted_the_lowest_energy_row_and_its_reasons(self, monkeypatch):
+        # stocks 4 and 5 are masked; no row selects n_s = 4 stocks, so every row is rejected
+        dev = DeviationVector(dp=np.array([-0.0042, -0.004, 0.0042, 0.004, 0.0, 0.0]), mask=np.arange(6) >= 4)
+        strategy = helpers.convergence_params().strategy
+        corr = helpers.convergence_corr()
+        rows = [([1, 1, -1, -1], -1.0), ([1, 1, 1, -1], -3.0), ([1, 1, -1, -1], -1.0), ([-1] * 4, -3.0)]
+
+        def stub(p, params, rng):
+            assert p.n == 4 and params.restarts == len(rows)
+            return [SbSolution(spins=np.array(s, dtype=float), energy=e, run_index=r, elapsed=0.0)
+                    for r, (s, e) in enumerate(rows)]
+
+        monkeypatch.setattr(eng, "sb_run", stub)
+        evaluated = count_calls(monkeypatch, "evaluate_candidate")
+        split = build_split(dev, corr, strategy)
+        row, verdict = decide(split, dev, corr, strategy, SbParams(restarts=len(rows)), substream(0))
+        # one verdict per distinct spin vector: row 2 repeats row 0
+        assert len(evaluated) == 3
+        # rows 1 and 3 tie on the lowest energy, and the lower run index wins; the row comes back at length N
+        assert row.run_index == 1 and row.energy == -3.0
+        assert row.spins.tolist() == [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]
+        assert not verdict.accepted
+        assert verdict.reasons == ("count: selected 3 != n_s 4", "balance: sum sgn(dp) b = -1 != 0")
+        assert verdict == evaluate_candidate(row, dev, corr, strategy)
 
 
 class TestOpenStockMasked:
@@ -776,6 +809,23 @@ class TestEngineConfig:
         assert cfg.session_close_us == 9_000_000_000
         assert cfg.t_force_us == 60_000_000
         assert cfg.sb_params() == SbParams()
+
+
+@pytest.mark.parametrize(
+    "set_up",
+    [
+        lambda tmp_path: SbParams(seed=-1),
+        lambda tmp_path: TradingEngine(helpers.make_universe(), helpers.convergence_corr(), helpers.convergence_params(),
+                                       seed=-1),
+        # a missing warm-up feed: the seed is rejected before the first day is replayed
+        lambda tmp_path: run_backcast([("d0", str(tmp_path / "missing.csv"))], helpers.make_universe(),
+                                      helpers.convergence_params(), seed=-1),
+    ],
+    ids=["SbParams", "TradingEngine", "run_backcast"],
+)
+def test_negative_seed_rejected_at_set_up(tmp_path, set_up):
+    with pytest.raises(ValueError, match=r"\bseed must be >= 0"):
+        set_up(tmp_path)
 
 
 class TestPositionInvariants:

@@ -27,7 +27,6 @@ from sbtrader.sb import (
     run,
     run_batch,
     solve,
-    solve_rows,
     split_from_ising,
     step,
     step_dense,
@@ -482,7 +481,7 @@ class TestRestrict:
     def test_expanded_energy_is_the_full_energy(self, seed):
         rng = np.random.default_rng(100 + seed)
         p, keep, fixed = masked_split(16, rng)
-        sols = expand(run_batch(restrict(p, keep), SbParams(restarts=4), substream(seed)), keep, p.n)
+        sols = [expand(sol, keep, p.n) for sol in run_batch(restrict(p, keep), SbParams(restarts=4), substream(seed))]
         dense = dense_reconstruct(p)
         for sol in sols:
             assert sol.spins.shape == (p.n,) and (sol.spins[fixed] == -1.0).all()
@@ -529,15 +528,15 @@ class TestRestrict:
         p = update_tick(p, sgn, np.abs(sgn) * 0.01)
         r = restrict(p, np.arange(k))
         assert r.n == k and np.isfinite(np.float32(default_c0(r, 10.0)))
-        sols = expand(run_batch(r, SbParams(restarts=3), substream(0)), np.arange(k), p.n)
-        assert all(sol is not None for sol in sols)
+        rows = run_batch(r, SbParams(restarts=3), substream(0))
+        assert all(sol is not None for sol in rows)
+        sols = [expand(sol, np.arange(k), p.n) for sol in rows]
         best = min(ising_energy(dense_reconstruct(r), s) for s in all_spins(k))
         assert pick_best(sols).energy == pytest.approx(best, abs=1e-9)
 
     def test_huge_c0_still_diverges(self):
         p, keep, _ = masked_split(10, np.random.default_rng(11))
-        assert expand(run_batch(restrict(p, keep), SbParams(c0=1e308, restarts=3), substream(0)),
-                      keep, p.n) == [None, None, None]
+        assert run_batch(restrict(p, keep), SbParams(c0=1e308, restarts=3), substream(0)) == [None] * 3
 
 
 class TestSplitProblemValidation:
@@ -769,10 +768,10 @@ class TestSharedStream:
                 large = run_batch(p, SbParams(restarts=restarts + 3), substream(seed, k))
                 assert_same_batches(small, large[:restarts])
 
-    def test_solve_rows_is_the_batch_on_the_seed_stream(self):
+    def test_solve_is_the_best_row_of_the_batch_on_the_seed_stream(self):
         p = random_split(12, np.random.default_rng(36))
         params = SbParams(restarts=6, seed=5)
-        assert_same_batches(solve_rows(p, params), run_batch(p, params, substream(5)))
+        assert_same_batches([solve(p, params)], [pick_best(run_batch(p, params, substream(5)))])
 
 
 class TestReferenceKernel:
