@@ -2,9 +2,10 @@
 
 The engine owns one day's market state. On each quote change it rebuilds the
 deviation vector, whose mask is the one gate on which stocks may join a group,
-refreshes the O(N) tick side of the split problem, and, unless every stock is
-masked, lets `decide`, the one decision rule, pick a group, which opens if
-it was accepted and the open list has room for it. So at most one group opens
+and refreshes the O(N) tick side of the split problem. If a group could open
+(the open list has room for n_s more stocks and `group_possible` holds), it
+lets `decide`, the one decision rule, pick a group, which opens if it was
+accepted; any other quote change runs no batch. So at most one group opens
 per quote change; with p_max >= 2 n_s a second group waits for the next one.
 Closing is driven by the deviation sign crossing zero (taking the convergence
 profit) and by a forced unwind window before session close. A held stock's
@@ -34,6 +35,7 @@ from .strategy import (
     compute_deviation,
     deviation,
     evaluate_candidate,
+    group_possible,
     lot_size,
 )
 
@@ -240,14 +242,18 @@ class TradingEngine:
     def on_quote_change(self, ts: int, code: str | None = None) -> list[Order]:
         """Let `decide` pick a group from the decision's (seed, day, event) stream; returns any orders issued.
 
-        A diverged row skips the decision, counted in `skipped_events`; an accepted group goes to `judge_open`.
+        The tick side is refreshed on every call outside the forced-unwind window. A decision that no group could
+        pass (the open list has no room for n_s more stocks, or `group_possible` fails) builds no stream and runs
+        no batch; skipping it moves no other decision, since each draws from its own stream. Only a decision whose
+        batch diverged counts in `skipped_events`; an accepted group goes to `judge_open`.
         """
         if ts >= self._force_us:
             return []  # inside the forced-unwind window; judgment would reject
         dev = self._deviation()
         self.split = update_tick(self.split, dev.sgn(), np.abs(dev.dp))
-        if dev.mask.all():
-            return []  # nothing may join a group
+        n_s, p_max = self.config.strategy.n_s, self.config.strategy.p_max
+        if np.count_nonzero(self._open) + n_s > p_max or not group_possible(dev, n_s):
+            return []  # no group can open: the room is full, or a side of VWAP is short of n_s/2 stocks
         rng = substream(self.seed, self.day_key, self.event_index)
         decided = decide(self.split, dev, self.corr, self.config.strategy, self._params, rng)
         if decided is None:
@@ -257,13 +263,13 @@ class TradingEngine:
         return self.judge_open(np.flatnonzero(row.spins > 0), dev, ts) if verdict.accepted else []
 
     def judge_open(self, selected: np.ndarray, dev: DeviationVector, ts: int) -> list[Order]:
-        """Open the whole group if the open list has room for it; register before issuing orders.
+        """Open the whole group; register each position before issuing its order.
 
         The group passed `check_constraints`, so no stock in it is masked: none is
         open or priced out, and each dp is nonzero, its sign giving the side.
+        `on_quote_change` decides only when the open list has room for a group,
+        so the room is not checked again here.
         """
-        if np.count_nonzero(self._open) + len(selected) > self.config.strategy.p_max:
-            return []
         orders = []
         for i in map(int, selected):
             side = LONG if dev.dp[i] < 0 else SHORT

@@ -36,6 +36,7 @@ __all__ = [
     "build_split",
     "cost_energy",
     "check_constraints",
+    "group_possible",
     "evaluate_candidate",
     "random_instance",
     "load_universe",
@@ -341,6 +342,16 @@ def check_constraints(bits: np.ndarray, dev: DeviationVector, n_s: int) -> Const
     if np.any(b[dev.mask] > 0):
         reasons.append("masked: selection includes a masked stock")
     return ConstraintReport(ok=not reasons, reasons=tuple(reasons))
+
+
+def group_possible(dev: DeviationVector, n_s: int) -> bool:
+    """True iff some bit vector passes `check_constraints`: n_s is even, and each side holds n_s/2 unmasked stocks.
+
+    An unmasked stock has dp != 0, so its sgn is +-1: a group of n_s unmasked stocks is balanced exactly when it
+    holds n_s/2 stocks with dp > 0 (above VWAP) and n_s/2 with dp < 0 (below it).
+    """
+    half, odd = divmod(n_s, 2)
+    return not odd and np.count_nonzero(dev.dp > 0) >= half and np.count_nonzero(dev.dp < 0) >= half
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,8 @@ from sbtrader.strategy import (
 )
 
 
-def make_engine(commission_rate=0.0, restarts=3, p_max=4, fill=True):
-    uni = helpers.make_universe()
+def make_engine(commission_rate=0.0, restarts=3, p_max=4, fill=True, n=6):
+    uni = helpers.make_universe(n)
     config = helpers.convergence_params(commission_rate, restarts)
     config.strategy = StrategyParams(
         n_s=4,
@@ -56,7 +56,7 @@ def make_engine(commission_rate=0.0, restarts=3, p_max=4, fill=True):
         accept_threshold=0.0,
     )
     handler = FillModel().fill if fill else None
-    return TradingEngine(uni, helpers.convergence_corr(), config, seed=7, fill_handler=handler)
+    return TradingEngine(uni, helpers.convergence_corr(n), config, seed=7, fill_handler=handler)
 
 
 def prime_quotes(engine, quotes=None):
@@ -101,19 +101,21 @@ class TestJudgeOpen:
         assert by_code[engine.universe.codes[2]].intended_price == helpers.BASE - 1
         assert all(o.lots == helpers.LOTS for o in orders)
 
-    def test_p_max_rejects_whole_group(self):
-        engine = make_engine()
-        prime_quotes(engine)
-        dev = DeviationVector(
-            dp=np.array([-0.004, -0.004, 0.004, 0.004, -0.004, 0.004]),
-            mask=np.zeros(6, dtype=bool),
-        )
-        assert engine.judge_open(np.array([0, 1, 2, 3]), dev, ts=300_000)
-        # second group would exceed p_max=4
-        assert engine.judge_open(np.array([4, 5]), dev, ts=300_001) == []
-        assert len(engine.open_codes) == 4
+    def test_p_max_rejects_whole_group(self, monkeypatch):
+        # with p_max = 6 the room holds two more stocks after the first group, but not a whole second group
+        engine = make_engine(p_max=6, n=8)
+        codes = engine.universe.codes
+        prime_quotes(engine, quotes=signal_quotes(codes))
+        assert engine.open_codes == set(codes[:4])
+        opened = len(engine.fills)
+        streams = count_calls(monkeypatch, "substream")
+        for k, (c, (a, b)) in enumerate(signal_quotes(codes[4:]).items()):
+            engine.process(TickEvent(1_000_000 + k, c, "quote", a, b))
+        dev = engine._deviation()
+        assert (dev.dp[4:6] < 0).all() and (dev.dp[6:] > 0).all()  # a balanced group of four is unmasked
+        assert streams == [] and len(engine.fills) == opened and engine.open_codes == set(codes[:4])
 
-    def test_full_room_issues_nothing(self):
+    def test_full_room_issues_nothing(self, monkeypatch):
         engine = make_engine()  # n_s = p_max = 4
         codes = engine.universe.codes
         prime_quotes(engine, quotes=signal_quotes(codes))  # the solver opens the scenario's group
@@ -124,7 +126,10 @@ class TestJudgeOpen:
         engine.process(TickEvent(1_000_001, codes[5], "quote", helpers.BASE - 20, helpers.BASE - 22))
         dev = engine._deviation()
         assert not dev.mask[4:].any() and dev.dp[4] > 0 > dev.dp[5]
+        streams = count_calls(monkeypatch, "substream")
+        batches = count_calls(monkeypatch, "sb_run")
         assert engine.on_quote_change(1_000_002) == []
+        assert streams == [] and batches == [] and engine.skipped_events == 0
         assert len(engine.fills) == opened
         assert len(engine.open_codes) <= engine.config.strategy.p_max
 
@@ -280,11 +285,17 @@ class TestQuoteChangeFlow:
 class SequentialEngine(TradingEngine):
     """Reference decision loop: the runs solved one at a time with `sb.run`, then the row rule of `engine.decide`.
 
-    A diverged run skips the decision; otherwise each row is expanded and judged on its own, and the
-    lowest-energy accepted row (`pick_best`) goes to judgment. Each run solves the same restricted split as
-    the batch and draws its row, in run order, from the decision's one (seed, day, event) stream, the rows of
-    the batch's one block draw; so the comparison tests batching alone.
+    It has no gate: every decision with an unmasked stock solves, even when the room is full or a side of VWAP is
+    short of n_s/2 stocks. A diverged run skips the decision; otherwise each row is expanded and judged on its own,
+    and the lowest-energy accepted row (`pick_best`) opens if the open list has room for it (`has_room`, this
+    class's own copy of the room rule). Each run solves the same restricted split as the batch and draws its row,
+    in run order, from the decision's one (seed, day, event) stream, the rows of the batch's one block draw; so
+    the comparison tests batching and the gate. `solved` lists the restricted split of every decision it solved.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.solved = []
 
     def on_quote_change(self, ts, code=None):
         if ts >= self.config.session_close_us - self.config.t_force_us:
@@ -295,6 +306,7 @@ class SequentialEngine(TradingEngine):
             return []
         keep = np.flatnonzero(~dev.mask)
         restricted = restrict(self.split, keep)
+        self.solved.append(restricted)
         rng = substream(self.seed, self.day_key, self.event_index)
         rows = []
         for _ in range(self.config.restarts):
@@ -306,18 +318,24 @@ class SequentialEngine(TradingEngine):
         strategy = self.config.strategy
         full = [expand(sol, keep, dev.n) for sol in rows]
         accepted = [sol for sol in full if evaluate_candidate(sol, dev, self.corr, strategy).accepted]
-        return self.judge_open(np.flatnonzero(pick_best(accepted).spins > 0), dev, ts) if accepted else []
+        if not accepted:
+            return []
+        selected = np.flatnonzero(pick_best(accepted).spins > 0)
+        return self.judge_open(selected, dev, ts) if self.has_room(selected) else []
+
+    def has_room(self, selected):
+        return np.count_nonzero(self._open) + len(selected) <= self.config.strategy.p_max
 
 
 class RoomCountingSequentialEngine(SequentialEngine):
-    """The reference, counting the accepted groups that judgment rejected for want of room."""
+    """The reference, counting the accepted groups that it rejected for want of room."""
 
     room_rejections = 0
 
-    def judge_open(self, selected, dev, ts):
-        orders = super().judge_open(selected, dev, ts)
-        self.room_rejections += not orders  # an accepted group is rejected only when the room is full
-        return orders
+    def has_room(self, selected):
+        room = super().has_room(selected)
+        self.room_rejections += not room
+        return room
 
 
 def count_calls(monkeypatch, name):
@@ -342,10 +360,21 @@ class TestBatchedDecisions:
         """Runs the scenario, plus `extra` events, batched and through `reference`.
 
         Checks that the batched engine makes at most one tick update and one batch per event, that is
-        per decision. Returns the order log and the reference engine.
+        per decision, and that each of its batches could open a group (room for n_s more stocks and n_s/2
+        unmasked stocks on each side). Returns the order log, the reference engine and, for the batched engine
+        and the reference, the restricted split of every decision it solved.
         """
         ticks = count_calls(monkeypatch, "update_tick")
-        batches = count_calls(monkeypatch, "sb_run")
+        n_s, p_max = config.strategy.n_s, config.strategy.p_max
+        batches, sb_run = [], eng.sb_run  # the reference's runs call sb.run_batch, not engine.sb_run
+
+        def gated_batch(p, params, rng):
+            assert np.count_nonzero(engine._open) + n_s <= p_max
+            assert min(np.count_nonzero(p.sgn_dp > 0), np.count_nonzero(p.sgn_dp < 0)) >= n_s // 2
+            batches.append(p)
+            return sb_run(p, params, rng)
+
+        monkeypatch.setattr(eng, "sb_run", gated_batch)
         logs, tick_counts = [], []
         for cls in (TradingEngine, reference):
             ticks.clear()
@@ -356,27 +385,27 @@ class TestBatchedDecisions:
                 before = len(ticks), len(batches)
                 engine.process(e)
                 assert len(ticks) - before[0] <= 1 and len(batches) - before[1] <= 1
-                assert len(engine.open_codes) <= config.strategy.p_max
+                assert len(engine.open_codes) <= p_max
             engine.finalize(110_000_000)
             logs.append(order_log(engine))
             tick_counts.append(len(ticks))
         assert logs[0] == logs[1]
         assert tick_counts[0] == tick_counts[1]
         # no batch runs once every stock is masked, that is once every deviation is 0
-        assert batches and all(np.any(args[0].sgn_dp != 0) for args, _ in batches)
-        return logs[0], engine
+        assert batches and all(np.any(p.sgn_dp != 0) for p in batches + engine.solved)
+        return logs[0], engine, (batches, engine.solved)
 
     @pytest.mark.parametrize("restarts", [3, 10])
     def test_batched_matches_sequential_reference(self, monkeypatch, restarts):
         config = helpers.convergence_params(restarts=restarts)
-        log, _ = self.matches_sequential_reference(monkeypatch, config)
+        log, *_ = self.matches_sequential_reference(monkeypatch, config)
         assert len(log) == 8  # four opens, four closes
 
     @pytest.mark.parametrize("restarts", [3, 10])
     def test_pairs_match_sequential_reference(self, monkeypatch, restarts):
         config = helpers.convergence_params(restarts=restarts)
         config.strategy = replace(config.strategy, n_s=2)  # two pairs fit in p_max=4
-        log, _ = self.matches_sequential_reference(monkeypatch, config)
+        log, *_ = self.matches_sequential_reference(monkeypatch, config)
         assert len(log) == 8  # both pairs opened and closed
 
     @pytest.mark.parametrize("seed", range(6))
@@ -414,30 +443,72 @@ class TestBatchedDecisions:
         second = [TickEvent(3_000_000 + k, c, "quote", a, b)
                   for k, (c, (a, b)) in enumerate(signal_quotes(codes[4:], 40).items())]
         config = helpers.convergence_params(restarts=10)
-        log, reference = self.matches_sequential_reference(
+        log, reference, (gated, ungated) = self.matches_sequential_reference(
             monkeypatch, config, reference=RoomCountingSequentialEngine, n=8, extra=second)
         opens = [code for _, code, _, action, _, _ in log if action == "open"]
         assert opens[:4] == sorted(codes[:4]) and sorted(opens[4:]) == sorted(codes[4:])
-        # the second group opens once the first has closed; before that judgment rejected it with the room full
+        # the second group opens once the first has closed; before that the reference solved it and rejected it
+        # with the room full, where the gated engine ran no batch
         assert reference.room_rejections > 0
+        assert len(gated) < len(ungated)
+
+    def test_one_sided_matches_sequential_reference(self, monkeypatch):
+        # with n_s = 2 the scenario's first quote leaves one stock below VWAP and none above: the reference solves
+        # that decision, whose rows check_constraints must all reject, and the gated engine runs no batch for it
+        config = helpers.convergence_params(restarts=10)
+        config.strategy = replace(config.strategy, n_s=2)
+        log, _, (gated, ungated) = self.matches_sequential_reference(monkeypatch, config)
+        assert len(log) == 8  # both pairs opened and closed, equal to the reference's orders
+
+        def one_sided(p):
+            return min(np.count_nonzero(p.sgn_dp > 0), np.count_nonzero(p.sgn_dp < 0)) < config.strategy.n_s // 2
+
+        assert ungated[0].sgn_dp.tolist() == [-1.0]  # stock 1001 alone, the restricted [-1, 0, 0, 0, 0, 0]
+        assert sum(map(one_sided, ungated)) > 0 and not any(map(one_sided, gated))
+        assert len(gated) < len(ungated)
 
     def test_divergence_skips_events_and_still_closes(self, monkeypatch):
         batches = count_calls(monkeypatch, "sb_run")
         config = replace(helpers.convergence_params(), c0=1e308)
-        engine = TradingEngine(helpers.make_universe(), helpers.convergence_corr(), config, seed=7,
+        config.strategy = replace(config.strategy, p_max=8)
+        engine = TradingEngine(helpers.make_universe(8), helpers.convergence_corr(8), config, seed=7,
                                fill_handler=FillModel().fill)
         codes = engine.universe.codes
-        prime_quotes(engine, quotes=signal_quotes(codes))  # the signal would open a group, but every solve diverges
-        assert not engine.positions
+        # the signal would open a group, but every solve from the fourth quote on (codes[3:]) diverges
+        prime_quotes(engine, quotes=signal_quotes(codes))
+        assert not engine.positions and len(batches) == engine.skipped_events == 5
         engine.judge_open(np.array([0, 1, 2, 3]), engine._deviation(), ts=300_000)
         opened = len(engine.fills)
-        for k, c in enumerate(codes[4:]):  # the two unmasked stocks still reach the solver
-            engine.process(TickEvent(1_000_000 + k, c, "quote", helpers.BASE - 20, helpers.BASE - 22))
-        assert len(batches) == len(codes) + 2
-        assert engine.skipped_events == len(batches)
+        # the room holds a second group, and its fourth quote leaves two unmasked stocks on each side of VWAP
+        for k, (c, (a, b)) in enumerate(signal_quotes(codes[4:]).items()):
+            engine.process(TickEvent(1_000_000 + k, c, "quote", a, b))
+        assert len(batches) == engine.skipped_events == 6
         assert len(engine.fills) == opened and all(p.state == OPEN for p in engine.positions)
         engine.finalize(2_000_000)
         assert len(engine.positions) == 4 and all(p.state == CLOSED for p in engine.positions)
+
+    def test_decision_no_group_can_pass_builds_no_stream(self, monkeypatch):
+        # every solve diverges (c0=1e308), so a batch would count a skip; a full room or a one-sided decision
+        # builds no stream, runs no batch and counts no skip
+        streams = count_calls(monkeypatch, "substream")
+        batches = count_calls(monkeypatch, "sb_run")
+        config = replace(helpers.convergence_params(), c0=1e308)
+        engine = TradingEngine(helpers.make_universe(8), helpers.convergence_corr(8), config, seed=7,
+                               fill_handler=FillModel().fill)
+        codes = engine.universe.codes
+        prime_quotes(engine)
+        quotes = list(signal_quotes(codes).items())
+        for k, (c, (a, b)) in enumerate(quotes[:3]):  # two stocks below VWAP, one above: one-sided for n_s = 4
+            engine.process(TickEvent(1_000_000 + k, c, "quote", a, b))
+        assert (streams, batches, engine.skipped_events) == ([], [], 0)
+        engine.process(TickEvent(1_000_003, quotes[3][0], "quote", *quotes[3][1]))  # balanced: one batch, one skip
+        assert len(streams) == len(batches) == engine.skipped_events == 1
+        engine.judge_open(np.array([0, 1, 2, 3]), engine._deviation(), ts=1_000_004)
+        for k, (c, (a, b)) in enumerate(signal_quotes(codes[4:]).items()):  # balanced, but the room is full
+            engine.process(TickEvent(2_000_000 + k, c, "quote", a, b))
+        dev = engine._deviation()
+        assert np.count_nonzero(dev.dp > 0) == np.count_nonzero(dev.dp < 0) == 2
+        assert len(streams) == len(batches) == engine.skipped_events == 1
 
     def test_divergence_opens_nothing_on_the_scenario(self, monkeypatch):
         batches = count_calls(monkeypatch, "sb_run")
@@ -453,19 +524,27 @@ class TestBatchedDecisions:
     def test_quote_beyond_float32_tick_range_skips_its_decision(self, monkeypatch, price, skipped):
         # a finite quote of 1e40 on a base of 5,000 makes c1 |dp| / 2 about 1e39, beyond float32 range:
         # the batch's tick biases cast to inf, every row diverges and the event is skipped without a warning
-        engine = make_engine()
+        engine = make_engine(p_max=8, n=8)
         codes = engine.universe.codes
         prime_quotes(engine, quotes=signal_quotes(codes))
         assert engine.open_codes == set(codes[:4]) and engine.skipped_events == 0
+        # the room holds a second group: stocks 4 and 5 below VWAP, 7 above, and 6 above at the huge quote
+        quotes = signal_quotes(codes[4:])
+        del quotes[codes[6]]
+        for k, (c, (a, b)) in enumerate(quotes.items()):
+            engine.process(TickEvent(900_000 + k, c, "quote", a, b))
         batches = count_calls(monkeypatch, "sb_run")
-        engine.process(TickEvent(1_000_000, codes[4], "quote", price, price))
+        engine.process(TickEvent(1_000_000, codes[6], "quote", price, price))
         assert len(batches) == 1 and engine.skipped_events == skipped
+        # at 1e36 the batch steps, and the absurd quote opens stocks 4-7 with stock 6 shorted at 1e36
+        assert len(engine.positions) == (4 if skipped else 8)
         engine.finalize(2_000_000)
-        assert len(engine.positions) == 4 and all(p.state == CLOSED for p in engine.positions)
+        assert all(p.state == CLOSED for p in engine.positions)
 
     def test_one_stream_per_solving_decision(self, monkeypatch):
         # a decision that solves builds one stream, keyed (seed, day, event), and passes it to its one batch of
-        # `restarts` rows; a decision with every stock masked, or inside the forced-unwind window, builds none
+        # `restarts` rows; a decision that no group can pass (here one-sided), or inside the forced-unwind window,
+        # builds none
         streams = count_calls(monkeypatch, "substream")
         batches = count_calls(monkeypatch, "sb_run")
         config = helpers.convergence_params(restarts=5)
@@ -474,13 +553,16 @@ class TestBatchedDecisions:
         codes = engine.universe.codes
         prime_quotes(engine)  # flat quotes: every deviation is 0
         assert engine.event_index == 2 * len(codes) and streams == [] and batches == []
-        engine.process(TickEvent(1_000_000, codes[0], "quote", helpers.BASE - 20, helpers.BASE - 22))
-        assert streams == [((7, 3, 2 * len(codes)), {})]
+        for k, (c, (a, b)) in enumerate(signal_quotes(codes).items()):
+            engine.process(TickEvent(1_000_000 + k, c, "quote", a, b))
+        # the first three quotes leave fewer than two stocks on one side of VWAP; the fourth one solves
+        assert streams == [((7, 3, 2 * len(codes) + 3), {})]
         ((_, params, rng), _), = batches
         assert isinstance(rng, np.random.Generator) and params.restarts == 5
+        assert engine.open_codes == set(codes[:4])
         close_us = engine.config.session_close_us
-        engine.process(TickEvent(close_us - 1_000_000, codes[1], "quote", helpers.BASE - 20, helpers.BASE - 22))
-        assert len(streams) == len(batches) == 1 and not engine.positions
+        engine.process(TickEvent(close_us - 1_000_000, codes[4], "quote", helpers.BASE - 20, helpers.BASE - 22))
+        assert len(streams) == len(batches) == 1
 
     def test_quote_whose_mid_overflows_is_rejected(self):
         # ask + bid of a 1e308 quote is inf: it is counted at the buffer, so no overflow reaches a mid
@@ -555,8 +637,9 @@ class TestRowRule:
         codes = engine.universe.codes
         assert engine.open_codes == {codes[i] for i in groups[2]}
         assert engine.skipped_events == 0
-        # one batch per quote; the opening leaves stocks 1 and 3 unmasked, and no second batch runs for them
-        assert sizes == [1, 2, 3, 4, 5, 6] and not engine._deviation().mask.all()
+        # a batch for each quote after which two stocks lie on each side of VWAP: the fifth and sixth; the opening
+        # leaves stocks 1 and 3 unmasked, and no batch runs for them
+        assert sizes == [5, 6] and not engine._deviation().mask.all()
 
     def test_diverged_row_skips_the_decision(self, monkeypatch):
         # row 0 would be accepted, but row 1 diverged: the decision opens nothing and counts one skip
@@ -628,25 +711,26 @@ class TestOpenStockMasked:
 
         monkeypatch.setattr(eng, "sb_run", stub)
         monkeypatch.setattr(eng, "evaluate_candidate", recorded)
-        engine = make_engine(p_max=8)
+        engine = make_engine(p_max=8, n=8)
         codes = engine.universe.codes
         prime_quotes(engine, quotes=signal_quotes(codes))
         assert engine.open_codes == set(codes[:4])  # every row ties, so pick_best opened run 0's group
         opened = len(engine.fills)
         solved.clear()
         judged.clear()
-        engine.process(TickEvent(1_000_000, codes[4], "quote", helpers.BASE + 22, helpers.BASE + 20))
-        engine.process(TickEvent(1_000_001, codes[5], "quote", helpers.BASE - 20, helpers.BASE - 22))
-        # the two decisions solve stock 4 alone, then stocks 4 and 5: the unmasked stocks, nothing else
-        assert [p.n for p in solved] == [1, 2]
-        assert solved[0].sgn_dp.tolist() == [1.0] and solved[1].sgn_dp.tolist() == [1.0, -1.0]
-        # every row of a decision has the same spins, so each decision evaluates one spin vector
-        assert len(judged) == 2
-        # each judged spin vector, written back to length N, has the open stocks' bits at 0 and selects only the
-        # unmasked ones
-        assert all(s.tolist() == [-1.0] * 4 + [1.0, -1.0] for s in judged[:1])
-        assert all(s.tolist() == [-1.0] * 4 + [1.0, 1.0] for s in judged[1:])
-        assert len(engine.fills) == opened and engine.open_codes == set(codes[:4])
+        b = helpers.BASE
+        quotes = {codes[4]: (b + 22, b + 20), codes[5]: (b - 20, b - 22), codes[6]: (b + 21, b + 19),
+                  codes[7]: (b - 19, b - 21)}
+        for k, (c, (ask, bid)) in enumerate(quotes.items()):
+            engine.process(TickEvent(1_000_000 + k, c, "quote", ask, bid))
+        # the fourth quote puts two unmasked stocks on each side of VWAP, and its decision solves stocks 4-7: the
+        # unmasked stocks, nothing else
+        assert [p.n for p in solved] == [4] and solved[0].sgn_dp.tolist() == [1.0, -1.0, 1.0, -1.0]
+        # every row has the same spins, so the decision evaluates one spin vector; written back to length N, it
+        # has the open stocks' bits at 0 and selects only the unmasked ones
+        assert [s.tolist() for s in judged] == [[-1.0] * 4 + [1.0] * 4]
+        # that group is balanced and accepted, and opens beside the first, which no row re-opened
+        assert len(engine.fills) == opened + 4 and sorted(p.code for p in engine.positions) == codes
 
 
 class TestCloseGate:

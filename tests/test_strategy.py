@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import helpers
@@ -28,6 +28,7 @@ from sbtrader.strategy import (
     day_sigma_matrix,
     deviation,
     evaluate_candidate,
+    group_possible,
     load_universe,
     lot_size,
     random_instance,
@@ -408,6 +409,45 @@ class TestConstraints:
         dev = self.make_dev([-0.01, 0.0, 0.01, 0.0, 0.02])
         report = check_constraints(np.array([1, 1, 1, 1, 0.0]), dev, 4)
         assert report.reasons == ("masked: selection includes a masked stock",)
+
+
+class TestGroupPossible:
+    """`group_possible` holds iff some bit vector of the 2^n passes `check_constraints`."""
+
+    @staticmethod
+    def some_group_passes(dev, n_s):
+        return any(check_constraints(np.array(bits), dev, n_s) for bits in itertools.product((0.0, 1.0), repeat=dev.n))
+
+    @staticmethod
+    def make_dev(dp):
+        dp = np.asarray(dp, dtype=float)
+        return DeviationVector(dp=dp, mask=dp == 0.0)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_sign_and_mask_pattern(self, n):
+        # each stock below VWAP, masked (dp == 0) or above it; odd n_s has no balanced group
+        for signs in itertools.product((-1.0, 0.0, 1.0), repeat=n):
+            dev = self.make_dev(0.004 * np.array(signs))
+            for n_s in range(1, 5):
+                assert group_possible(dev, n_s) == self.some_group_passes(dev, n_s), (signs, n_s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hs.lists(hs.sampled_from([-0.03, -0.004, -1e-9, 0.0, 1e-9, 0.004, 0.02]), min_size=6, max_size=8),
+           hs.sampled_from([2, 4]))
+    def test_drawn_deviations_up_to_eight_stocks(self, dp, n_s):
+        dev = self.make_dev(dp)
+        assert group_possible(dev, n_s) == self.some_group_passes(dev, n_s)
+
+    def test_open_and_priced_out_stocks_count_on_no_side(self):
+        # compute_deviation masks an excluded stock (open or priced out), so it counts on neither side: of four
+        # stocks above VWAP, two are excluded
+        uni = helpers.make_universe(6)
+        b = helpers.BASE
+        ask = np.array([b - 20, b + 22, b + 22, b + 22, b + 22, b - 20])
+        dev = compute_deviation(uni, ask, ask - 2, np.ones(6, dtype=bool), np.full(6, b),
+                                np.array([False, True, True, False, False, False]))
+        assert np.count_nonzero(dev.dp > 0) == 2 and np.count_nonzero(dev.dp < 0) == 2
+        assert group_possible(dev, 4) and not group_possible(dev, 6)
 
 
 class TestEvaluateCandidate:
