@@ -1,12 +1,12 @@
 """Event-driven decision loop: quote changes trigger tick updates, solves, and judgment.
 
-The engine owns one day's market state. On each quote change it rebuilds the
-deviation vector, whose mask is the one gate on which stocks may join a group,
-and refreshes the O(N) tick side of the split problem. If a group could open
-(the open list has room for n_s more stocks and `group_possible` holds), it
-lets `decide`, the one decision rule, pick a group, which opens if it was
-accepted; any other quote change runs no batch. So at most one group opens
-per quote change; with p_max >= 2 n_s a second group waits for the next one.
+The engine owns one day's market state. A quote change with room in the open
+list for n_s more stocks rebuilds the deviation vector, whose mask is the one
+gate on which stocks may join a group. If `group_possible` holds, it refreshes
+the O(N) tick side of the split problem, so `split` holds the tick side of the
+last solving decision, and lets `decide`, the one decision rule, pick a group,
+which opens if it was accepted. So at most one group opens per quote change;
+with p_max >= 2 n_s a second group waits for the next one.
 Closing is driven by the deviation sign crossing zero (taking the convergence
 profit) and by a forced unwind window before session close. A held stock's
 deviation depends only on its ask and bid, the published VWAP and whether the
@@ -242,18 +242,21 @@ class TradingEngine:
     def on_quote_change(self, ts: int, code: str | None = None) -> list[Order]:
         """Let `decide` pick a group from the decision's (seed, day, event) stream; returns any orders issued.
 
-        The tick side is refreshed on every call outside the forced-unwind window. A decision that no group could
-        pass (the open list has no room for n_s more stocks, or `group_possible` fails) builds no stream and runs
-        no batch; skipping it moves no other decision, since each draws from its own stream. Only a decision whose
+        Each kind of call does only its own work: inside the forced-unwind window or with no room for n_s more
+        stocks it computes nothing, a one-sided one (`group_possible` fails) only the deviation, and only a solving
+        one refreshes the tick side of `self.split`, which nothing else reads. A call that stops builds no stream and
+        runs no batch, which moves no other decision, since each draws from its own stream. Only a decision whose
         batch diverged counts in `skipped_events`; an accepted group goes to `judge_open`.
         """
         if ts >= self._force_us:
             return []  # inside the forced-unwind window; judgment would reject
-        dev = self._deviation()
-        self.split = update_tick(self.split, dev.sgn(), np.abs(dev.dp))
         n_s, p_max = self.config.strategy.n_s, self.config.strategy.p_max
-        if np.count_nonzero(self._open) + n_s > p_max or not group_possible(dev, n_s):
-            return []  # no group can open: the room is full, or a side of VWAP is short of n_s/2 stocks
+        if np.count_nonzero(self._open) + n_s > p_max:
+            return []  # the room is full: no group of n_s more stocks fits
+        dev = self._deviation()
+        if not group_possible(dev, n_s):
+            return []  # a side of VWAP is short of n_s/2 unmasked stocks
+        self.split = update_tick(self.split, dev.sgn(), np.abs(dev.dp))
         rng = substream(self.seed, self.day_key, self.event_index)
         decided = decide(self.split, dev, self.corr, self.config.strategy, self._params, rng)
         if decided is None:

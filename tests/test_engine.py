@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import helpers
 from sbtrader import engine as eng
@@ -290,12 +292,13 @@ class SequentialEngine(TradingEngine):
     and the lowest-energy accepted row (`pick_best`) opens if the open list has room for it (`has_room`, this
     class's own copy of the room rule). Each run solves the same restricted split as the batch and draws its row,
     in run order, from the decision's one (seed, day, event) stream, the rows of the batch's one block draw; so
-    the comparison tests batching and the gate. `solved` lists the restricted split of every decision it solved.
+    the comparison tests batching and the gate. `solved` maps the event index of every decision it solved to the
+    restricted split it solved.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.solved = []
+        self.solved = {}
 
     def on_quote_change(self, ts, code=None):
         if ts >= self.config.session_close_us - self.config.t_force_us:
@@ -306,7 +309,7 @@ class SequentialEngine(TradingEngine):
             return []
         keep = np.flatnonzero(~dev.mask)
         restricted = restrict(self.split, keep)
-        self.solved.append(restricted)
+        self.solved[self.event_index] = restricted
         rng = substream(self.seed, self.day_key, self.event_index)
         rows = []
         for _ in range(self.config.restarts):
@@ -359,23 +362,25 @@ class TestBatchedDecisions:
     def matches_sequential_reference(self, monkeypatch, config, reference=SequentialEngine, n=6, extra=()):
         """Runs the scenario, plus `extra` events, batched and through `reference`.
 
-        Checks that the batched engine makes at most one tick update and one batch per event, that is
-        per decision, and that each of its batches could open a group (room for n_s more stocks and n_s/2
-        unmasked stocks on each side). Returns the order log, the reference engine and, for the batched engine
-        and the reference, the restricted split of every decision it solved.
+        Checks that the batched engine makes at most one batch per event, that is per decision, with exactly
+        one tick update per batch and none without, and that each of its batches could open a group (room for n_s
+        more stocks and n_s/2 unmasked stocks on each side). Each batch's restricted split equals, bit for bit, the
+        one the reference solved at the same event, so a tick side refreshed only by solving decisions is the one
+        that refreshing on every event gives. Returns the order log, the reference engine and, for the batched
+        engine and the reference, the restricted split of every decision it solved.
         """
         ticks = count_calls(monkeypatch, "update_tick")
         n_s, p_max = config.strategy.n_s, config.strategy.p_max
-        batches, sb_run = [], eng.sb_run  # the reference's runs call sb.run_batch, not engine.sb_run
+        batches, sb_run = {}, eng.sb_run  # by event index; the reference's runs call sb.run_batch, not engine.sb_run
 
         def gated_batch(p, params, rng):
             assert np.count_nonzero(engine._open) + n_s <= p_max
             assert min(np.count_nonzero(p.sgn_dp > 0), np.count_nonzero(p.sgn_dp < 0)) >= n_s // 2
-            batches.append(p)
+            batches[engine.event_index] = p
             return sb_run(p, params, rng)
 
         monkeypatch.setattr(eng, "sb_run", gated_batch)
-        logs, tick_counts = [], []
+        logs = []
         for cls in (TradingEngine, reference):
             ticks.clear()
             engine = cls(helpers.make_universe(n), helpers.convergence_corr(n), config, seed=7,
@@ -385,15 +390,22 @@ class TestBatchedDecisions:
                 before = len(ticks), len(batches)
                 engine.process(e)
                 assert len(ticks) - before[0] <= 1 and len(batches) - before[1] <= 1
+                if cls is TradingEngine:  # one tick update per batch, and none without
+                    assert len(ticks) - before[0] == len(batches) - before[1]
                 assert len(engine.open_codes) <= p_max
             engine.finalize(110_000_000)
             logs.append(order_log(engine))
-            tick_counts.append(len(ticks))
         assert logs[0] == logs[1]
-        assert tick_counts[0] == tick_counts[1]
+        assert batches.keys() <= engine.solved.keys()
+        for i, p in batches.items():
+            q = engine.solved[i]
+            for name in ("j_day", "h_day", "sgn_dp", "abs_dp", "offset_day"):
+                a, b = np.asarray(getattr(p, name)), np.asarray(getattr(q, name))
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (i, name)
+        gated, ungated = list(batches.values()), list(engine.solved.values())
         # no batch runs once every stock is masked, that is once every deviation is 0
-        assert batches and all(np.any(p.sgn_dp != 0) for p in batches + engine.solved)
-        return logs[0], engine, (batches, engine.solved)
+        assert gated and all(np.any(p.sgn_dp != 0) for p in gated + ungated)
+        return logs[0], engine, (gated, ungated)
 
     @pytest.mark.parametrize("restarts", [3, 10])
     def test_batched_matches_sequential_reference(self, monkeypatch, restarts):
@@ -466,6 +478,47 @@ class TestBatchedDecisions:
         assert ungated[0].sgn_dp.tolist() == [-1.0]  # stock 1001 alone, the restricted [-1, 0, 0, 0, 0, 0]
         assert sum(map(one_sided, ungated)) > 0 and not any(map(one_sided, gated))
         assert len(gated) < len(ungated)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        hs.integers(min_value=4, max_value=8),
+        hs.sampled_from([2, 4]),
+        hs.sampled_from([1, 2]),
+        hs.integers(min_value=0, max_value=2**32 - 1),
+        hs.lists(
+            hs.tuples(
+                hs.integers(min_value=0, max_value=7),  # stock, modulo n
+                hs.sampled_from(["quote", "quote", "trade"]),
+                hs.sampled_from([-40, -20, -19, -2, 0, 2, 19, 20, 40]),  # mid (or trade price) less the base
+                hs.sampled_from([1, 1_000, 400_000, 1_500_000]),  # microseconds since the last event
+            ),
+            min_size=12,
+            max_size=40,
+        ),
+    )
+    def test_drawn_feeds_match_the_ungated_reference(self, n, n_s, groups, seed, draws):
+        # the gate skips only decisions that could not open a group, and each decision draws from its own stream,
+        # so gating moves no order, wherever the room or the sides of VWAP stop a decision
+        config = helpers.convergence_params(restarts=3)
+        config.strategy = replace(config.strategy, n_s=n_s, p_max=groups * n_s)
+        upper = np.triu(np.random.default_rng(seed).uniform(0.0, 1.0, (n, n)), 1)
+        corr = CorrelationMatrix(upper + upper.T)
+        codes = helpers.make_universe(n).codes
+        events = [TickEvent(100_000 + i, c, "trade", helpers.BASE, 100) for i, c in enumerate(codes)]
+        ts = 200_000
+        for stock, kind, offset, gap in draws:
+            ts += gap
+            price = helpers.BASE + offset
+            p1, p2 = (price + 1, price - 1) if kind == "quote" else (price, 100)
+            events.append(TickEvent(ts, codes[stock % n], kind, p1, p2))
+        logs = []
+        for cls in (TradingEngine, SequentialEngine):
+            engine = cls(helpers.make_universe(n), corr, config, seed=7, fill_handler=FillModel().fill)
+            for e in events:
+                engine.process(e)
+            engine.finalize(ts + 1)
+            logs.append(order_log(engine))
+        assert logs[0] == logs[1]
 
     def test_divergence_skips_events_and_still_closes(self, monkeypatch):
         batches = count_calls(monkeypatch, "sb_run")
@@ -574,6 +627,49 @@ class TestBatchedDecisions:
         engine.finalize(110_000_000)
         assert engine.session.buffer.rejected == 1
         assert sorted(p.code for p in engine.positions) == codes[:4]
+
+
+class TestQuoteChangeWork:
+    """Each kind of quote change does only its own work: the deviation and the tick update only where read."""
+
+    def test_each_kind_calls_only_what_it_reads(self, monkeypatch):
+        engine = make_engine()  # n_s = p_max = 4
+        codes = engine.universe.codes
+        prime_quotes(engine)  # flat quotes: every deviation is 0
+        deviations = count_calls(monkeypatch, "compute_deviation")
+        ticks = count_calls(monkeypatch, "update_tick")
+        quotes = list(signal_quotes(codes).items())
+        for k, (c, (a, b)) in enumerate(quotes[:3]):  # two stocks below VWAP and one above: one-sided
+            engine.process(TickEvent(1_000_000 + k, c, "quote", a, b))
+            assert (len(deviations), len(ticks)) == (k + 1, 0)
+        c, (a, b) = quotes[3]  # balanced, with room: the decision solves
+        assert engine.session.apply(TickEvent(1_000_003, c, "quote", a, b))
+        dev = engine._deviation()  # that decision's deviation, taken before its group opens
+        deviations.clear()
+        assert len(engine.on_quote_change(1_000_003)) == 4
+        assert (len(deviations), len(ticks)) == (1, 1)
+        assert np.array_equal(engine.split.sgn_dp, dev.sgn()) and np.array_equal(engine.split.abs_dp, np.abs(dev.dp))
+        deviations.clear()
+        ticks.clear()
+        # the room is full, and stocks 4 and 5 deviate on both sides of VWAP: neither is called
+        engine.process(TickEvent(1_000_004, codes[4], "quote", helpers.BASE + 22, helpers.BASE + 20))
+        engine.process(TickEvent(1_000_005, codes[5], "quote", helpers.BASE - 20, helpers.BASE - 22))
+        assert (deviations, ticks) == ([], [])
+        assert engine.open_codes == set(codes[:4])
+
+    def test_forced_unwind_window_calls_neither(self, monkeypatch):
+        engine = make_engine()
+        codes = engine.universe.codes
+        prime_quotes(engine)
+        quotes = list(signal_quotes(codes).items())
+        for k, (c, (a, b)) in enumerate(quotes[:3]):
+            engine.process(TickEvent(1_000_000 + k, c, "quote", a, b))
+        deviations = count_calls(monkeypatch, "compute_deviation")
+        ticks = count_calls(monkeypatch, "update_tick")
+        # a quote that would balance the group, with room, but inside the forced-unwind window
+        close_us = engine.config.session_close_us
+        engine.process(TickEvent(close_us - 1_000_000, quotes[3][0], "quote", *quotes[3][1]))
+        assert (deviations, ticks) == ([], []) and not engine.positions
 
 
 class TestRowRule:
