@@ -292,13 +292,13 @@ class SequentialEngine(TradingEngine):
     and the lowest-energy accepted row (`pick_best`) opens if the open list has room for it (`has_room`, this
     class's own copy of the room rule). Each run solves the same restricted split as the batch and draws its row,
     in run order, from the decision's one (seed, day, event) stream, the rows of the batch's one block draw; so
-    the comparison tests batching and the gate. `solved` maps the event index of every decision it solved to the
-    restricted split it solved.
+    the comparison tests batching and the gate. `solved` lists (event index, restricted split) for every decision
+    it solved, in order.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.solved = {}
+        self.solved = []
 
     def on_quote_change(self, ts, code=None):
         if ts >= self.config.session_close_us - self.config.t_force_us:
@@ -309,7 +309,7 @@ class SequentialEngine(TradingEngine):
             return []
         keep = np.flatnonzero(~dev.mask)
         restricted = restrict(self.split, keep)
-        self.solved[self.event_index] = restricted
+        self.solved.append((self.event_index, restricted))
         rng = substream(self.seed, self.day_key, self.event_index)
         rows = []
         for _ in range(self.config.restarts):
@@ -371,12 +371,12 @@ class TestBatchedDecisions:
         """
         ticks = count_calls(monkeypatch, "update_tick")
         n_s, p_max = config.strategy.n_s, config.strategy.p_max
-        batches, sb_run = {}, eng.sb_run  # by event index; the reference's runs call sb.run_batch, not engine.sb_run
+        batches, sb_run = [], eng.sb_run  # (event index, split); the reference's runs call sb.run_batch, not sb_run
 
         def gated_batch(p, params, rng):
             assert np.count_nonzero(engine._open) + n_s <= p_max
             assert min(np.count_nonzero(p.sgn_dp > 0), np.count_nonzero(p.sgn_dp < 0)) >= n_s // 2
-            batches[engine.event_index] = p
+            batches.append((engine.event_index, p))
             return sb_run(p, params, rng)
 
         monkeypatch.setattr(eng, "sb_run", gated_batch)
@@ -396,13 +396,15 @@ class TestBatchedDecisions:
             engine.finalize(110_000_000)
             logs.append(order_log(engine))
         assert logs[0] == logs[1]
-        assert batches.keys() <= engine.solved.keys()
-        for i, p in batches.items():
-            q = engine.solved[i]
+        by_event, solved = dict(batches), dict(engine.solved)
+        assert len(by_event) == len(batches) and len(solved) == len(engine.solved)  # one solve per event at most
+        assert by_event.keys() <= solved.keys()
+        for i, p in by_event.items():
+            q = solved[i]
             for name in ("j_day", "h_day", "sgn_dp", "abs_dp", "offset_day"):
                 a, b = np.asarray(getattr(p, name)), np.asarray(getattr(q, name))
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (i, name)
-        gated, ungated = list(batches.values()), list(engine.solved.values())
+        gated, ungated = list(by_event.values()), list(solved.values())
         # no batch runs once every stock is masked, that is once every deviation is 0
         assert gated and all(np.any(p.sgn_dp != 0) for p in gated + ungated)
         return logs[0], engine, (gated, ungated)
