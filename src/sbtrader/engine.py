@@ -2,10 +2,10 @@
 
 The engine owns one day's market state. A quote change with room in the open
 list for n_s more stocks rebuilds the deviation vector, whose mask is the one
-gate on which stocks may join a group. If `group_possible` holds, it refreshes
-the O(N) tick side of the split problem, so `split` holds the tick side of the
-last solving decision, and lets `decide`, the one decision rule, pick a group,
-which opens if it was accepted. So at most one group opens per quote change;
+gate on which stocks may join a group. If `group_possible` holds, `decide`, the
+one decision rule, replaces the O(N) tick side of the day split from that
+deviation and picks a group, which opens if it was accepted. `split` stays the
+day split built with the engine. So at most one group opens per quote change;
 with p_max >= 2 n_s a second group waits for the next one.
 Closing is driven by the deviation sign crossing zero (taking the convergence
 profit) and by a forced unwind window before session close. A held stock's
@@ -134,15 +134,15 @@ def decide(
 ) -> tuple[SbSolution, CandidateEvaluation] | None:
     """The one decision rule: the group that dev selects, as a length-N row with its verdict; None if a row diverged.
 
-    One batch of runs 0..restarts-1, its rows one (restarts, k) draw from rng, solves the k >= 1 unmasked stocks
-    alone (`restrict` fixes every masked spin at -1, which changes neither the groups that `check_constraints`
-    accepts nor their energies). Each distinct spin vector is written back to length N (`expand`) and evaluated
-    once. The row is the lowest-energy accepted one (`pick_best` over the accepted rows in row order: the cheapest
-    accepted group) or, with none accepted, the lowest-energy row. The callees are this module's globals, looked up
-    at call time, so a patch of `engine.sb_run` or `engine.evaluate_candidate` sees every call.
+    The split's tick side is replaced from dev (`update_tick` copies; split is not written). One batch of runs
+    0..restarts-1, one (restarts, k) draw from rng, solves the k >= 1 unmasked stocks alone (`restrict` fixes each
+    masked spin at -1, which keeps every group `check_constraints` accepts and its energy). Each distinct spin
+    vector is written back to length N (`expand`) and evaluated once. The row is the lowest-energy accepted one
+    (`pick_best` in row order) or, with none accepted, the lowest-energy row. The callees are module globals, looked
+    up at call time, so patching `engine.update_tick`, `engine.sb_run` or `engine.evaluate_candidate` sees every call.
     """
     keep = np.flatnonzero(~dev.mask)
-    rows = sb_run(restrict(split, keep), params, rng)
+    rows = sb_run(restrict(update_tick(split, dev.sgn(), np.abs(dev.dp)), keep), params, rng)
     if None in rows:
         return None
     verdicts: dict[bytes, CandidateEvaluation] = {}  # a verdict depends on the spins alone
@@ -244,9 +244,9 @@ class TradingEngine:
 
         Each kind of call does only its own work: inside the forced-unwind window or with no room for n_s more
         stocks it computes nothing, a one-sided one (`group_possible` fails) only the deviation, and only a solving
-        one refreshes the tick side of `self.split`, which nothing else reads. A call that stops builds no stream and
-        runs no batch, which moves no other decision, since each draws from its own stream. Only a decision whose
-        batch diverged counts in `skipped_events`; an accepted group goes to `judge_open`.
+        one lets `decide` derive a tick side from it; `self.split`, the day split, is never rebound. A call that stops
+        builds no stream and runs no batch, which moves no other decision, since each draws from its own stream. Only
+        a decision whose batch diverged counts in `skipped_events`; an accepted group goes to `judge_open`.
         """
         if ts >= self._force_us:
             return []  # inside the forced-unwind window; judgment would reject
@@ -256,7 +256,6 @@ class TradingEngine:
         dev = self._deviation()
         if not group_possible(dev, n_s):
             return []  # a side of VWAP is short of n_s/2 unmasked stocks
-        self.split = update_tick(self.split, dev.sgn(), np.abs(dev.dp))
         rng = substream(self.seed, self.day_key, self.event_index)
         decided = decide(self.split, dev, self.corr, self.config.strategy, self._params, rng)
         if decided is None:

@@ -178,6 +178,30 @@ class TestSolve:
         assert f"energy={row.energy!r}" in lines and f"accepted={verdict.accepted}" in lines
         assert code == (0 if verdict.accepted else 2)
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_universe_prints_the_schedule_its_batch_ran(self, tmp_path, capsys, monkeypatch, seed):
+        schedules, sb_run = [], eng.sb_run
+
+        def recorded(p, params, rng):
+            schedules.append(sb.schedule(p, params))
+            return sb_run(p, params, rng)
+
+        monkeypatch.setattr(eng, "sb_run", recorded)
+        files = helpers.write_convergence_fixture(tmp_path)
+        dev = tmp_path / "dev.txt"
+        dev.write_text("-0.0042\n-0.004\n0.0042\n0.004\n0\n0\n")  # stocks 4 and 5 are masked
+        _, out, _ = run_cli(
+            capsys,
+            "solve",
+            "--universe", str(files["universe"]),
+            "--deviations", str(dev),
+            "--corr", str(files["corr"]),
+            "--config", str(files["config"]),
+            "--seed", str(seed),
+        )
+        (n_step, dt), = schedules
+        assert f"n_step={n_step}\ndt={dt!r}\n" in out
+
     def test_universe_divergence_exit_1(self, tmp_path, capsys):
         # c0=1e308 makes every row of the decision's batch diverge
         files = helpers.write_convergence_fixture(tmp_path)

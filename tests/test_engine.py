@@ -41,6 +41,7 @@ from sbtrader.strategy import (
     build_split,
     config_from_kv,
     evaluate_candidate,
+    random_instance,
     read_kv,
 )
 
@@ -354,6 +355,12 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def split_bytes(p):
+    """The bytes of every field of split p that a decision reads."""
+    names = ("j_day", "h_day", "sgn_dp", "abs_dp", "day_row_sum", "offset_day", "day_rms")
+    return {name: np.asarray(getattr(p, name)).tobytes() for name in names}
+
+
 def order_log(engine):
     return [(o.ts, o.code, o.side, o.action, o.lots, o.intended_price) for o, _ in engine.fills]
 
@@ -636,6 +643,7 @@ class TestQuoteChangeWork:
 
     def test_each_kind_calls_only_what_it_reads(self, monkeypatch):
         engine = make_engine()  # n_s = p_max = 4
+        day = engine.split  # the day split built with the engine
         codes = engine.universe.codes
         prime_quotes(engine)  # flat quotes: every deviation is 0
         deviations = count_calls(monkeypatch, "compute_deviation")
@@ -648,9 +656,15 @@ class TestQuoteChangeWork:
         assert engine.session.apply(TickEvent(1_000_003, c, "quote", a, b))
         dev = engine._deviation()  # that decision's deviation, taken before its group opens
         deviations.clear()
+        batches = count_calls(monkeypatch, "sb_run")
         assert len(engine.on_quote_change(1_000_003)) == 4
         assert (len(deviations), len(ticks)) == (1, 1)
-        assert np.array_equal(engine.split.sgn_dp, dev.sgn()) and np.array_equal(engine.split.abs_dp, np.abs(dev.dp))
+        # the batch solved dev's tick side on the kept stocks, from the day split, which keeps its zero tick side
+        ((p, _, _), _), = batches
+        keep = np.flatnonzero(~dev.mask)
+        assert np.array_equal(p.sgn_dp, dev.sgn()[keep]) and np.array_equal(p.abs_dp, np.abs(dev.dp)[keep])
+        assert ticks[0][0][0] is day and engine.split is day
+        assert not day.sgn_dp.any() and not day.abs_dp.any()
         deviations.clear()
         ticks.clear()
         # the room is full, and stocks 4 and 5 deviate on both sides of VWAP: neither is called
@@ -658,6 +672,16 @@ class TestQuoteChangeWork:
         engine.process(TickEvent(1_000_005, codes[5], "quote", helpers.BASE - 20, helpers.BASE - 22))
         assert (deviations, ticks) == ([], [])
         assert engine.open_codes == set(codes[:4])
+
+    def test_day_split_is_never_written(self, monkeypatch):
+        engine = make_engine()
+        day, before = engine.split, split_bytes(engine.split)
+        batches = count_calls(monkeypatch, "sb_run")
+        for e in helpers.convergence_events(engine.universe.codes):
+            engine.process(e)
+        engine.finalize(110_000_000)
+        assert batches and len(engine.positions) == 4  # its solving decisions opened the scenario's group
+        assert engine.split is day and split_bytes(day) == before
 
     def test_forced_unwind_window_calls_neither(self, monkeypatch):
         engine = make_engine()
@@ -789,6 +813,21 @@ class TestDecide:
         assert not verdict.accepted
         assert verdict.reasons == ("count: selected 3 != n_s 4", "balance: sum sgn(dp) b = -1 != 0")
         assert verdict == evaluate_candidate(row, dev, corr, strategy)
+
+    @pytest.mark.parametrize("instance", ["convergence", "random"])
+    def test_leaves_its_split_unwritten(self, instance):
+        # the engine's case: a day split with an empty tick side, from which decide derives dev's
+        if instance == "convergence":
+            dev = DeviationVector(dp=np.array([-0.0042, -0.004, 0.0042, 0.004, 0.0, 0.0]), mask=np.zeros(6, bool))
+            corr, strategy = helpers.convergence_corr(), helpers.convergence_params().strategy
+        else:
+            dev, corr, strategy = random_instance(12, 4, np.random.default_rng(5))
+        split = build_split(DeviationVector(dp=np.zeros(dev.n), mask=np.zeros(dev.n, bool)), corr, strategy)
+        before = split_bytes(split)
+        (a, verdict_a), (b, verdict_b) = [decide(split, dev, corr, strategy, SbParams(), substream(0)) for _ in range(2)]
+        assert (a.spins.tobytes(), a.energy, a.run_index) == (b.spins.tobytes(), b.energy, b.run_index)
+        assert verdict_a == verdict_b
+        assert split_bytes(split) == before
 
 
 class TestOpenStockMasked:
